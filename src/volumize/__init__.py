@@ -3,8 +3,7 @@ optimizers, with the theory oracles, quantization, and audit tooling that
 make its behavior checkable end to end.
 
 The package keeps every numeric path deterministic: counter-based RNG
-streams, summation-order-pinned kernels (numba-compiled with a pure-numpy
-fallback selected by VOLUMIZE_PURE_NUMPY=1), and bitwise-faithful
+streams, summation-order-pinned numpy kernels, and bitwise-faithful
 checkpoints.
 """
 

@@ -1,56 +1,30 @@
-"""Numeric hot kernels with two interchangeable backends.
-
-Every kernel has a pure-numpy implementation (suffix ``_np``) and a
-numba-jitted twin (suffix ``_nb``) written with the same per-element
-arithmetic in the same evaluation order, so both backends produce
-bit-identical float64 output. The public unsuffixed names bind to one
-backend at import time: numba when importable, numpy otherwise or when
-``VOLUMIZE_PURE_NUMPY=1`` is set in the environment.
+"""Numeric hot kernels, one order-pinned numpy implementation each.
 
 Summation order is part of the contract here: matrix products, matvecs and
 column sums accumulate strictly left-to-right over the inner index. Do not
 replace them with BLAS calls or pairwise reductions; determinism guarantees
 and oracle tests depend on the exact order.
 
+Callers look kernels up at call time as ``_kernels.<name>`` rather than
+binding them at import, so a kernel can be swapped or wrapped in one place.
+
 Kernels assume C-contiguous float64 inputs; callers validate.
 """
 
-import os
-
 import numpy as np
-
-_FORCE_NUMPY = os.environ.get("VOLUMIZE_PURE_NUMPY", "").strip().lower() in (
-    "1",
-    "true",
-    "yes",
-    "on",
-)
-
-try:
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA and not _FORCE_NUMPY
 
 
 def backend() -> str:
-    """Name of the backend bound to the public kernel names."""
-    return "numba" if USING_NUMBA else "numpy"
+    """Name of the kernel implementation; there is only numpy."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-#
 # The k-loops below accumulate into the output one inner-index slice at a
 # time, which gives every output element the same left-to-right addition
 # chain as the scalar triple loop.
-# ---------------------------------------------------------------------------
 
 
-def matmul_nn_np(a, b):
+def matmul_nn(a, b):
     n, k = a.shape
     _, m = b.shape
     out = np.zeros((n, m))
@@ -59,7 +33,7 @@ def matmul_nn_np(a, b):
     return out
 
 
-def matmul_tn_np(a, b):
+def matmul_tn(a, b):
     # a.T @ b with the shared leading axis as the inner index
     k, n = a.shape
     _, m = b.shape
@@ -69,7 +43,7 @@ def matmul_tn_np(a, b):
     return out
 
 
-def matmul_nt_np(a, b):
+def matmul_nt(a, b):
     # a @ b.T
     n, k = a.shape
     m, _ = b.shape
@@ -79,7 +53,7 @@ def matmul_nt_np(a, b):
     return out
 
 
-def matvec_np(a, x):
+def matvec(a, x):
     n, m = a.shape
     out = np.zeros(n)
     for j in range(m):
@@ -87,7 +61,7 @@ def matvec_np(a, x):
     return out
 
 
-def matvec_t_np(a, x):
+def matvec_t(a, x):
     # a.T @ x
     n, m = a.shape
     out = np.zeros(m)
@@ -96,7 +70,7 @@ def matvec_t_np(a, x):
     return out
 
 
-def colsum_np(m):
+def colsum(m):
     rows, cols = m.shape
     out = np.zeros(cols)
     for i in range(rows):
@@ -104,7 +78,7 @@ def colsum_np(m):
     return out
 
 
-def volumize_np(w, mom, vol, alpha, clamp):
+def volumize(w, mom, vol, alpha, clamp):
     """In-place wall transform on flat views ``w`` and ``mom``.
 
     Elements with |w| > vol move to alpha*w + (1-alpha)*vol*sgn(w) and get
@@ -126,13 +100,13 @@ def volumize_np(w, mom, vol, alpha, clamp):
     np.copyto(mom, alpha * mom, where=crossed)
 
 
-def sgd_update_np(w, g, m, lr, mu):
+def sgd_update(w, g, m, lr, mu):
     m *= mu
     m += g
     w -= lr * m
 
 
-def adam_update_np(w, g, m, n, lr, mu, nu, eps, cm, cn):
+def adam_update(w, g, m, n, lr, mu, nu, eps, cm, cn):
     n *= nu
     n += (1.0 - nu) * g * g
     m *= mu
@@ -142,7 +116,7 @@ def adam_update_np(w, g, m, n, lr, mu, nu, eps, cm, cn):
     w -= lr * (m / cm) / denom
 
 
-def laprop_update_np(w, g, m, n, lr, mu, nu, eps, cm, cn):
+def laprop_update(w, g, m, n, lr, mu, nu, eps, cm, cn):
     n *= nu
     n += (1.0 - nu) * g * g
     denom = np.sqrt(n / cn)
@@ -152,16 +126,15 @@ def laprop_update_np(w, g, m, n, lr, mu, nu, eps, cm, cn):
     w -= lr * (m / cm)
 
 
-def clip_sq_values_np(u, eta, vol):
+def clip_sq_values(u, eta, vol):
     """Per-sample squared error (clip(u+eta, +-vol) - u)**2.
 
-    Returns the value array; callers reduce it themselves (in numpy, so the
-    summation tree is the same under either backend).
+    Returns the value array; callers reduce it themselves.
     """
     return (np.clip(u + eta, -vol, vol) - u) ** 2
 
 
-def clip_sq_cv_values_np(u, eta, vol):
+def clip_sq_cv_values(u, eta, vol):
     """Per-sample control-variate residual z = error - eta**2.
 
     z is identically zero wherever u+eta lands inside the walls (there
@@ -181,7 +154,7 @@ def clip_sq_cv_values_np(u, eta, vol):
     return z
 
 
-def flow_iter_identity_np(w, u_prime, step, vol, alpha, clamp):
+def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
     """One explicit-Euler step of the identity-correlation residual flow,
     followed by the wall transform (momentum-free). In-place on ``w``;
     returns max |change|.
@@ -197,205 +170,3 @@ def flow_iter_identity_np(w, u_prime, step, vol, alpha, clamp):
             np.copyto(w, w_new, where=crossed)
     d = np.abs(w - w_old)
     return float(d.max()) if d.size else 0.0
-
-
-# ---------------------------------------------------------------------------
-# numba twins
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @_njit(cache=True)
-    def matmul_nn_nb(a, b):
-        n, k = a.shape
-        _, m = b.shape
-        out = np.zeros((n, m))
-        for i in range(n):
-            for j in range(m):
-                acc = 0.0
-                for kk in range(k):
-                    acc += a[i, kk] * b[kk, j]
-                out[i, j] = acc
-        return out
-
-    @_njit(cache=True)
-    def matmul_tn_nb(a, b):
-        k, n = a.shape
-        _, m = b.shape
-        out = np.zeros((n, m))
-        for i in range(n):
-            for j in range(m):
-                acc = 0.0
-                for kk in range(k):
-                    acc += a[kk, i] * b[kk, j]
-                out[i, j] = acc
-        return out
-
-    @_njit(cache=True)
-    def matmul_nt_nb(a, b):
-        n, k = a.shape
-        m, _ = b.shape
-        out = np.zeros((n, m))
-        for i in range(n):
-            for j in range(m):
-                acc = 0.0
-                for kk in range(k):
-                    acc += a[i, kk] * b[j, kk]
-                out[i, j] = acc
-        return out
-
-    @_njit(cache=True)
-    def matvec_nb(a, x):
-        n, m = a.shape
-        out = np.zeros(n)
-        for i in range(n):
-            acc = 0.0
-            for j in range(m):
-                acc += a[i, j] * x[j]
-            out[i] = acc
-        return out
-
-    @_njit(cache=True)
-    def matvec_t_nb(a, x):
-        n, m = a.shape
-        out = np.zeros(m)
-        for j in range(m):
-            acc = 0.0
-            for i in range(n):
-                acc += a[i, j] * x[i]
-            out[j] = acc
-        return out
-
-    @_njit(cache=True)
-    def colsum_nb(m):
-        rows, cols = m.shape
-        out = np.zeros(cols)
-        for j in range(cols):
-            acc = 0.0
-            for i in range(rows):
-                acc += m[i, j]
-            out[j] = acc
-        return out
-
-    @_njit(cache=True)
-    def volumize_nb(w, mom, vol, alpha, clamp):
-        if alpha == 1.0 or not np.isfinite(vol):
-            return
-        for i in range(w.shape[0]):
-            wi = w[i]
-            if abs(wi) > vol:
-                s = 1.0 if wi > 0.0 else -1.0
-                wn = alpha * wi + (1.0 - alpha) * vol * s
-                if clamp:
-                    wn = min(max(wn, -vol), vol)
-                w[i] = wn
-                mom[i] = alpha * mom[i]
-
-    @_njit(cache=True)
-    def sgd_update_nb(w, g, m, lr, mu):
-        for i in range(w.shape[0]):
-            m[i] = mu * m[i] + g[i]
-            w[i] = w[i] - lr * m[i]
-
-    @_njit(cache=True)
-    def adam_update_nb(w, g, m, n, lr, mu, nu, eps, cm, cn):
-        for i in range(w.shape[0]):
-            n[i] = nu * n[i] + (1.0 - nu) * g[i] * g[i]
-            m[i] = mu * m[i] + (1.0 - mu) * g[i]
-            denom = np.sqrt(n[i] / cn) + eps
-            w[i] = w[i] - lr * (m[i] / cm) / denom
-
-    @_njit(cache=True)
-    def laprop_update_nb(w, g, m, n, lr, mu, nu, eps, cm, cn):
-        for i in range(w.shape[0]):
-            n[i] = nu * n[i] + (1.0 - nu) * g[i] * g[i]
-            denom = np.sqrt(n[i] / cn) + eps
-            m[i] = mu * m[i] + (1.0 - mu) * (g[i] / denom)
-            w[i] = w[i] - lr * (m[i] / cm)
-
-    @_njit(cache=True)
-    def clip_sq_values_nb(u, eta, vol):
-        e = np.empty_like(u)
-        for i in range(u.shape[0]):
-            x = u[i] + eta[i]
-            x = min(max(x, -vol), vol)
-            e[i] = (x - u[i]) ** 2
-        return e
-
-    @_njit(cache=True)
-    def clip_sq_cv_values_nb(u, eta, vol):
-        z = np.empty_like(u)
-        for i in range(u.shape[0]):
-            x = u[i] + eta[i]
-            if x > vol:
-                d = vol - u[i]
-                z[i] = d * d - eta[i] * eta[i]
-            elif x < -vol:
-                d = vol + u[i]
-                z[i] = d * d - eta[i] * eta[i]
-            else:
-                z[i] = 0.0
-        return z
-
-    @_njit(cache=True)
-    def flow_iter_identity_nb(w, u_prime, step, vol, alpha, clamp):
-        skip = alpha == 1.0 or not np.isfinite(vol)
-        dmax = 0.0
-        for i in range(w.shape[0]):
-            wi = w[i]
-            wn = wi - step * (wi - u_prime[i])
-            if not skip and abs(wn) > vol:
-                s = 1.0 if wn > 0.0 else -1.0
-                wn = alpha * wn + (1.0 - alpha) * vol * s
-                if clamp:
-                    wn = min(max(wn, -vol), vol)
-            w[i] = wn
-            d = abs(wn - wi)
-            if d > dmax:
-                dmax = d
-        return dmax
-
-else:  # pragma: no cover
-    matmul_nn_nb = None
-    matmul_tn_nb = None
-    matmul_nt_nb = None
-    matvec_nb = None
-    matvec_t_nb = None
-    colsum_nb = None
-    volumize_nb = None
-    sgd_update_nb = None
-    adam_update_nb = None
-    laprop_update_nb = None
-    clip_sq_values_nb = None
-    clip_sq_cv_values_nb = None
-    flow_iter_identity_nb = None
-
-
-if USING_NUMBA:
-    matmul_nn = matmul_nn_nb
-    matmul_tn = matmul_tn_nb
-    matmul_nt = matmul_nt_nb
-    matvec = matvec_nb
-    matvec_t = matvec_t_nb
-    colsum = colsum_nb
-    volumize = volumize_nb
-    sgd_update = sgd_update_nb
-    adam_update = adam_update_nb
-    laprop_update = laprop_update_nb
-    clip_sq_values = clip_sq_values_nb
-    clip_sq_cv_values = clip_sq_cv_values_nb
-    flow_iter_identity = flow_iter_identity_nb
-else:
-    matmul_nn = matmul_nn_np
-    matmul_tn = matmul_tn_np
-    matmul_nt = matmul_nt_np
-    matvec = matvec_np
-    matvec_t = matvec_t_np
-    colsum = colsum_np
-    volumize = volumize_np
-    sgd_update = sgd_update_np
-    adam_update = adam_update_np
-    laprop_update = laprop_update_np
-    clip_sq_values = clip_sq_values_np
-    clip_sq_cv_values = clip_sq_cv_values_np
-    flow_iter_identity = flow_iter_identity_np

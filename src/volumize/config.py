@@ -13,9 +13,9 @@ keys, defaults filled in, canonical formatting) so an output directory is
 self-describing.
 """
 
-import math
 from dataclasses import dataclass
 
+from .csvio import format_value
 from .errors import ConfigError
 
 _TYPES = ("int", "u64", "float", "bool", "str", "floats", "ints")
@@ -114,15 +114,9 @@ def load_config(path, schema: dict) -> dict:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return "%.17g" % v
     if isinstance(v, tuple):
-        return ", ".join(_format_value(x) for x in v)
-    return str(v)
+        return ", ".join(format_value(x) for x in v)
+    return format_value(v)
 
 
 def effective_config_text(values: dict) -> str:

@@ -4,7 +4,7 @@ Matrices are plain C-contiguous float64 numpy arrays; `as_matrix` is the
 boundary validator. The one non-negotiable numeric property in this module
 is the summation order of `matmul`: strictly left-to-right over the inner
 index, so results match a scalar triple loop to the last ulp and runs are
-reproducible across machines and backends.
+reproducible across machines.
 
 Randomness goes through SeededRng, a thin wrapper over the Philox 4x64-10
 counter-based bit generator: a pure function of (seed, position), with

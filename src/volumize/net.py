@@ -3,7 +3,7 @@
 Weights are stored (in_dim, out_dim) so a batch flows as x @ W + b; all
 matrix products go through the deterministic kernels, which keeps whole
 training trajectories reproducible bit for bit. Activations are computed
-with numpy ufuncs in both backends (they are cheap and not order-sensitive).
+with numpy ufuncs (they are cheap and not order-sensitive).
 """
 
 from dataclasses import dataclass
@@ -61,14 +61,18 @@ class Network:
     def out_dim(self) -> int:
         return self.layers[-1].spec.out_dim
 
-    def param_tensors(self):
-        """Stable (name, array) enumeration: layerK.weight, layerK.bias."""
+    def layer_tensors(self):
+        """Stable (layer, name, array) enumeration: layerK.weight, layerK.bias."""
         out = []
         for i, layer in enumerate(self.layers):
-            out.append((f"layer{i}.weight", layer.w))
+            out.append((layer, f"layer{i}.weight", layer.w))
             if layer.b is not None:
-                out.append((f"layer{i}.bias", layer.b))
+                out.append((layer, f"layer{i}.bias", layer.b))
         return out
+
+    def param_tensors(self):
+        """The (name, array) pairs of layer_tensors()."""
+        return [(name, t) for _, name, t in self.layer_tensors()]
 
     @property
     def n_params(self) -> int:

@@ -17,6 +17,7 @@ the step, scaling first moments alongside weights; second moments are never
 touched by it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,14 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.mu < 1.0:
             raise ConfigError(f"mu must lie in [0, 1), got {self.mu}")
         if not 0.0 <= self.nu < 1.0:
             raise ConfigError(f"nu must lie in [0, 1), got {self.nu}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
 class OptimizerState:

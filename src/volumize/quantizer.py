@@ -113,7 +113,9 @@ def weight_histogram(net, vols=None, bins: int = 64, delta: float = 0.05):
     by_name = {lv.tensor: lv.vol for lv in vols} if vols is not None else {}
     out = []
     for i, layer in enumerate(net.layers):
-        vals = np.concatenate([layer.w.ravel(), layer.b.ravel()])
+        vals = layer.w.ravel()
+        if layer.b is not None:
+            vals = np.concatenate([vals, layer.b.ravel()])
         m = float(np.abs(vals).max()) if vals.size else 0.0
         if m == 0.0:
             m = 1.0

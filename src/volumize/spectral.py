@@ -145,8 +145,7 @@ def contractive_volumes(net):
     from .volumization import LayerVolume
 
     vols = []
-    for name, t in net.param_tensors():
-        layer = net.layers[int(name.split(".")[0].removeprefix("layer"))]
+    for layer, name, _ in net.layer_tensors():
         vols.append(LayerVolume(tensor=name,
                                 vol=1.0 / max(layer.spec.in_dim, layer.spec.out_dim)))
     return vols
@@ -164,10 +163,9 @@ def check_network_lipschitz(net, tol: float = 1e-6, iters: int = 1000,
     """
     reports = []
     product = 1.0
-    for name, t in net.param_tensors():
-        if not name.endswith(".weight"):
+    for layer, name, t in net.layer_tensors():
+        if t is not layer.w:
             continue
-        layer = net.layers[int(name.split(".")[0].removeprefix("layer"))]
         vol = 1.0 / max(layer.spec.in_dim, layer.spec.out_dim)
         rep = check_entrywise_bound(t, vol, tol=tol, tensor=name, iters=iters, seed=seed)
         reports.append(rep)

@@ -194,7 +194,7 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
         else:
             z = _kernels.clip_sq_values(u, eta, float(vol))
         # reduce here in numpy: the kernels are elementwise on purpose, so
-        # the summation tree is backend-independent
+        # the summation tree is fixed in one place
         s1 += float(z.sum())
         s2 += float((z * z).sum())
         done += k

@@ -124,7 +124,6 @@ def derive_layer_volumes(net, cfg: VolumizationConfig):
             f"init fan_mode {net.fan_mode!r}"
         )
     vols = []
-    for name, _ in net.param_tensors():
-        layer = net.layers[int(name.split(".")[0].removeprefix("layer"))]
+    for layer, name, _ in net.layer_tensors():
         vols.append(LayerVolume(tensor=name, vol=cfg.v * layer.init_scale_a))
     return vols

@@ -1,18 +1,18 @@
-"""Backend contract for the hot kernels.
+"""Contract for the hot kernels.
 
-The package promises that the numba twins produce bit-identical float64
-output to the pure-numpy fallbacks, and that reductions accumulate strictly
-left-to-right over the inner index (so a scalar triple loop is a 0-ulp
-oracle). These tests are what keeps that promise honest.
+Every kernel is checked bit for bit against a pure-Python scalar oracle
+below: one loop per output element, accumulating strictly left-to-right
+over the inner index, with the same per-element arithmetic as the
+vectorized kernel. The oracles are slow on purpose; they are the
+independent reference for both the values and the summation order.
+Oracles square with ``d * d``, never ``** 2``: a numpy float64 scalar
+power can differ by an ulp from numpy's array square.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+import volumize
 from volumize import _kernels as K
 
 
@@ -21,44 +21,212 @@ def _rand(shape, seed, scale=1.0):
     return scale * rng.standard_normal(shape)
 
 
-def _pairs():
-    """(name, builder) for every dual-backend kernel.
+# ---------------------------------------------------------------------------
+# scalar oracles
+# ---------------------------------------------------------------------------
 
-    Each builder returns (args_np, args_nb): two independent copies of the
-    same inputs, since several kernels mutate in place. The comparison
-    collects both the return value and any mutated arrays.
-    """
 
-    def dup(*arrays):
-        return tuple(a.copy() for a in arrays), tuple(a.copy() for a in arrays)
+def _matmul_nn_oracle(a, b):
+    n, k = a.shape
+    _, m = b.shape
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            acc = 0.0
+            for kk in range(k):
+                acc += a[i, kk] * b[kk, j]
+            out[i, j] = acc
+    return out
 
-    cases = {}
 
-    cases["matmul_nn"] = lambda: dup(_rand((7, 5), 0), _rand((5, 9), 1))
-    cases["matmul_tn"] = lambda: dup(_rand((5, 7), 2), _rand((5, 9), 3))
-    cases["matmul_nt"] = lambda: dup(_rand((7, 5), 4), _rand((9, 5), 5))
-    cases["matvec"] = lambda: dup(_rand((7, 5), 6), _rand(5, 7))
-    cases["matvec_t"] = lambda: dup(_rand((7, 5), 8), _rand(7, 9))
-    cases["colsum"] = lambda: dup(_rand((11, 4), 10))
+def _matmul_tn_oracle(a, b):
+    k, n = a.shape
+    _, m = b.shape
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            acc = 0.0
+            for kk in range(k):
+                acc += a[kk, i] * b[kk, j]
+            out[i, j] = acc
+    return out
 
-    def vol_args():
-        w = _rand(101, 11)
-        m = _rand(101, 12)
-        return dup(w, m)
 
-    cases["volumize"] = vol_args
-    cases["sgd_update"] = lambda: dup(_rand(64, 13), _rand(64, 14), _rand(64, 15))
-    cases["adam_update"] = lambda: dup(
+def _matmul_nt_oracle(a, b):
+    n, k = a.shape
+    m, _ = b.shape
+    out = np.zeros((n, m))
+    for i in range(n):
+        for j in range(m):
+            acc = 0.0
+            for kk in range(k):
+                acc += a[i, kk] * b[j, kk]
+            out[i, j] = acc
+    return out
+
+
+def _matvec_oracle(a, x):
+    n, m = a.shape
+    out = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for j in range(m):
+            acc += a[i, j] * x[j]
+        out[i] = acc
+    return out
+
+
+def _matvec_t_oracle(a, x):
+    n, m = a.shape
+    out = np.zeros(m)
+    for j in range(m):
+        acc = 0.0
+        for i in range(n):
+            acc += a[i, j] * x[i]
+        out[j] = acc
+    return out
+
+
+def _colsum_oracle(m):
+    rows, cols = m.shape
+    out = np.zeros(cols)
+    for j in range(cols):
+        acc = 0.0
+        for i in range(rows):
+            acc += m[i, j]
+        out[j] = acc
+    return out
+
+
+def _volumize_oracle(w, mom, vol, alpha, clamp):
+    if alpha == 1.0 or not np.isfinite(vol):
+        return
+    for i in range(w.shape[0]):
+        wi = w[i]
+        if abs(wi) > vol:
+            s = 1.0 if wi > 0.0 else -1.0
+            wn = alpha * wi + (1.0 - alpha) * vol * s
+            if clamp:
+                wn = min(max(wn, -vol), vol)
+            w[i] = wn
+            mom[i] = alpha * mom[i]
+
+
+def _sgd_update_oracle(w, g, m, lr, mu):
+    for i in range(w.shape[0]):
+        m[i] = mu * m[i] + g[i]
+        w[i] = w[i] - lr * m[i]
+
+
+def _adam_update_oracle(w, g, m, n, lr, mu, nu, eps, cm, cn):
+    for i in range(w.shape[0]):
+        n[i] = nu * n[i] + (1.0 - nu) * g[i] * g[i]
+        m[i] = mu * m[i] + (1.0 - mu) * g[i]
+        denom = np.sqrt(n[i] / cn) + eps
+        w[i] = w[i] - lr * (m[i] / cm) / denom
+
+
+def _laprop_update_oracle(w, g, m, n, lr, mu, nu, eps, cm, cn):
+    for i in range(w.shape[0]):
+        n[i] = nu * n[i] + (1.0 - nu) * g[i] * g[i]
+        denom = np.sqrt(n[i] / cn) + eps
+        m[i] = mu * m[i] + (1.0 - mu) * (g[i] / denom)
+        w[i] = w[i] - lr * (m[i] / cm)
+
+
+def _clip_sq_values_oracle(u, eta, vol):
+    e = np.empty_like(u)
+    for i in range(u.shape[0]):
+        x = u[i] + eta[i]
+        x = min(max(x, -vol), vol)
+        d = x - u[i]
+        e[i] = d * d
+    return e
+
+
+def _clip_sq_cv_values_oracle(u, eta, vol):
+    z = np.empty_like(u)
+    for i in range(u.shape[0]):
+        x = u[i] + eta[i]
+        if x > vol:
+            d = vol - u[i]
+            z[i] = d * d - eta[i] * eta[i]
+        elif x < -vol:
+            d = vol + u[i]
+            z[i] = d * d - eta[i] * eta[i]
+        else:
+            z[i] = 0.0
+    return z
+
+
+def _flow_iter_identity_oracle(w, u_prime, step, vol, alpha, clamp):
+    skip = alpha == 1.0 or not np.isfinite(vol)
+    dmax = 0.0
+    for i in range(w.shape[0]):
+        wi = w[i]
+        wn = wi - step * (wi - u_prime[i])
+        if not skip and abs(wn) > vol:
+            s = 1.0 if wn > 0.0 else -1.0
+            wn = alpha * wn + (1.0 - alpha) * vol * s
+            if clamp:
+                wn = min(max(wn, -vol), vol)
+        w[i] = wn
+        d = abs(wn - wi)
+        if d > dmax:
+            dmax = d
+    return dmax
+
+
+_ORACLES = {
+    "matmul_nn": _matmul_nn_oracle,
+    "matmul_tn": _matmul_tn_oracle,
+    "matmul_nt": _matmul_nt_oracle,
+    "matvec": _matvec_oracle,
+    "matvec_t": _matvec_t_oracle,
+    "colsum": _colsum_oracle,
+    "volumize": _volumize_oracle,
+    "sgd_update": _sgd_update_oracle,
+    "adam_update": _adam_update_oracle,
+    "laprop_update": _laprop_update_oracle,
+    "clip_sq_values": _clip_sq_values_oracle,
+    "clip_sq_cv_values": _clip_sq_cv_values_oracle,
+    "flow_iter_identity": _flow_iter_identity_oracle,
+}
+
+
+def _assert_matches_oracle(name, arrays, extra=()):
+    """Run kernel and oracle on independent copies of the same inputs
+    (several kernels mutate in place) and compare the return value and
+    every argument array bit for bit."""
+    got_args = tuple(a.copy() for a in arrays)
+    want_args = tuple(a.copy() for a in arrays)
+    got = getattr(K, name)(*got_args, *extra)
+    want = _ORACLES[name](*want_args, *extra)
+    if want is not None:
+        np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
+    for a, b in zip(got_args, want_args):
+        np.testing.assert_array_equal(a, b)
+
+
+_INPUTS = {
+    "matmul_nn": lambda: (_rand((7, 5), 0), _rand((5, 9), 1)),
+    "matmul_tn": lambda: (_rand((5, 7), 2), _rand((5, 9), 3)),
+    "matmul_nt": lambda: (_rand((7, 5), 4), _rand((9, 5), 5)),
+    "matvec": lambda: (_rand((7, 5), 6), _rand(5, 7)),
+    "matvec_t": lambda: (_rand((7, 5), 8), _rand(7, 9)),
+    "colsum": lambda: (_rand((11, 4), 10),),
+    "volumize": lambda: (_rand(101, 11), _rand(101, 12)),
+    "sgd_update": lambda: (_rand(64, 13), _rand(64, 14), _rand(64, 15)),
+    "adam_update": lambda: (
         _rand(64, 16), _rand(64, 17), _rand(64, 18), np.abs(_rand(64, 19)) + 0.1
-    )
-    cases["laprop_update"] = lambda: dup(
+    ),
+    "laprop_update": lambda: (
         _rand(64, 20), _rand(64, 21), _rand(64, 22), np.abs(_rand(64, 23)) + 0.1
-    )
-    cases["clip_sq_values"] = lambda: dup(_rand(257, 24), _rand(257, 25, 0.5))
-    cases["clip_sq_cv_values"] = lambda: dup(_rand(257, 26), _rand(257, 27, 0.5))
-    cases["flow_iter_identity"] = lambda: dup(_rand(99, 28), _rand(99, 29))
-    return cases
-
+    ),
+    "clip_sq_values": lambda: (_rand(257, 24), _rand(257, 25, 0.5)),
+    "clip_sq_cv_values": lambda: (_rand(257, 26), _rand(257, 27, 0.5)),
+    "flow_iter_identity": lambda: (_rand(99, 28), _rand(99, 29)),
+}
 
 _EXTRA = {
     # trailing scalar arguments per kernel
@@ -72,18 +240,45 @@ _EXTRA = {
 }
 
 
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
-@pytest.mark.parametrize("name", sorted(_pairs()))
+def test_every_public_kernel_has_an_oracle():
+    public = {n for n, f in vars(K).items()
+              if callable(f) and not n.startswith("_") and n != "backend"
+              and getattr(f, "__module__", None) == K.__name__}
+    assert public == set(_ORACLES)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLES))
 def test_backends_bitwise_identical(name):
-    args_np, args_nb = _pairs()[name]()
-    extra = _EXTRA.get(name, ())
-    out_np = getattr(K, name + "_np")(*args_np, *extra)
-    out_nb = getattr(K, name + "_nb")(*args_nb, *extra)
-    if out_np is not None:
-        np.testing.assert_array_equal(np.asarray(out_np), np.asarray(out_nb))
-    # in-place mutations must match too
-    for a, b in zip(args_np, args_nb):
-        np.testing.assert_array_equal(a, b)
+    _assert_matches_oracle(name, _INPUTS[name](), _EXTRA.get(name, ()))
+
+
+_ALPHAS = (-1.0, -0.5, 0.0, 0.3, 1.0)
+_VOLS = (0.0, 0.4, 1.2, 2.0, np.inf)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_wall_kernels_match_oracle_across_alpha_and_volume(clamp):
+    # the wall special cases (V=0 decay, alpha=0 clip, alpha=1 identity,
+    # V=inf off) must hold bitwise, not just approximately
+    rng = np.random.default_rng(60 + clamp)
+    for alpha in _ALPHAS:
+        for vol in _VOLS:
+            size = int(rng.integers(1, 40))
+            w = rng.standard_normal(size)
+            m = rng.standard_normal(size)
+            u = rng.standard_normal(size)
+            _assert_matches_oracle("volumize", (w, m), (vol, alpha, clamp))
+            _assert_matches_oracle("flow_iter_identity", (w, u),
+                                   (0.1, vol, alpha, clamp))
+
+
+@pytest.mark.parametrize("vol", _VOLS)
+def test_clip_kernels_match_oracle_across_volume(vol):
+    # from every sample crossing a wall (V=0) to none (V=inf)
+    u = _rand(129, 70)
+    eta = _rand(129, 71, 0.5)
+    _assert_matches_oracle("clip_sq_values", (u, eta), (vol,))
+    _assert_matches_oracle("clip_sq_cv_values", (u, eta), (vol,))
 
 
 class TestSummationOrder:
@@ -92,45 +287,21 @@ class TestSummationOrder:
     def test_matmul_nn_matches_scalar_triple_loop(self):
         a = _rand((6, 13), 40)
         b = _rand((13, 4), 41)
-        want = np.empty((6, 4))
-        for i in range(6):
-            for j in range(4):
-                acc = 0.0
-                for kk in range(13):
-                    acc += a[i, kk] * b[kk, j]
-                want[i, j] = acc
-        np.testing.assert_array_equal(K.matmul_nn_np(a, b), want)
-        np.testing.assert_array_equal(K.matmul_nn(a, b), want)
+        np.testing.assert_array_equal(K.matmul_nn(a, b), _matmul_nn_oracle(a, b))
 
     def test_matvec_matches_scalar_loop(self):
         a = _rand((9, 17), 42)
         x = _rand(17, 43)
-        want = np.empty(9)
-        for i in range(9):
-            acc = 0.0
-            for j in range(17):
-                acc += a[i, j] * x[j]
-            want[i] = acc
-        np.testing.assert_array_equal(K.matvec(a, x), want)
+        np.testing.assert_array_equal(K.matvec(a, x), _matvec_oracle(a, x))
 
     def test_colsum_runs_top_to_bottom(self):
         m = _rand((23, 3), 44)
-        want = np.zeros(3)
-        for i in range(23):
-            want = want + m[i, :]
-        np.testing.assert_array_equal(K.colsum(m), want)
+        np.testing.assert_array_equal(K.colsum(m), _colsum_oracle(m))
 
     def test_matmul_tn_matches_transposed_oracle(self):
         a = _rand((13, 6), 45)
         b = _rand((13, 4), 46)
-        want = np.empty((6, 4))
-        for i in range(6):
-            for j in range(4):
-                acc = 0.0
-                for kk in range(13):
-                    acc += a[kk, i] * b[kk, j]
-                want[i, j] = acc
-        np.testing.assert_array_equal(K.matmul_tn(a, b), want)
+        np.testing.assert_array_equal(K.matmul_tn(a, b), _matmul_tn_oracle(a, b))
 
 
 class TestVolumizeKernel:
@@ -164,29 +335,5 @@ class TestVolumizeKernel:
         assert w[0] == -1.0
 
 
-def _backend_in_subprocess(env_flag):
-    env = dict(os.environ)
-    env.pop("VOLUMIZE_PURE_NUMPY", None)
-    if env_flag is not None:
-        env["VOLUMIZE_PURE_NUMPY"] = env_flag
-    out = subprocess.run(
-        [sys.executable, "-c", "import volumize; print(volumize.backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy_backend():
-    assert _backend_in_subprocess("1") == "numpy"
-
-
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="numba not installed")
-def test_default_backend_is_numba():
-    assert _backend_in_subprocess(None) == "numba"
-
-
-def test_backend_name_matches_module_state():
-    assert K.backend() == ("numba" if K.USING_NUMBA else "numpy")
+def test_backend_is_numpy():
+    assert volumize.backend() == "numpy"

@@ -200,6 +200,8 @@ class TestValidation:
             {"mu": -0.1},
             {"nu": 1.0},
             {"eps": 0.0},
+            {"lr": math.inf},
+            {"eps": math.inf},
         ],
     )
     def test_bad_spec(self, kwargs):

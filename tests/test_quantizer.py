@@ -166,6 +166,14 @@ class TestWeightHistogram:
         with pytest.raises(ConfigError):
             weight_histogram(small_net, bins=2)
 
+    def test_biasless_layer_pools_weights_only(self):
+        net = init_network([LayerSpec(3, 4, has_bias=False),
+                            LayerSpec(4, 2)], SeededRng(9))
+        vols = derive_layer_volumes(net, VolumizationConfig(v=0.5, alpha=0.5))
+        hists = weight_histogram(net, vols=vols, bins=8)
+        assert [h.counts.sum() for h in hists] == [12, 8 + 2]
+        assert hists[0].mass_near_walls == mass_near_walls(net.layers[0].w, vols[0].vol)
+
 
 # --- quantized training --------------------------------------------------
 
