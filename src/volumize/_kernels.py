@@ -1,14 +1,18 @@
 """Numeric hot kernels, one order-pinned numpy implementation each.
 
-Summation order is part of the contract here: matrix products, matvecs and
-column sums accumulate strictly left-to-right over the inner index. Do not
-replace them with BLAS calls or pairwise reductions; determinism guarantees
-and oracle tests depend on the exact order.
-
-Callers look kernels up at call time as ``_kernels.<name>`` rather than
-binding them at import, so a kernel can be swapped or wrapped in one place.
-
-Kernels assume C-contiguous float64 inputs; callers validate.
+Products, matvecs and column sums add left to right over the inner index k
+from +0.0, as ``acc = 0.0; acc += x[k]`` does; never via BLAS or pairwise sums,
+which determinism and the oracle tests rule out. ``_sum_of_products`` writes
+a chunk of k-slices of products after a slot carrying the running sum and
+folds them into it with ``np.add.reduce(axis=0)``, one outer slice at a time
+in order; k is never split into partial sums added up later. numpy sums
+pairwise for a one-element output and along an axis of smallest stride, so
+both stay off these paths. The products come from ``np.einsum`` with no
+summed index, which writes 0.0 + x*y: that is x*y but for the sign of a zero
+product, which a sum starting from +0.0 cannot see. (A broadcasting
+``np.multiply`` gives the same sums but copies its inputs through buffers.)
+Callers look kernels up at call time as ``_kernels.<name>``, so one can be
+swapped or wrapped in one place. Inputs are float64; callers validate.
 """
 
 import numpy as np
@@ -19,63 +23,73 @@ def backend() -> str:
     return "numpy"
 
 
-# The k-loops below accumulate into the output one inner-index slice at a
-# time, which gives every output element the same left-to-right addition
-# chain as the scalar triple loop.
+# float64 elements in the product temporary (512 KiB); a 256x256 k-slice
+# fills it, so the widest training products need no row tiles
+_BLOCK = 1 << 16
+_NARROW = 16  # narrower outputs are built transposed, for long inner loops
+
+
+def _sum_of_products(at, bt):
+    """out[i, j] = ((+0.0 + at[0, i]*bt[0, j]) + at[1, i]*bt[1, j]) + ..."""
+    k, n = at.shape
+    m = bt.shape[1]
+    if n * m == 0:
+        return np.zeros((n, m))
+    if n * m == 1:  # a one-element reduction is 1-D, which numpy sums pairwise
+        return np.add.accumulate(np.append(0.0, at * bt))[-1:].reshape(1, 1)
+    swap = m < _NARROW <= n
+    rows, cols = (m, n) if swap else (n, m)
+    out = np.zeros((rows, cols))
+    # whole-row tiles (never of one element), each summed over all of k in turn
+    tile = min(rows, max(1, _BLOCK // cols))
+    c = max(1, min(k, _BLOCK // (tile * cols) - 1))  # k-slices per chunk
+    t = np.empty((c + 1 if c > 1 else 1, tile, cols))
+    spec = "ki,kj->kji" if swap else "ki,kj->kij"
+    for r0 in range(0, rows, tile):
+        o = out[r0:r0 + tile]
+        r = len(o)
+        x = at if swap else at[:, r0:r0 + r]
+        y = bt[:, r0:r0 + r] if swap else bt
+        q = t[1:, :r] if c > 1 else t[:, :r]  # product slots
+        for k0 in range(0, k, c):
+            p = q[:min(c, k - k0)]
+            np.einsum(spec, x[k0:k0 + c], y[k0:k0 + c], out=p)
+            if c > 1:
+                t[0, :r] = o
+                np.add.reduce(t[:len(p) + 1, :r], axis=0, out=o)
+            else:
+                o += p[0]
+    return np.ascontiguousarray(out.T) if swap else out
 
 
 def matmul_nn(a, b):
-    n, k = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for kk in range(k):
-        out += a[:, kk : kk + 1] * b[kk, :]
-    return out
+    return _sum_of_products(a.T, b)
 
 
 def matmul_tn(a, b):
     # a.T @ b with the shared leading axis as the inner index
-    k, n = a.shape
-    _, m = b.shape
-    out = np.zeros((n, m))
-    for kk in range(k):
-        out += a[kk, :].reshape(n, 1) * b[kk, :]
-    return out
+    return _sum_of_products(a, b)
 
 
 def matmul_nt(a, b):
     # a @ b.T
-    n, k = a.shape
-    m, _ = b.shape
-    out = np.zeros((n, m))
-    for kk in range(k):
-        out += a[:, kk : kk + 1] * b[:, kk]
-    return out
+    return _sum_of_products(a.T, b.T)
 
 
 def matvec(a, x):
-    n, m = a.shape
-    out = np.zeros(n)
-    for j in range(m):
-        out += a[:, j] * x[j]
-    return out
+    return _sum_of_products(a.T, x[:, None])[:, 0]
 
 
 def matvec_t(a, x):
     # a.T @ x
-    n, m = a.shape
-    out = np.zeros(m)
-    for i in range(n):
-        out += a[i, :] * x[i]
-    return out
+    return _sum_of_products(a, x[:, None])[:, 0]
 
 
 def colsum(m):
-    rows, cols = m.shape
-    out = np.zeros(cols)
-    for i in range(rows):
-        out += m[i, :]
-    return out
+    if m.shape[1] == 1:
+        return np.add.accumulate(np.append(0.0, m))[-1:]
+    # C order keeps the reduced axis outermost
+    return np.add.reduce(np.ascontiguousarray(m), axis=0, initial=0.0)
 
 
 def volumize(w, mom, vol, alpha, clamp):

@@ -190,6 +190,12 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "spectral" in proc.stdout
 
+    def test_package_module_entry_point(self):
+        proc = subprocess.run([sys.executable, "-m", "volumize", "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert "spectral" in proc.stdout
+
     def test_module_invocation_error_path(self):
         proc = subprocess.run(
             [sys.executable, "-m", "volumize.cli", "theory"],

@@ -9,6 +9,8 @@ Oracles square with ``d * d``, never ``** 2``: a numpy float64 scalar
 power can differ by an ulp from numpy's array square.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,185 @@ class TestSummationOrder:
         a = _rand((13, 6), 45)
         b = _rand((13, 4), 46)
         np.testing.assert_array_equal(K.matmul_tn(a, b), _matmul_tn_oracle(a, b))
+
+
+# ---------------------------------------------------------------------------
+# the chunked summation paths: every shape class, layout and special value
+# ---------------------------------------------------------------------------
+
+
+def _mixed(shape, seed, special=False):
+    """Standard normals scaled by 10**-12 .. 10**12, with +-0.0 and, when
+    ``special``, sparse +-inf and nan."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+    u = rng.random(shape)
+    v[u < 0.02] = 0.0
+    v[(u >= 0.02) & (u < 0.04)] = -0.0
+    if special:
+        v[(u >= 0.04) & (u < 0.045)] = np.inf
+        v[(u >= 0.045) & (u < 0.05)] = -np.inf
+        v[(u >= 0.05) & (u < 0.055)] = np.nan
+    return v
+
+
+def _mm(name, n, k, m, seed, special=False):
+    a = _mixed((k, n) if name == "matmul_tn" else (n, k), seed, special)
+    b = _mixed((m, k) if name == "matmul_nt" else (k, m), seed + 1, special)
+    return name, (a, b)
+
+
+def _summation_cases(seed):
+    """(kernel, args) over the shape classes of the chunked paths."""
+    cases = [
+        # one-element outputs, which numpy would reduce pairwise
+        _mm("matmul_nn", 1, 17, 1, seed), _mm("matmul_nn", 1, 200, 1, seed + 2),
+        _mm("matmul_tn", 1, 1000, 1, seed + 4),
+        ("matvec", (_mixed((1, 200), seed + 6), _mixed(200, seed + 7))),
+        ("matvec_t", (_mixed((200, 1), seed + 8), _mixed(200, seed + 9))),
+        ("colsum", (_mixed((200, 1), seed + 10),)),
+        # empty inner index and empty outputs
+        _mm("matmul_nn", 3, 0, 4, seed), _mm("matmul_tn", 1, 0, 1, seed),
+        _mm("matmul_nt", 0, 5, 3, seed), _mm("matmul_nn", 4, 5, 0, seed),
+        ("colsum", (np.zeros((0, 3)),)), ("colsum", (np.zeros((0, 1)),)),
+        ("matvec", (np.zeros((0, 4)), _mixed(4, seed))),
+    ]
+    for name in ("matmul_nn", "matmul_tn", "matmul_nt"):
+        for n, k, m in ((3, 40, 5), (4, 7, 20), (20, 3, 20), (16, 30, 2),
+                        (40, 6, 10), (2, 9, 33), (1, 50, 7), (9, 50, 1)):
+            cases.append(_mm(name, n, k, m, seed + n + k + m))
+        cases.append(_mm(name, 6, 25, 5, seed + 11, special=True))
+    for rows, cols in ((40, 3), (3, 40), (50, 1), (30, 20)):
+        a = _mixed((rows, cols), seed + rows + cols)
+        cases.append(("matvec", (a, _mixed(cols, seed + 12))))
+        cases.append(("matvec_t", (a, _mixed(rows, seed + 13))))
+        cases.append(("colsum", (a,)))
+    cases.append(("colsum", (_mixed((40, 5), seed + 14, special=True),)))
+    return cases
+
+
+def _layouts(x):
+    """The same values as C-ordered, F-ordered, transposed, strided and
+    reversed views; a vector has no F order or transpose."""
+    if x.ndim == 1:
+        wide = np.zeros(2 * len(x))
+        wide[::2] = x
+        return [x, x, x, wide[::2], x[::-1].copy()[::-1]]
+    wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]))
+    wide[::2, ::3] = x
+    return [x, np.asfortranarray(x), np.ascontiguousarray(x.T).T, wide[::2, ::3],
+            x[::-1, ::-1].copy()[::-1, ::-1]]
+
+
+def _assert_same_bits(got, want):
+    """Equal bit for bit, +-0.0 included; a nan may carry any payload, since
+    which of two nans a sum keeps is up to the hardware."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(np.where(nan, 0.0, got).view(np.int64),
+                                  np.where(nan, 0.0, want).view(np.int64))
+
+
+def _products(name, args):
+    """The (k, outputs) terms each kernel sums over its inner index k."""
+    a = args[0]
+    if name == "colsum":
+        return a
+    b = args[1]
+    if name == "matvec":
+        return a.T * b[:, None]
+    if name == "matvec_t":
+        return a * b[:, None]
+    at = a if name == "matmul_tn" else a.T
+    bt = b.T if name == "matmul_nt" else b
+    return at[:, :, None] * bt[:, None, :]
+
+
+@pytest.mark.parametrize("block", [256, 1 << 16], ids=["small-block", "real-block"])
+def test_summation_kernels_match_oracle_across_shapes_and_layouts(monkeypatch, block):
+    # a small block drives small shapes through every path: several chunks
+    # with a ragged last one, one slice per chunk, row tiles, transposed
+    # narrow outputs
+    monkeypatch.setattr(K, "_BLOCK", block)
+    with np.errstate(all="ignore"):
+        for name, args in _summation_cases(80):
+            want = _ORACLES[name](*args)
+            for variant in zip(*(_layouts(x) for x in args)):
+                got = getattr(K, name)(*variant)
+                assert got.flags.c_contiguous
+                _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("name, args", [
+    # three chunks at the real block, the last one ragged
+    _mm("matmul_tn", 3, 9000, 5, 90),
+    # one k-slice per chunk: the output alone fills the block
+    _mm("matmul_nn", 256, 3, 256, 91),
+    # two row tiles, the second ragged
+    _mm("matmul_nt", 300, 2, 256, 92),
+    # a transposed narrow output in several chunks
+    _mm("matmul_nn", 800, 64, 4, 93),
+], ids=["ragged-chunks", "one-slice", "row-tiles", "narrow"])
+def test_summation_kernels_match_oracle_at_block_scale(name, args):
+    _assert_same_bits(getattr(K, name)(*args), _ORACLES[name](*args))
+
+
+def _pairwise(p):
+    if len(p) <= 2:
+        return p.sum(axis=0) if len(p) else np.zeros(p.shape[1:])
+    h = len(p) // 2
+    return _pairwise(p[:h]) + _pairwise(p[h:])
+
+
+def test_summation_cases_are_order_sensitive():
+    # the inputs above can tell a reassociated sum from the pinned order:
+    # for each kernel a reversed and a pairwise sum each differ from the
+    # oracle on at least one case
+    with np.errstate(all="ignore"):
+        for kernel in ("matmul_nn", "matmul_tn", "matmul_nt", "matvec", "matvec_t",
+                       "colsum"):
+            rev = pair = False
+            for name, args in _summation_cases(80):
+                if name != kernel:
+                    continue
+                p = _products(name, args)
+                if p.size == 0:
+                    continue
+                p = p.reshape(len(p), -1)
+                want = _ORACLES[name](*args)
+                fwd = np.zeros(p.shape[1])
+                for row in p:
+                    fwd = fwd + row
+                np.testing.assert_array_equal(fwd.reshape(want.shape), want)
+                back = np.zeros(p.shape[1])
+                for row in p[::-1]:
+                    back = back + row
+                rev |= not np.array_equal(back.reshape(want.shape), want, equal_nan=True)
+                pair |= not np.array_equal(_pairwise(p).reshape(want.shape), want,
+                                           equal_nan=True)
+            assert rev and pair, kernel
+
+
+@pytest.mark.parametrize("name, shapes", [
+    ("matmul_tn", ((128, 256), (128, 256))),
+    ("matmul_nn", ((800, 64), (64, 4))),
+    # one output row tile at a time: a whole k-slice would be 2 MB
+    ("matmul_nn", ((1000, 256), (256, 256))),
+])
+def test_product_kernels_allocate_at_most_one_block(name, shapes):
+    # the output, one product temporary of _BLOCK float64s, the buffers numpy
+    # gives a broadcasting ufunc (one bufsize of float64s per input) and
+    # 64 KiB; building the whole k x n x m product would take 64 MiB, 1.6 MB
+    # and 512 MiB here
+    a, b = _rand(shapes[0], 95), _rand(shapes[1], 96)
+    tracemalloc.start()
+    try:
+        out = getattr(K, name)(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 8 * K._BLOCK + 2 * 8 * np.getbufsize() + 64 * 1024
 
 
 class TestVolumizeKernel:
