@@ -11,6 +11,11 @@ both stay off these paths. The products come from ``np.einsum`` with no
 summed index, which writes 0.0 + x*y: that is x*y but for the sign of a zero
 product, which a sum starting from +0.0 cannot see. (A broadcasting
 ``np.multiply`` gives the same sums but copies its inputs through buffers.)
+The elementwise theory kernels work in place one block of ``_BLOCK``
+elements at a time, through scratch allocated once per call; each element
+sees the same operations in the same order as a whole-array expression, no
+sum crosses a block, and the max over block maxima keeps a nan as one max
+would, so blocking changes no bit.
 Callers look kernels up at call time as ``_kernels.<name>``, so one can be
 swapped or wrapped in one place. Inputs are float64; callers validate.
 """
@@ -24,7 +29,8 @@ def backend() -> str:
 
 
 # float64 elements in the product temporary (512 KiB); a 256x256 k-slice
-# fills it, so the widest training products need no row tiles
+# fills it, so the widest training products need no row tiles. Also the
+# block length of the elementwise theory kernels.
 _BLOCK = 1 << 16
 _NARROW = 16  # narrower outputs are built transposed, for long inner loops
 
@@ -154,33 +160,70 @@ def clip_sq_cv_values(u, eta, vol):
     z is identically zero wherever u+eta lands inside the walls (there
     w - u = eta in exact arithmetic), so it is materialized only on wall
     crossings; that keeps the estimator exact for vol beyond the support
-    edge instead of accumulating rounding fuzz from (u+eta)-u. Callers
-    reduce the returned array themselves.
+    edge instead of accumulating rounding fuzz from (u+eta)-u. Works one
+    block at a time in place; a block without crossings is only zeroed.
+    Callers reduce the returned array themselves.
     """
-    s = u + eta
-    z = np.zeros_like(u)
-    hi = s > vol
-    lo = s < -vol
-    d = vol - u[hi]
-    z[hi] = d * d - eta[hi] * eta[hi]
-    d = vol + u[lo]
-    z[lo] = d * d - eta[lo] * eta[lo]
+    n = len(u)
+    z = np.empty(n)
+    t = np.empty(min(n, _BLOCK))
+    crossed = np.empty(len(t), dtype=bool)
+    lo = np.empty(len(t), dtype=bool)
+    for i in range(0, n, _BLOCK):
+        ub, eb, zb = u[i:i + _BLOCK], eta[i:i + _BLOCK], z[i:i + _BLOCK]
+        m = len(zb)
+        s, c, low = t[:m], crossed[:m], lo[:m]
+        np.add(ub, eb, out=s)
+        np.greater(s, vol, out=c)
+        np.less(s, -vol, out=low)
+        np.logical_or(c, low, out=c)
+        if not c.any():
+            zb.fill(0.0)
+            continue
+        # d = vol - u above the walls, vol + u below; z = d*d - eta*eta
+        np.subtract(vol, ub, out=zb)
+        np.add(vol, ub, out=s)
+        np.copyto(zb, s, where=low)
+        np.multiply(zb, zb, out=zb)
+        np.multiply(eb, eb, out=s)
+        np.subtract(zb, s, out=zb)
+        np.logical_not(c, out=c)
+        np.copyto(zb, 0.0, where=c)
     return z
 
 
 def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
     """One explicit-Euler step of the identity-correlation residual flow,
-    followed by the wall transform (momentum-free). In-place on ``w``;
-    returns max |change|.
+    followed by the wall transform (momentum-free). In-place on ``w``, one
+    block at a time; returns max |change|, nan if any change is nan.
     """
-    w_old = w.copy()
-    w -= step * (w - u_prime)
-    if alpha != 1.0 and np.isfinite(vol):
-        crossed = np.abs(w) > vol
-        if crossed.any():
-            w_new = alpha * w + (1.0 - alpha) * vol * np.sign(w)
-            if clamp:
-                np.clip(w_new, -vol, vol, out=w_new)
-            np.copyto(w, w_new, where=crossed)
-    d = np.abs(w - w_old)
-    return float(d.max()) if d.size else 0.0
+    n = len(w)
+    walls = alpha != 1.0 and np.isfinite(vol)
+    pull = (1.0 - alpha) * vol
+    old, t, t2 = np.empty((3, min(n, _BLOCK)))
+    crossed = np.empty(len(old), dtype=bool)
+    dmax = 0.0
+    for i in range(0, n, _BLOCK):
+        wb, ub = w[i:i + _BLOCK], u_prime[i:i + _BLOCK]
+        m = len(wb)
+        o, s, s2, c = old[:m], t[:m], t2[:m], crossed[:m]
+        np.copyto(o, wb)
+        np.subtract(wb, ub, out=s)
+        np.multiply(step, s, out=s)
+        np.subtract(wb, s, out=wb)
+        if walls:
+            np.abs(wb, out=s)
+            np.greater(s, vol, out=c)
+            if c.any():
+                # alpha*w + ((1-alpha)*vol)*sgn(w), kept where |w| > vol
+                np.sign(wb, out=s)
+                np.multiply(pull, s, out=s)
+                np.multiply(alpha, wb, out=s2)
+                np.add(s2, s, out=s)
+                if clamp:
+                    np.clip(s, -vol, vol, out=s)
+                np.copyto(wb, s, where=c)
+        np.subtract(wb, o, out=s)
+        np.abs(s, out=s)
+        dmax = np.maximum(dmax, s.max())  # propagates nan, as one max would
+    return float(dmax)

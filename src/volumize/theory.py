@@ -196,7 +196,8 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
         # reduce here in numpy: the kernels are elementwise on purpose, so
         # the summation tree is fixed in one place
         s1 += float(z.sum())
-        s2 += float((z * z).sum())
+        z *= z
+        s2 += float(z.sum())
         done += k
     offset = sigma * sigma / 3.0 if control_variate else 0.0
     return _moments_to_estimate(s1, s2, n_samples, offset)
@@ -212,8 +213,14 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
         raise DomainError(f"need n_samples > 1, got {n_samples}")
     u = sample_uniform(rng, -a, a, n_samples)
     eta = np.zeros(n_samples) if sigma == 0.0 else sample_uniform(rng, -sigma, sigma, n_samples)
-    e = ((u + eta) / (1.0 + lam) - u) ** 2
-    return _moments_to_estimate(float(e.sum()), float((e * e).sum()), n_samples, 0.0)
+    # ((u + eta)/(1 + lam) - u)**2, then its square, in one buffer
+    e = np.add(u, eta, out=eta)
+    e /= 1.0 + lam
+    e -= u
+    e *= e
+    s1 = float(e.sum())
+    e *= e
+    return _moments_to_estimate(s1, float(e.sum()), n_samples, 0.0)
 
 
 @dataclass(eq=False)

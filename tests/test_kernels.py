@@ -174,7 +174,7 @@ def _flow_iter_identity_oracle(w, u_prime, step, vol, alpha, clamp):
                 wn = min(max(wn, -vol), vol)
         w[i] = wn
         d = abs(wn - wi)
-        if d > dmax:
+        if d > dmax or d != d:  # a nan stays, as in numpy's max
             dmax = d
     return dmax
 
@@ -196,6 +196,16 @@ _ORACLES = {
 }
 
 
+def _assert_same_bits(got, want):
+    """Equal bit for bit, +-0.0 included; a nan may carry any payload, since
+    which of two nans a sum keeps is up to the hardware."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(np.where(nan, 0.0, got).view(np.int64),
+                                  np.where(nan, 0.0, want).view(np.int64))
+
+
 def _assert_matches_oracle(name, arrays, extra=()):
     """Run kernel and oracle on independent copies of the same inputs
     (several kernels mutate in place) and compare the return value and
@@ -204,10 +214,12 @@ def _assert_matches_oracle(name, arrays, extra=()):
     want_args = tuple(a.copy() for a in arrays)
     got = getattr(K, name)(*got_args, *extra)
     want = _ORACLES[name](*want_args, *extra)
-    if want is not None:
-        np.testing.assert_array_equal(np.asarray(got), np.asarray(want))
+    if want is None:
+        assert got is None
+    else:
+        _assert_same_bits(np.asarray(got), np.asarray(want))
     for a, b in zip(got_args, want_args):
-        np.testing.assert_array_equal(a, b)
+        _assert_same_bits(a, b)
 
 
 _INPUTS = {
@@ -374,16 +386,6 @@ def _layouts(x):
             x[::-1, ::-1].copy()[::-1, ::-1]]
 
 
-def _assert_same_bits(got, want):
-    """Equal bit for bit, +-0.0 included; a nan may carry any payload, since
-    which of two nans a sum keeps is up to the hardware."""
-    assert got.shape == want.shape and got.dtype == want.dtype
-    nan = np.isnan(want)
-    np.testing.assert_array_equal(np.isnan(got), nan)
-    np.testing.assert_array_equal(np.where(nan, 0.0, got).view(np.int64),
-                                  np.where(nan, 0.0, want).view(np.int64))
-
-
 def _products(name, args):
     """The (k, outputs) terms each kernel sums over its inner index k."""
     a = args[0]
@@ -483,6 +485,114 @@ def test_product_kernels_allocate_at_most_one_block(name, shapes):
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + 8 * K._BLOCK + 2 * 8 * np.getbufsize() + 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the block-wise theory kernels: every block boundary, quiet and busy blocks
+# ---------------------------------------------------------------------------
+
+
+def _blocky(n, block, seed):
+    """Standard normals whose every third block is scaled by 1e-3, so blocks
+    that cross no wall at V >= 0.4 sit beside blocks that do; +-0.0 anywhere
+    and +-inf outside the quiet blocks."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n)
+    quiet = np.arange(n) // block % 3 == 1
+    v[quiet] *= 1e-3
+    r = rng.random(n)
+    v[r < 0.05] = 0.0
+    v[(r >= 0.05) & (r < 0.1)] = -0.0
+    v[~quiet & (r >= 0.1) & (r < 0.13)] = np.inf
+    v[~quiet & (r >= 0.13) & (r < 0.16)] = -np.inf
+    return v
+
+
+_SMALL_BLOCK = 8
+# empty, one element, either side of one block, several with a ragged last
+_BLOCK_SIZES = (0, 1, _SMALL_BLOCK - 1, _SMALL_BLOCK, _SMALL_BLOCK + 1,
+                3 * _SMALL_BLOCK + 5)
+
+
+def test_blocky_inputs_mix_quiet_and_crossing_blocks():
+    n = 3 * _SMALL_BLOCK + 5
+    s = _blocky(n, _SMALL_BLOCK, 100) + _blocky(n, _SMALL_BLOCK, 101)
+    for vol in (0.4, 1.2):
+        crossing = [bool((np.abs(s[i:i + _SMALL_BLOCK]) > vol).any())
+                    for i in range(0, n, _SMALL_BLOCK)]
+        assert crossing == [True, False, True, True], vol
+
+
+def test_clip_cv_kernel_matches_oracle_block_by_block(monkeypatch):
+    monkeypatch.setattr(K, "_BLOCK", _SMALL_BLOCK)
+    with np.errstate(all="ignore"):
+        for n in _BLOCK_SIZES:
+            u = _blocky(n, _SMALL_BLOCK, 100 + n)
+            eta = _blocky(n, _SMALL_BLOCK, 200 + n)
+            for vol in _VOLS:
+                _assert_matches_oracle("clip_sq_cv_values", (u, eta), (vol,))
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_flow_kernel_matches_oracle_block_by_block(monkeypatch, clamp):
+    monkeypatch.setattr(K, "_BLOCK", _SMALL_BLOCK)
+    with np.errstate(all="ignore"):
+        for n in _BLOCK_SIZES:
+            w = _blocky(n, _SMALL_BLOCK, 300 + n)
+            u = _blocky(n, _SMALL_BLOCK, 400 + n)
+            for alpha in _ALPHAS:
+                for vol in _VOLS:
+                    _assert_matches_oracle("flow_iter_identity", (w, u),
+                                           (0.1, vol, alpha, clamp))
+
+
+def test_theory_kernels_match_oracle_at_block_scale():
+    # three whole blocks and a ragged fourth at the real block size
+    n = 3 * K._BLOCK + 5
+    a, b = _blocky(n, K._BLOCK, 500), _blocky(n, K._BLOCK, 501)
+    with np.errstate(all="ignore"):
+        _assert_matches_oracle("clip_sq_cv_values", (a, b), (0.8,))
+        _assert_matches_oracle("flow_iter_identity", (a, b), (0.1, 0.4, 0.3, True))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["middle", "last"])
+@pytest.mark.parametrize("vol, alpha", [(np.inf, 0.3), (0.4, 0.5)])
+def test_flow_delta_propagates_nan_and_inf(monkeypatch, bad, where, vol, alpha):
+    # gradient_flow_sim stops with NumericError on a non-finite delta, so the
+    # block maxima must keep a nan or inf from any block, as one max does
+    monkeypatch.setattr(K, "_BLOCK", _SMALL_BLOCK)
+    n = 3 * _SMALL_BLOCK + 5
+    w_old = _rand(n, 110)
+    u = _rand(n, 111)
+    u[_SMALL_BLOCK + 3 if where == "middle" else n - 2] = bad
+    w = w_old.copy()
+    with np.errstate(all="ignore"):
+        delta = K.flow_iter_identity(w, u, 0.1, vol, alpha, False)
+        want = float(np.abs(w - w_old).max())
+    assert np.isnan(delta) if np.isnan(bad) else delta == np.inf
+    np.testing.assert_array_equal(delta, want)
+
+
+@pytest.mark.parametrize("name", ["clip_sq_cv_values", "flow_iter_identity"])
+def test_theory_kernels_allocate_one_block_of_scratch(name):
+    # the clip kernel's output, then float scratch blocks (one for the clip,
+    # three for the flow), two or one boolean blocks and 64 KiB; the
+    # whole-array expressions took 20-52 MB and 4.8-6.6 MB here
+    n = 2_000_000 if name == "clip_sq_cv_values" else 200_000
+    a, b = _rand(n, 120), _rand(n, 121, 0.5)
+    tracemalloc.start()
+    try:
+        if name == "clip_sq_cv_values":
+            out = K.clip_sq_cv_values(a, b, 0.8).nbytes
+            floats, masks = 1, 2
+        else:
+            K.flow_iter_identity(a, b, 0.1, 0.4, 0.3, True)
+            out, floats, masks = 0, 3, 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out + (8 * floats + masks) * K._BLOCK + 64 * 1024
 
 
 class TestVolumizeKernel:
