@@ -12,8 +12,8 @@ from .data import Dataset, gen_blobs, inject_label_noise
 from .errors import (CheckpointError, ConfigError, DomainError, NumericError,
                      ShapeError, VolumizeError)
 from .linalg import SeededRng, jacobi_eigh, matmul, stable_hash
-from .net import (GradientBundle, LayerSpec, Network, accuracy,
-                  empirical_lipschitz, forward, init_network, loss_and_grad)
+from .net import (GradientBundle, LayerSpec, Network, empirical_lipschitz,
+                  forward, init_network, loss_and_grad)
 from .optimizers import OptimizerSpec, OptimizerState, step
 from .quantizer import (QuantizationScheme, QuantizedTrainingResult,
                         WeightHistogram, load_quantized_weights,
@@ -44,8 +44,8 @@ __all__ = [
     "CheckpointError", "ConfigError", "DomainError", "NumericError",
     "ShapeError", "VolumizeError",
     "SeededRng", "jacobi_eigh", "matmul", "stable_hash",
-    "GradientBundle", "LayerSpec", "Network", "accuracy",
-    "empirical_lipschitz", "forward", "init_network", "loss_and_grad",
+    "GradientBundle", "LayerSpec", "Network", "empirical_lipschitz",
+    "forward", "init_network", "loss_and_grad",
     "OptimizerSpec", "OptimizerState", "step",
     "QuantizationScheme", "QuantizedTrainingResult", "WeightHistogram",
     "load_quantized_weights", "mass_near_walls", "quantize",

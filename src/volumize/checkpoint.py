@@ -1,34 +1,35 @@
 """Bitwise-faithful training checkpoints.
 
-Layout (little-endian throughout), magic b"VZCK", version byte 0x01:
+Files are framed by volumize._container under magic b"VZCK", version 1;
+the body (little-endian throughout) is
 
-    magic[4] version[1] header_len[u32] header[utf-8 JSON]
-    payload[f64 LE, C order] crc32[u32]
+    header_len[u32] header[utf-8 JSON] payload[f64 LE, C order]
 
-The crc covers everything after the magic. The header describes the model
-(layer specs, init scales), the tensor manifest, optimizer spec and step
-counter, volumization config, shuffle-stream state, epoch counter, and the
-metric history; the payload is the concatenation of all parameter tensors
-followed by first-moment buffers and (when present) second-moment buffers,
-in manifest order. Every float that must survive the round trip exactly
-(hyperparameters, metrics, init scales) is stored as a C99 hex literal, so
-load(save(run)) reproduces the run bit for bit and a resumed run's
-trajectory is indistinguishable from an uninterrupted one.
+The header describes the model (layer specs, init scales), the tensor
+manifest, optimizer spec and step counter, volumization config,
+shuffle-stream state, epoch counter, and the metric history; the payload
+is the concatenation of all parameter tensors followed by first-moment
+buffers and (when present) second-moment buffers, in manifest order.
+Every float that must survive the round trip exactly (hyperparameters,
+metrics, init scales) is stored as a C99 hex literal, so load(save(run))
+reproduces the run bit for bit and a resumed run's trajectory is
+indistinguishable from an uninterrupted one.
 
 Load failures raise CheckpointError with a message starting "version:" for
 format-version mismatches and "integrity:" for everything else (bad magic,
-truncation, checksum or manifest mismatches).
+truncation, checksum or manifest mismatches, header values the run cannot
+be rebuilt from).
 """
 
 import json
-import struct
-import zlib
+import math
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
+from ._container import read_framed, write_framed
+from .errors import CheckpointError, ConfigError, VolumizeError
 from .linalg import SeededRng
-from .net import Layer, LayerSpec, Network
+from .net import LOSSES, Layer, LayerSpec, Network
 from .optimizers import OptimizerSpec, OptimizerState
 from .training import MetricTrajectory, TrainingRun
 from .volumization import VolumizationConfig, derive_layer_volumes
@@ -113,92 +114,67 @@ def save_checkpoint(path, run: TrainingRun) -> None:
     if run.opt_state.n is not None:
         chunks += [n.ravel() for n in run.opt_state.n]
     payload = np.concatenate(chunks) if chunks else np.empty(0)
-    body = bytearray()
-    body.append(_VERSION)
-    body += struct.pack("<I", len(header))
-    body += header
-    body += payload.astype("<f8", copy=False).tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(bytes(body))
-
-
-def _take(flat, shape, cursor):
-    n = 1
-    for d in shape:
-        n *= d
-    if cursor + n > flat.size:
-        raise CheckpointError("integrity: payload shorter than manifest")
-    arr = np.ascontiguousarray(flat[cursor:cursor + n].reshape(shape))
-    return arr, cursor + n
+    write_framed(path, _MAGIC, _VERSION,
+                 len(header).to_bytes(4, "little") + header
+                 + payload.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> TrainingRun:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 13 or blob[:4] != _MAGIC:
-        raise CheckpointError("integrity: not a checkpoint file")
-    body, tail = blob[4:-4], blob[-4:]
-    (crc,) = struct.unpack("<I", tail)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise CheckpointError("integrity: checksum mismatch")
-    version = body[0]
-    if version != _VERSION:
-        raise CheckpointError(f"version: unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<I", body, 1)
-    if 5 + hlen > len(body):
+    body = read_framed(path, _MAGIC, _VERSION, "checkpoint")
+    hlen = int.from_bytes(body[:4], "little")
+    if len(body) < 4 or 4 + hlen > len(body):
         raise CheckpointError("integrity: truncated header")
     try:
-        header = json.loads(body[5:5 + hlen].decode("utf-8"))
+        header = json.loads(body[4:4 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"integrity: unreadable header ({exc})") from exc
 
-    raw = body[5 + hlen:]
+    raw = body[4 + hlen:]
     if len(raw) % 8:
         raise CheckpointError("integrity: payload length not a multiple of 8")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
     try:
-        model = header["model"]
-        layers = []
-        cursor = 0
-        tensor_shapes = {t["name"]: t["shape"] for t in header["tensors"]}
-        for i, ls in enumerate(model["layers"]):
-            spec = LayerSpec(in_dim=ls["in_dim"], out_dim=ls["out_dim"],
-                             activation=ls["activation"], has_bias=ls["has_bias"])
-            w, cursor = _take(flat, tensor_shapes[f"layer{i}.weight"], cursor)
-            b = None
+        model, o, r = header["model"], header["optimizer"], header["run"]
+        specs = [LayerSpec(in_dim=ls["in_dim"], out_dim=ls["out_dim"],
+                           activation=ls["activation"], has_bias=ls["has_bias"])
+                 for ls in model["layers"]]
+        shapes = []
+        for spec in specs:
+            shapes.append((spec.in_dim, spec.out_dim))
             if spec.has_bias:
-                b, cursor = _take(flat, tensor_shapes[f"layer{i}.bias"], cursor)
-            layers.append(Layer(spec, w, b, _unhex(ls["init_scale_a"])))
-        net = Network(layers, model["fan_mode"])
+                shapes.append((spec.out_dim,))
+        if not specs or [tuple(t["shape"]) for t in header["tensors"]] != shapes:
+            raise CheckpointError("integrity: tensor manifest does not match the layers")
+        if (r["batch_size"] < 1 or o["t"] < 0 or r["loss"] not in LOSSES
+                or o["has_n"] != (o["kind"] != "sgd")):
+            raise CheckpointError("integrity: bad batch size, step, loss or moments")
 
-        o = header["optimizer"]
+        # parameters, then m, then n when present, each in manifest order
+        sets = 3 if o["has_n"] else 2
+        if flat.size != sets * sum(math.prod(s) for s in shapes):
+            raise CheckpointError("integrity: payload length does not match manifest")
+        tensors, cursor = [], 0
+        for shape in shapes * sets:
+            size = math.prod(shape)
+            tensors.append(flat[cursor:cursor + size].reshape(shape))
+            cursor += size
+        k = len(shapes)
+        params = iter(tensors[:k])
+        layers = [Layer(spec, next(params), next(params) if spec.has_bias else None,
+                        _unhex(ls["init_scale_a"]))
+                  for spec, ls in zip(specs, model["layers"])]
+        net = Network(layers, model["fan_mode"])
         opt_spec = OptimizerSpec(kind=o["kind"], lr=_unhex(o["lr"]),
                                  mu=_unhex(o["mu"]), nu=_unhex(o["nu"]),
                                  eps=_unhex(o["eps"]),
                                  bias_correction=o["bias_correction"])
-        shapes = [t["shape"] for t in header["tensors"]]
-        m = []
-        for shape in shapes:
-            arr, cursor = _take(flat, shape, cursor)
-            m.append(arr)
-        n = None
-        if o["has_n"]:
-            n = []
-            for shape in shapes:
-                arr, cursor = _take(flat, shape, cursor)
-                n.append(arr)
-        if cursor != flat.size:
-            raise CheckpointError("integrity: payload longer than manifest")
-        opt_state = OptimizerState(m, n, o["t"])
+        opt_state = OptimizerState(tensors[k:2 * k], tensors[2 * k:] or None, o["t"])
 
         v = header["vol"]
         vol_cfg = VolumizationConfig(v=_unhex(v["v"]), alpha=_unhex(v["alpha"]),
                                      fan_mode=v["fan_mode"],
                                      overshoot_policy=v["overshoot_policy"])
-        r = header["run"]
         traj = header["trajectory"]
         trajectory = MetricTrajectory(
             train_loss=[_unhex(x) for x in traj["train_loss"]],
@@ -216,5 +192,6 @@ def load_checkpoint(path) -> TrainingRun:
         )
     except CheckpointError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (VolumizeError, KeyError, TypeError, ValueError) as exc:
+        # a header can pass the crc and still hold values no run has
         raise CheckpointError(f"integrity: malformed header ({exc})") from exc

@@ -3,11 +3,14 @@
 Every table the package writes goes through here: header row mandatory,
 UTF-8, "\n" line endings, floats at 17 significant digits (enough for
 float64 to re-parse to the same bits), so identical runs produce identical
-bytes.
+bytes. A file is replaced atomically, only once every row has been
+formatted.
 """
 
 import csv
+import io
 
+from ._container import write_atomic
 from .errors import ConfigError
 
 
@@ -24,14 +27,15 @@ def write_csv(path, header, rows) -> None:
     header = tuple(header)
     if not header:
         raise ConfigError("header must be non-empty")
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            extra = set(row) - set(header)
-            if extra:
-                raise ConfigError(f"row has keys outside the header: {sorted(extra)}")
-            w.writerow([format_value(row.get(k, "")) for k in header])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        extra = set(row) - set(header)
+        if extra:
+            raise ConfigError(f"row has keys outside the header: {sorted(extra)}")
+        w.writerow([format_value(row.get(k, "")) for k in header])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_csv(path):

@@ -240,9 +240,3 @@ def empirical_lipschitz(net: Network, rng: SeededRng, n_pairs: int = 10000,
     num = np.sqrt(((y2 - y1) ** 2).sum(axis=1))
     den = np.sqrt((d * d).sum(axis=1))
     return float((num / den).max())
-
-
-def accuracy(net: Network, x, y) -> float:
-    """Fraction of argmax predictions matching integer labels."""
-    pred = np.argmax(forward(net, x), axis=1)
-    return float((pred == np.asarray(y)).mean())

@@ -7,24 +7,25 @@ accuracy. quantized_training() applies the rounding every period_epochs
 during training and keeps going from the rounded network; optimizer state is
 carried across rounding events unchanged.
 
-Packed format (little-endian throughout), magic b"VZQW", version byte 0x01:
+Packed files are framed by volumize._container under magic b"VZQW",
+version 1; the body (little-endian throughout) is
 
-    magic[4] version[1] mode[1] n_tensors[u32]
+    mode[1] n_tensors[u32]
     per tensor:
         name_len[u16] name[utf-8] ndim[u8] dims[u32 each]
         V[f64] codes[packed bits, little-endian bit order, byte-padded]
-    crc32[u32]   over everything after the magic
 
 Binary packs 1 bit/weight (1 -> +V, 0 -> -V); ternary packs 2 bits/weight
 (0b00 -> 0, 0b01 -> +V, 0b10 -> -V; 0b11 is invalid and rejected at load).
 """
 
+import math
 import struct
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._container import read_framed, write_framed
 from .errors import CheckpointError, ConfigError, DomainError
 
 MODES = ("binary", "ternary")
@@ -191,15 +192,9 @@ def _encode_codes(values, vol: float, mode: str) -> bytes:
 
 def _decode_codes(raw: bytes, n: int, vol: float, mode: str) -> np.ndarray:
     if mode == "binary":
-        need = (n + 7) // 8
-        if len(raw) != need:
-            raise CheckpointError("integrity: code payload length mismatch")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                              bitorder="little")[:n]
         return np.where(bits == 1, vol, -vol)
-    need = (n + 3) // 4
-    if len(raw) != need:
-        raise CheckpointError("integrity: code payload length mismatch")
     packed = np.frombuffer(raw, dtype=np.uint8)
     idx = np.arange(n)
     codes = (packed[idx // 4] >> (2 * (idx % 4)).astype(np.uint8)) & 0b11
@@ -218,7 +213,6 @@ def save_quantized_weights(path, named_tensors, vols, mode: str) -> None:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     by_name = {lv.tensor: lv.vol for lv in vols}
     body = bytearray()
-    body.append(_VERSION)
     body.append(_MODE_CODES[mode])
     tensors = list(named_tensors)
     body += struct.pack("<I", len(tensors))
@@ -237,34 +231,19 @@ def save_quantized_weights(path, named_tensors, vols, mode: str) -> None:
             body += struct.pack("<I", d)
         body += struct.pack("<d", vol)
         body += _encode_codes(t, vol, mode)
-    body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(bytes(body))
+    write_framed(path, _MAGIC, _VERSION, bytes(body))
 
 
 def load_quantized_weights(path):
     """Read a packed file back; returns (mode, [(name, array), ...]) with
     values exactly in the mode's codomain."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(_MAGIC) + 7 or blob[:4] != _MAGIC:
-        raise CheckpointError("integrity: not a quantized-weights file")
-    body, tail = blob[4:-4], blob[-4:]
-    (crc,) = struct.unpack("<I", tail)
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise CheckpointError("integrity: checksum mismatch")
-    version = body[0]
-    if version != _VERSION:
-        raise CheckpointError(f"version: unsupported format version {version}")
-    mode_code = body[1]
-    if mode_code not in _MODE_NAMES:
-        raise CheckpointError(f"integrity: unknown mode byte {mode_code}")
-    mode = _MODE_NAMES[mode_code]
-    off = 2
+    body = read_framed(path, _MAGIC, _VERSION, "quantized-weights")
     try:
-        (count,) = struct.unpack_from("<I", body, off)
-        off += 4
+        mode_code, count = struct.unpack_from("<BI", body)
+        if mode_code not in _MODE_NAMES:
+            raise CheckpointError(f"integrity: unknown mode byte {mode_code}")
+        mode = _MODE_NAMES[mode_code]
+        off = 5
         out = []
         for _ in range(count):
             (nlen,) = struct.unpack_from("<H", body, off)
@@ -282,9 +261,7 @@ def load_quantized_weights(path):
                 dims.append(d)
             (vol,) = struct.unpack_from("<d", body, off)
             off += 8
-            n = 1
-            for d in dims:
-                n *= d
+            n = math.prod(dims)
             nbytes = (n + 7) // 8 if mode == "binary" else (n + 3) // 4
             raw = body[off:off + nbytes]
             if len(raw) != nbytes:
@@ -293,6 +270,6 @@ def load_quantized_weights(path):
             out.append((name, _decode_codes(raw, n, vol, mode).reshape(dims)))
         if off != len(body):
             raise CheckpointError("integrity: trailing bytes after payload")
-    except struct.error as exc:
-        raise CheckpointError(f"integrity: truncated file ({exc})") from exc
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"integrity: malformed body ({exc})") from exc
     return mode, out

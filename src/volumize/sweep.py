@@ -18,6 +18,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from ._container import write_atomic
 from .csvio import write_csv
 from .data import gen_blobs, inject_label_noise
 from .errors import ConfigError, VolumizeError
@@ -152,16 +153,10 @@ def _cell_path(out_dir: str, vi: int, ai: int, r: int) -> str:
     return os.path.join(out_dir, "cells", f"cell_v{vi}_a{ai}_r{r}.json")
 
 
-def _write_cell(path: str, result: CellResult) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(result.to_json(), f, sort_keys=True)
-    os.replace(tmp, path)
-
-
 def _run_cell_to_file(args) -> None:
     spec, vi, ai, r, path = args
-    _write_cell(path, run_cell(spec, vi, ai, r))
+    write_atomic(path, json.dumps(run_cell(spec, vi, ai, r).to_json(),
+                                  sort_keys=True).encode("utf-8"))
 
 
 def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,

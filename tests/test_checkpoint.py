@@ -1,5 +1,6 @@
 """Checkpoint round trips and refusal modes."""
 
+import json
 import struct
 import zlib
 
@@ -8,6 +9,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from volumize.checkpoint import load_checkpoint, save_checkpoint
+from volumize.cli import main
 from volumize.errors import CheckpointError, ConfigError
 from volumize.linalg import SeededRng, stable_hash
 from volumize.net import LayerSpec, init_network
@@ -28,6 +30,37 @@ def _run(seed=0, kind="adam", epochs=3, vol=True):
 def _fix_crc(blob: bytearray) -> bytes:
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF)
     return bytes(blob)
+
+
+def _resign(path, edit, sets_kept=None) -> None:
+    """Rewrite a checkpoint's JSON header with edit(header) and a valid crc,
+    so only the header values are wrong. sets_kept keeps that many of the
+    payload's equal-sized tensor sets (parameters, m, n)."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    header = json.loads(blob[9:9 + hlen])
+    sets = 3 if header["optimizer"]["has_n"] else 2
+    edit(header)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = blob[9 + hlen:-4]
+    if sets_kept is not None:
+        payload = payload[:len(payload) // sets * sets_kept]
+    body = blob[4:5] + struct.pack("<I", len(text)) + text + payload
+    path.write_bytes(_fix_crc(bytearray(blob[:4] + body + b"\0" * 4)))
+
+
+# one header value the crc cannot catch, per case; the payload stays intact
+BAD_HEADER_VALUES = {
+    "in_dim 0": lambda h: h["model"]["layers"][0].update(in_dim=0),
+    "unknown optimizer": lambda h: h["optimizer"].update(kind="rmsprop"),
+    "alpha 5": lambda h: h["vol"].update(alpha=(5.0).hex()),
+    "negative shuffle seed": lambda h: h["shuffle_rng"].update(seed=-1),
+    "batch size 0": lambda h: h["run"].update(batch_size=0),
+    "transposed weight shape": lambda h: h["tensors"][0].update(
+        shape=h["tensors"][0]["shape"][::-1]),
+    "negative step counter": lambda h: h["optimizer"].update(t=-1),
+    "unknown loss": lambda h: h["run"].update(loss="hinge"),
+}
 
 
 class TestRoundTrip:
@@ -154,6 +187,36 @@ class TestRefusals:
         path.write_bytes(_fix_crc(blob))
         with pytest.raises(CheckpointError, match="^integrity:"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_HEADER_VALUES))
+    def test_bad_header_value_is_integrity_error(self, tiny_data, tmp_path, case):
+        path = self._saved(tiny_data, tmp_path)
+        load_checkpoint(path)  # the re-signing alone breaks nothing
+        _resign(path, lambda h: None)
+        load_checkpoint(path)
+        _resign(path, BAD_HEADER_VALUES[case])
+        with pytest.raises(CheckpointError, match="^integrity:"):
+            load_checkpoint(path)
+
+    def test_adam_without_second_moments_is_integrity_error(self, tiny_data,
+                                                            tmp_path):
+        path = self._saved(tiny_data, tmp_path)
+        _resign(path, lambda h: h["optimizer"].update(has_n=False), sets_kept=2)
+        with pytest.raises(CheckpointError, match="^integrity:"):
+            load_checkpoint(path)
+
+    def test_bad_header_value_on_resume_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_per_class = 10\ndim = 4\nhidden_dims = 8\n"
+                       "optimizer = sgd\nlr = 0.05\nbatch_size = 16\n"
+                       "checkpoint_every = 0\nepochs = 1\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        _resign(out / "checkpoint.bin", BAD_HEADER_VALUES["batch size 0"])
+        cfg.write_text(cfg.read_text().replace("epochs = 1", "epochs = 2"))
+        code = main(["train", "--config", str(cfg), "--out", str(out), "--resume"])
+        assert code == 2
+        assert "integrity" in capsys.readouterr().err
 
     def test_custom_walls_refused(self, tiny_data, tmp_path):
         net = init_network([LayerSpec(5, 8, activation="relu"), LayerSpec(8, 3)],

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, outputs, resume."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -189,6 +190,18 @@ class TestConsoleScript:
                               text=True)
         assert proc.returncode == 0
         assert "spectral" in proc.stdout
+
+    def test_declared_entry_point_resolves(self, capsys):
+        # the console script pyproject.toml declares, resolved without an install
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"volumize": "volumize.cli:main"}
+        module, _, attr = scripts["volumize"].partition(":")
+        main_fn = getattr(importlib.import_module(module), attr)
+        assert main_fn(["--help"]) == 0
+        assert "spectral" in capsys.readouterr().out
 
     def test_package_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "volumize", "--help"],

@@ -1,0 +1,158 @@
+"""The one file container: pinned bytes, corruption, and crash safety.
+
+Checkpoints and packed weights share one framing (magic, version byte,
+body, crc32) and every output goes through one atomic writer. The golden
+digests below were recorded before the framing moved into one module, so
+they pin the bytes both formats had then.
+"""
+
+import hashlib
+import os
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from volumize.checkpoint import load_checkpoint, save_checkpoint
+from volumize.csvio import write_csv
+from volumize.errors import CheckpointError, ConfigError
+from volumize.linalg import SeededRng
+from volumize.net import LayerSpec, init_network
+from volumize.optimizers import OptimizerSpec
+from volumize.quantizer import load_quantized_weights, save_quantized_weights
+from volumize.training import new_run
+from volumize.volumization import LayerVolume, VolumizationConfig
+
+# sha256 of the files _tiny_run / _tiny_weights produce
+CHECKPOINT_SHA256 = "469e9b6c0ce73d8e512ee22034d34d3f2d694440079183e780f634b2a61e3bf3"
+WEIGHTS_SHA256 = {
+    "binary": "459388bc91d588f145371d9e1d2154d2d55a135e12bcad41895a39f5fd13b448",
+    "ternary": "4d6a70981b88c36969d13db87d5ed5bae20685b70b8f63b84571a0fbaec9e03e",
+}
+
+
+def _tiny_run():
+    """A 3-4-2 adam run whose every stored value is set without
+    transcendental functions, so its bytes do not depend on the CPU."""
+    net = init_network([LayerSpec(3, 4, activation="relu"), LayerSpec(4, 2)],
+                       SeededRng(11))
+    run = new_run(net, OptimizerSpec(kind="adam", lr=0.01),
+                  VolumizationConfig(v=0.5, alpha=0.25), SeededRng(12),
+                  batch_size=4)
+    for k, (m, n) in enumerate(zip(run.opt_state.m, run.opt_state.n)):
+        m[...] = np.arange(m.size).reshape(m.shape) / (k + 3)
+        n[...] = np.arange(m.size).reshape(m.shape) / (k + 7)
+    run.opt_state.t = 6
+    run.epoch = 2
+    run.trajectory.train_loss[:] = [0.75, 0.5]
+    run.trajectory.train_acc[:] = [0.25, 0.5]
+    run.trajectory.test_loss[:] = [0.875, 0.625]
+    run.trajectory.test_acc[:] = [0.125, 0.375]
+    return run
+
+
+def _tiny_weights(path, mode):
+    net = _tiny_run().net
+    vols = [LayerVolume(name, 0.375) for name, _ in net.param_tensors()]
+    save_quantized_weights(path, net.param_tensors(), vols, mode)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def checkpoint_file(tmp_path):
+    path = tmp_path / "tiny.vzck"
+    save_checkpoint(path, _tiny_run())
+    return path
+
+
+@pytest.fixture(params=["binary", "ternary"])
+def weights_file(tmp_path, request):
+    path = tmp_path / f"tiny-{request.param}.vzqw"
+    _tiny_weights(path, request.param)
+    return request.param, path
+
+
+class TestGoldenBytes:
+    def test_checkpoint(self, checkpoint_file):
+        assert _sha256(checkpoint_file) == CHECKPOINT_SHA256
+
+    def test_packed_weights(self, weights_file):
+        mode, path = weights_file
+        assert _sha256(path) == WEIGHTS_SHA256[mode]
+
+
+def _every_corruption(blob):
+    """Every proper prefix, then every single-bit flip, of blob."""
+    for n in range(len(blob)):
+        yield f"truncated to {n}", blob[:n]
+    for i in range(len(blob)):
+        for bit in range(8):
+            bad = bytearray(blob)
+            bad[i] ^= 1 << bit
+            yield f"bit {bit} of byte {i} flipped", bytes(bad)
+
+
+class TestEveryCorruptionRefused:
+    def _check(self, path, load):
+        blob = path.read_bytes()
+        bad_path = path.with_name("bad")
+        for what, bad in _every_corruption(blob):
+            bad_path.write_bytes(bad)
+            with pytest.raises(CheckpointError, match="^integrity:"):
+                load(bad_path)
+                pytest.fail(f"loaded a file with {what}")
+
+    def test_checkpoint(self, checkpoint_file):
+        self._check(checkpoint_file, load_checkpoint)
+
+    def test_packed_weights(self, weights_file):
+        self._check(weights_file[1], load_quantized_weights)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("fails", ["fsync", "replace"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch,
+                                                   fails):
+        path = tmp_path / "run.vzck"
+        old = _tiny_run()
+        save_checkpoint(path, old)
+        before = path.read_bytes()
+
+        def boom(*args, **kwargs):
+            raise OSError(f"injected {fails} failure")
+
+        newer = _tiny_run()
+        newer.epoch = 3
+        newer.trajectory.train_loss.append(0.25)
+        monkeypatch.setattr(os, fails, boom)
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(path, newer)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.vzck"]
+        got = load_checkpoint(path)
+        assert got.epoch == old.epoch
+        for (_, a), (_, b) in zip(got.net.param_tensors(), old.net.param_tensors()):
+            assert_array_equal(a, b)
+
+    def test_successful_save_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "run.vzck"
+        save_checkpoint(path, _tiny_run())
+        save_checkpoint(path, _tiny_run())
+        _tiny_weights(tmp_path / "w.vzqw", "ternary")
+        write_csv(tmp_path / "t.csv", ("a",), [{"a": 1}])
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["run.vzck", "t.csv", "w.vzqw"]
+
+    def test_bad_csv_row_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ("a", "b"), [{"a": 1, "b": 2}])
+        before = path.read_bytes()
+        with pytest.raises(ConfigError, match="outside the header"):
+            write_csv(path, ("a", "b"), [{"a": 3, "b": 4}, {"a": 5, "zzz": 6}])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]

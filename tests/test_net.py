@@ -9,8 +9,8 @@ from volumize import (
     NumericError,
     SeededRng,
     ShapeError,
-    accuracy,
     empirical_lipschitz,
+    evaluate,
     forward,
     init_network,
     loss_and_grad,
@@ -198,7 +198,7 @@ class TestDiagnostics:
         net.layers[0].w[...] = np.eye(2)
         x = np.array([[2.0, 1.0], [0.0, 3.0], [5.0, -1.0]])
         y = np.array([0, 1, 1])
-        assert accuracy(net, x, y) == pytest.approx(2.0 / 3.0)
+        assert evaluate(net, x, y)[1] == pytest.approx(2.0 / 3.0)
 
     def test_empirical_lipschitz_linear_net(self):
         # for a pure linear map the local slope is bounded by smax and the

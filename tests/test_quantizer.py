@@ -332,6 +332,19 @@ class TestPackedFormat:
         with pytest.raises(CheckpointError, match="0b11"):
             load_quantized_weights(path)
 
+    def test_undecodable_tensor_name_rejected(self, tmp_path):
+        net, vols = _packed_net()
+        path = tmp_path / "w.vzq"
+        save_quantized_weights(path, net.param_tensors(), vols, "binary")
+        blob = bytearray(path.read_bytes())
+        # first tensor name starts after magic4 ver1 mode1 count4 nlen2
+        blob[12] = 0xFF
+        import zlib
+        blob[-4:] = (zlib.crc32(bytes(blob[4:-4])) & 0xFFFFFFFF).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="^integrity:"):
+            load_quantized_weights(path)
+
     def test_save_rejects_bad_inputs(self, tmp_path):
         net, vols = _packed_net()
         with pytest.raises(ConfigError):

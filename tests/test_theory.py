@@ -28,6 +28,7 @@ from volumize import (
     weight_decay_error_mc,
     weight_decay_optimum,
 )
+from volumize import config, runs
 from volumize.errors import DomainError
 from volumize.linalg import sample_cauchy
 from volumize.theory import unregularized_prefix_errors
@@ -261,6 +262,15 @@ class TestCauchy:
         assert constant and constant[0].error == pytest.approx(1.0 / 3.0)
         assert unreg[-1].error > unreg[0].error  # heavy tail: estimate grows
         assert unreg[-1].error > 10 * best.error
+
+    def test_fig4b_check_holds_with_one_prefix_row(self, tmp_path):
+        # at n <= 1e4 there is a single unregularized prefix row, so the
+        # built-in check cannot ask the estimate to grow across rows
+        cfg = config.apply_schema({"kind": "fig4b", "n_samples": "10000"},
+                                  config.THEORY_SCHEMA)
+        failed = [seed for seed in range(100)
+                  if not runs.run_theory(cfg, str(tmp_path), seed)[1]]
+        assert failed == []
 
     def test_rows_carry_metadata(self):
         table = cauchy_comparison(n_samples=10**4, seed=4)
