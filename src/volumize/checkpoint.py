@@ -18,7 +18,7 @@ indistinguishable from an uninterrupted one.
 Load failures raise CheckpointError with a message starting "version:" for
 format-version mismatches and "integrity:" for everything else (bad magic,
 truncation, checksum or manifest mismatches, header values the run cannot
-be rebuilt from).
+be rebuilt from, an epoch counter that disagrees with the trajectory).
 """
 
 import json
@@ -182,6 +182,12 @@ def load_checkpoint(path) -> TrainingRun:
             test_loss=[_unhex(x) for x in traj["test_loss"]],
             test_acc=[_unhex(x) for x in traj["test_acc"]],
         )
+        lengths = {len(trajectory.train_loss), len(trajectory.train_acc),
+                   len(trajectory.test_loss), len(trajectory.test_acc)}
+        if lengths != {r["epoch"]}:
+            raise CheckpointError(
+                f"integrity: epoch counter {r['epoch']} does not match the "
+                f"trajectory lengths {sorted(lengths)}")
         return TrainingRun(
             net=net, opt_spec=opt_spec, opt_state=opt_state,
             vol_cfg=vol_cfg,

@@ -153,6 +153,19 @@ def _cell_path(out_dir: str, vi: int, ai: int, r: int) -> str:
     return os.path.join(out_dir, "cells", f"cell_v{vi}_a{ai}_r{r}.json")
 
 
+def _read_cell(spec: SweepSpec, path: str, vi: int, ai: int, r: int) -> CellResult:
+    """Load a cell file, refusing one computed for another grid or seed."""
+    with open(path, encoding="utf-8") as f:
+        res = CellResult.from_json(json.load(f))
+    want = {"v": float(spec.v_grid[vi]), "alpha": float(spec.alpha_grid[ai]),
+            "seed": spec.cell_seed(vi, ai, r)}
+    differ = [key for key, value in want.items() if getattr(res, key) != value]
+    if differ:
+        raise ConfigError(f"{path} belongs to another sweep: {', '.join(differ)} "
+                          f"differ from this spec")
+    return res
+
+
 def _run_cell_to_file(args) -> None:
     spec, vi, ai, r, path = args
     write_atomic(path, json.dumps(run_cell(spec, vi, ai, r).to_json(),
@@ -164,9 +177,10 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
     """Execute (or finish) a sweep; returns the canonical CSV path.
 
     With resume=True, cells whose JSON already exists are skipped; without
-    it, every cell is recomputed and rewritten. The CSV is always rebuilt
-    from the cell files in canonical order, so its bytes depend only on the
-    spec, never on scheduling.
+    it, every cell is recomputed and rewritten. A kept cell whose v, alpha
+    or seed differs from this spec's raises ConfigError before any cell
+    runs. The CSV is always rebuilt from the cell files in canonical order,
+    so its bytes depend only on the spec, never on scheduling.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -175,6 +189,7 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
     for vi, ai, r in spec.cells():
         path = _cell_path(out_dir, vi, ai, r)
         if resume and os.path.exists(path):
+            _read_cell(spec, path, vi, ai, r)
             continue
         pending.append((spec, vi, ai, r, path))
     if workers == 1 or len(pending) <= 1:
@@ -184,10 +199,8 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_run_cell_to_file, pending))
 
-    results = []
-    for vi, ai, r in spec.cells():
-        with open(_cell_path(out_dir, vi, ai, r), encoding="utf-8") as f:
-            results.append(CellResult.from_json(json.load(f)))
+    results = [_read_cell(spec, _cell_path(out_dir, vi, ai, r), vi, ai, r)
+               for vi, ai, r in spec.cells()]
 
     rows = []
     by_cell = {}

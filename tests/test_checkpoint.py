@@ -60,6 +60,11 @@ BAD_HEADER_VALUES = {
         shape=h["tensors"][0]["shape"][::-1]),
     "negative step counter": lambda h: h["optimizer"].update(t=-1),
     "unknown loss": lambda h: h["run"].update(loss="hinge"),
+    # the fields agree one by one but not with each other
+    "epoch ahead of trajectory": lambda h: (
+        h["run"].update(epoch=7),
+        h["trajectory"].update(train_loss=[], train_acc=[], test_loss=[], test_acc=[])),
+    "short test_acc": lambda h: h["trajectory"]["test_acc"].pop(),
 }
 
 
@@ -205,17 +210,27 @@ class TestRefusals:
         with pytest.raises(CheckpointError, match="^integrity:"):
             load_checkpoint(path)
 
-    def test_bad_header_value_on_resume_exits_two(self, tmp_path, capsys):
+    @staticmethod
+    def _resume_after(tmp_path, case):
+        """Exit code of `train --resume` from a 1-epoch checkpoint re-signed
+        with the bad value ``case``, toward 2 epochs."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_per_class = 10\ndim = 4\nhidden_dims = 8\n"
                        "optimizer = sgd\nlr = 0.05\nbatch_size = 16\n"
                        "checkpoint_every = 0\nepochs = 1\n")
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        _resign(out / "checkpoint.bin", BAD_HEADER_VALUES["batch size 0"])
+        _resign(out / "checkpoint.bin", BAD_HEADER_VALUES[case])
         cfg.write_text(cfg.read_text().replace("epochs = 1", "epochs = 2"))
-        code = main(["train", "--config", str(cfg), "--out", str(out), "--resume"])
-        assert code == 2
+        return main(["train", "--config", str(cfg), "--out", str(out), "--resume"])
+
+    def test_bad_header_value_on_resume_exits_two(self, tmp_path, capsys):
+        assert self._resume_after(tmp_path, "batch size 0") == 2
+        assert "integrity" in capsys.readouterr().err
+
+    def test_epoch_ahead_of_trajectory_on_resume_exits_two(self, tmp_path, capsys):
+        # not the exit 1 of a checkpoint ahead of its config: the header lies
+        assert self._resume_after(tmp_path, "epoch ahead of trajectory") == 2
         assert "integrity" in capsys.readouterr().err
 
     def test_custom_walls_refused(self, tiny_data, tmp_path):

@@ -416,6 +416,34 @@ def test_summation_kernels_match_oracle_across_shapes_and_layouts(monkeypatch, b
                 _assert_same_bits(got, want)
 
 
+@pytest.mark.parametrize("block", [256, 1 << 16], ids=["small-block", "real-block"])
+def test_product_operands_reach_einsum_c_contiguous(monkeypatch, block):
+    # every chunk of both operands is staged C-contiguous whatever the
+    # caller's layout, so no einsum inner loop strides; the bits stay the
+    # oracle's
+    monkeypatch.setattr(K, "_BLOCK", block)
+    real = np.einsum
+    strided = []
+
+    def einsum(spec, *operands, **kw):
+        strided.extend(op.strides for op in operands if not op.flags.c_contiguous)
+        return real(spec, *operands, **kw)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    calls = 0
+    with np.errstate(all="ignore"):
+        for name, args in _summation_cases(81):
+            if name == "colsum":
+                continue
+            want = _ORACLES[name](*args)
+            for i, variant in enumerate(zip(*(_layouts(x) for x in args))):
+                got = getattr(K, name)(*variant)
+                assert not strided, (name, [x.shape for x in args], i, strided)
+                _assert_same_bits(got, want)
+                calls += 1
+    assert calls
+
+
 @pytest.mark.parametrize("name, args", [
     # three chunks at the real block, the last one ragged
     _mm("matmul_tn", 3, 9000, 5, 90),
@@ -471,12 +499,16 @@ def test_summation_cases_are_order_sensitive():
     ("matmul_nn", ((800, 64), (64, 4))),
     # one output row tile at a time: a whole k-slice would be 2 MB
     ("matmul_nn", ((1000, 256), (256, 256))),
+    # strided operands, staged: the backward product's b.T, and the a.T of
+    # a narrow output built transposed
+    ("matmul_nt", ((128, 256), (256, 256))),
+    ("matmul_nn", ((800, 256), (256, 4))),
 ])
 def test_product_kernels_allocate_at_most_one_block(name, shapes):
-    # the output, one product temporary of _BLOCK float64s, the buffers numpy
-    # gives a broadcasting ufunc (one bufsize of float64s per input) and
-    # 64 KiB; building the whole k x n x m product would take 64 MiB, 1.6 MB
-    # and 512 MiB here
+    # the output, one block of _BLOCK float64s for a chunk's products and
+    # staged operands, the buffers numpy gives a broadcasting ufunc (one
+    # bufsize of float64s per input) and 64 KiB; building the whole k x n x m
+    # product would take 64 MiB, 1.6 MB, 512 MiB, 64 MiB and 6.6 MB here
     a, b = _rand(shapes[0], 95), _rand(shapes[1], 96)
     tracemalloc.start()
     try:

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import volumize.sweep as sweep_mod
+from volumize.cli import main
 from volumize.errors import ConfigError, NumericError
 from volumize.linalg import stable_hash
 from volumize.optimizers import OptimizerSpec
@@ -167,6 +168,36 @@ class TestRunSweep:
             os.remove(os.path.join(out, "cells", name))
         resumed = run_sweep(spec, out, resume=True)
         assert open(whole, "rb").read() == open(resumed, "rb").read()
+
+    @pytest.mark.parametrize("changed, differ", [
+        ({"v_grid": (2.0,), "base_seed": 7}, "v, seed"),
+        ({"alpha_grid": (0.5,)}, "alpha"),
+        ({"base_seed": 7}, "seed"),
+    ], ids=["v-and-seed", "alpha", "seed"])
+    def test_resume_refuses_cells_of_another_grid(self, tmp_path, monkeypatch,
+                                                  changed, differ):
+        first = dict(v_grid=(0.5,), alpha_grid=(0.0,), repeats=1, base_seed=1)
+        out = str(tmp_path / "out")
+        csv = run_sweep(_spec(**first), out)
+        before = open(csv, "rb").read()
+        calls = []
+        monkeypatch.setattr(sweep_mod, "run_cell", lambda *a: calls.append(a))
+        # a second repeat is missing; the kept cell is refused before it runs
+        with pytest.raises(ConfigError, match=rf"cell_v0_a0_r0\.json.*: {differ} differ"):
+            run_sweep(_spec(**{**first, **changed, "repeats": 2}), out, resume=True)
+        assert calls == []
+        assert open(csv, "rb").read() == before
+
+    def test_resume_into_another_grid_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
+                       "repeats = 1\nv_grid = 0.5\nalpha_grid = 0\n")
+        out = str(tmp_path / "out")
+        assert main(["sweep", "--config", str(cfg), "--out", out, "--seed", "1"]) == 0
+        cfg.write_text(cfg.read_text().replace("v_grid = 0.5", "v_grid = 2"))
+        assert main(["sweep", "--config", str(cfg), "--out", out, "--seed", "7",
+                     "--resume"]) == 1
+        assert "cell_v0_a0_r0.json" in capsys.readouterr().err
 
     def test_error_cells_excluded_from_means(self, tmp_path, monkeypatch):
         spec = _spec(v_grid=(0.5,), alpha_grid=(0.0, 0.9), repeats=1)
