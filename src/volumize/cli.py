@@ -16,11 +16,12 @@ import sys
 
 from . import runs
 from .config import (QUANTIZE_SCHEMA, SPECTRAL_SCHEMA, SWEEP_SCHEMA,
-                     THEORY_SCHEMA, TRAIN_SCHEMA, load_config, parse_kv_file,
-                     apply_schema)
+                     THEORY_SCHEMA, TRAIN_SCHEMA, load_config)
 from .errors import ConfigError, VolumizeError
 
 THEORY_KINDS = ("fig4a", "fig4b", "theorem1", "theorem3")
+SCHEMAS = {"theory": THEORY_SCHEMA, "sweep": SWEEP_SCHEMA, "train": TRAIN_SCHEMA,
+           "quantize": QUANTIZE_SCHEMA, "spectral": SPECTRAL_SCHEMA}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path, schema):
-    try:
-        return load_config(path, schema)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -95,18 +89,15 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help lands here with code 0
             return int(exc.code or 0)
+        # the positional theory kind overrides kind= in the config file
+        kind = getattr(args, "kind", None)
+        try:
+            cfg = load_config(args.config, SCHEMAS[args.command],
+                              {"kind": kind} if kind else None)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
 
         if args.command == "theory":
-            raw = {}
-            if args.config:
-                try:
-                    raw = parse_kv_file(args.config)
-                except OSError as exc:
-                    raise ConfigError(f"cannot read config: {exc}") from exc
-            if args.kind is not None:
-                raw["kind"] = args.kind
-            cfg = apply_schema(raw, THEORY_SCHEMA,
-                               source=args.config or "command line")
             path, ok = runs.run_theory(cfg, args.out, args.seed)
             print(f"wrote {path}")
             if args.check:
@@ -115,14 +106,12 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "sweep":
-            cfg = _load(args.config, SWEEP_SCHEMA)
             path = runs.run_sweep_cmd(cfg, args.out, args.seed,
                                       workers=args.workers, resume=args.resume)
             print(f"wrote {path}")
             return 0
 
         if args.command == "train":
-            cfg = _load(args.config, TRAIN_SCHEMA)
             path, traj = runs.run_train(cfg, args.out, args.seed,
                                         resume=args.resume)
             print(f"wrote {path}")
@@ -130,14 +119,12 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "quantize":
-            cfg = _load(args.config, QUANTIZE_SCHEMA)
             path, float_acc, quant_acc = runs.run_quantize(cfg, args.out, args.seed)
             print(f"wrote {path}")
             print(f"float_test_acc={float_acc:.6f} quantized_test_acc={quant_acc:.6f}")
             return 0
 
         if args.command == "spectral":
-            cfg = _load(args.config, SPECTRAL_SCHEMA)
             path, report = runs.run_spectral(cfg, args.out, args.seed)
             print(f"wrote {path}")
             print(f"smax_product={report.smax_product:.9f} "

@@ -11,12 +11,25 @@ One key per line, '#' starts a comment, later duplicate keys are an error
 (silent last-wins hides typos). Every run echoes its effective config (all
 keys, defaults filled in, canonical formatting) so an output directory is
 self-describing.
+
+The schemas below own every key and its default, and the builders at the
+end are the one place typed values become run objects: the dataset, the
+model, the optimizer and the walls. Each builder takes the seed its caller
+derived for it, so `train` and a sweep cell build the same objects from the
+same values and differ only in how they derive their seeds.
 """
 
 from dataclasses import dataclass
 
+# data and net are reached through their modules at call time, so a wrapper
+# installed on data.gen_blobs or net.init_network (perfbench's tracer) sees
+# the builders' calls
+from . import data, net
 from .csvio import format_value
 from .errors import ConfigError
+from .linalg import SeededRng
+from .optimizers import OptimizerSpec
+from .volumization import VolumizationConfig
 
 _TYPES = ("int", "u64", "float", "bool", "str", "floats", "ints")
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -108,9 +121,12 @@ def apply_schema(raw: dict, schema: dict, source: str = "config") -> dict:
     return out
 
 
-def load_config(path, schema: dict) -> dict:
-    return apply_schema(parse_kv_file(path) if path else {}, schema,
-                        source=str(path) if path else "defaults")
+def load_config(path, schema: dict, overrides: dict | None = None) -> dict:
+    """Typed values of the file at path (if any) with overrides, raw strings
+    such as a command-line argument, on top; defaults fill in the rest."""
+    raw = parse_kv_file(path) if path else {}
+    raw.update(overrides or {})
+    return apply_schema(raw, schema, source=str(path) if path else "command line")
 
 
 def _format_value(v) -> str:
@@ -194,3 +210,39 @@ THEORY_SCHEMA = {
     "n_samples": Field("int", 10_000_000),
     "flow_dim": Field("int", 200_000),
 }
+
+
+# --- builders -----------------------------------------------------------
+
+def dataset_from_cfg(cfg: dict, seed: int):
+    """Blobs from the dataset keys, then label noise, each on its own child
+    stream of seed."""
+    root = SeededRng(seed)
+    blobs = data.gen_blobs(root.spawn("blobs"), n_classes=cfg["n_classes"],
+                           n_per_class=cfg["n_per_class"], dim=cfg["dim"],
+                           spread=cfg["spread"])
+    return data.inject_label_noise(blobs, cfg["noise_ratio"], root.spawn("noise"))
+
+
+def model_from_cfg(cfg: dict, seed: int):
+    """dim -> hidden_dims -> n_classes, the configured activation on every
+    hidden layer and none on the output, initialized from seed."""
+    dims = [cfg["dim"], *cfg["hidden_dims"], cfg["n_classes"]]
+    specs = [
+        net.LayerSpec(dims[i], dims[i + 1],
+                      activation=cfg["activation"] if i + 2 < len(dims) else "identity")
+        for i in range(len(dims) - 1)
+    ]
+    return net.init_network(specs, SeededRng(seed), fan_mode=cfg["fan_mode"])
+
+
+def optimizer_from_cfg(cfg: dict) -> OptimizerSpec:
+    return OptimizerSpec(kind=cfg["optimizer"], lr=cfg["lr"], mu=cfg["mu"],
+                         nu=cfg["nu"], eps=cfg["eps"],
+                         bias_correction=cfg["bias_correction"])
+
+
+def walls_from_cfg(cfg: dict) -> VolumizationConfig:
+    return VolumizationConfig(v=cfg["v"], alpha=cfg["alpha"],
+                              fan_mode=cfg["fan_mode"],
+                              overshoot_policy=cfg["overshoot_policy"])

@@ -4,6 +4,11 @@ Each runner takes a typed config dict (see config.py schemas), a target
 directory, and a seed; it writes CSVs plus an effective-config echo and
 returns what the CLI needs for its exit code. All outputs are deterministic
 in (config, seed).
+
+The config.py builders make the dataset, model, optimizer and walls; the
+runners only derive their seeds: stable_hash(seed, "dataset") for the data,
+stable_hash(seed, "init") for the weights and stable_hash(seed, "train") for
+the shuffle stream. A sweep hands its cells the same builders (sweep.py).
 """
 
 import os
@@ -13,13 +18,11 @@ import numpy as np
 from . import theory
 from ._container import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import effective_config_text
+from .config import (dataset_from_cfg, effective_config_text, model_from_cfg,
+                     optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
-from .data import gen_blobs, inject_label_noise
 from .errors import ConfigError
 from .linalg import SeededRng, stable_hash
-from .net import LayerSpec, init_network
-from .optimizers import OptimizerSpec
 from .quantizer import (QuantizationScheme, quantized_training,
                         save_quantized_weights, weight_histogram)
 from .spectral import SpectralReport, check_network_lipschitz, contractive_volumes
@@ -146,35 +149,9 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
 METRICS_HEADER = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
 
 
-def _dataset_from_cfg(cfg: dict, seed: int):
-    root = SeededRng(stable_hash(seed, "dataset"))
-    data = gen_blobs(root.spawn("blobs"), n_classes=cfg["n_classes"],
-                     n_per_class=cfg["n_per_class"], dim=cfg["dim"],
-                     spread=cfg["spread"])
-    return inject_label_noise(data, cfg["noise_ratio"], root.spawn("noise"))
-
-
-def _net_from_cfg(cfg: dict, seed: int):
-    dims = [cfg["dim"], *cfg["hidden_dims"], cfg["n_classes"]]
-    specs = [
-        LayerSpec(dims[i], dims[i + 1],
-                  activation=cfg["activation"] if i + 2 < len(dims) else "identity")
-        for i in range(len(dims) - 1)
-    ]
-    return init_network(specs, SeededRng(stable_hash(seed, "init")),
-                        fan_mode=cfg["fan_mode"])
-
-
-def _opt_from_cfg(cfg: dict) -> OptimizerSpec:
-    return OptimizerSpec(kind=cfg["optimizer"], lr=cfg["lr"], mu=cfg["mu"],
-                         nu=cfg["nu"], eps=cfg["eps"],
-                         bias_correction=cfg["bias_correction"])
-
-
-def _vol_from_cfg(cfg: dict) -> VolumizationConfig:
-    return VolumizationConfig(v=cfg["v"], alpha=cfg["alpha"],
-                              fan_mode=cfg["fan_mode"],
-                              overshoot_policy=cfg["overshoot_policy"])
+def _require_epochs(cfg: dict) -> None:
+    if cfg["epochs"] < 1:
+        raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
 
 
 def _write_trajectory(out_dir: str, traj) -> str:
@@ -198,14 +175,15 @@ def _write_summary(out_dir: str, pairs) -> str:
 def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
     """Returns (metrics_path, trajectory). --resume continues a run from
     <out>/checkpoint.bin toward the configured total epoch count."""
+    _require_epochs(cfg)
     _ensure_out(out_dir)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
-    data = _dataset_from_cfg(cfg, seed)
+    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     if resume and os.path.exists(ckpt_path):
         run = load_checkpoint(ckpt_path)
     else:
-        net = _net_from_cfg(cfg, seed)
-        run = new_run(net, _opt_from_cfg(cfg), _vol_from_cfg(cfg),
+        run = new_run(model_from_cfg(cfg, stable_hash(seed, "init")),
+                      optimizer_from_cfg(cfg), walls_from_cfg(cfg),
                       SeededRng(stable_hash(seed, "train")),
                       batch_size=cfg["batch_size"])
     every = cfg["checkpoint_every"]
@@ -232,12 +210,13 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
 
 def run_quantize(cfg: dict, out_dir: str, seed: int):
     """Returns (metrics_path, float accuracy, quantized accuracy)."""
+    _require_epochs(cfg)
     _ensure_out(out_dir)
-    data = _dataset_from_cfg(cfg, seed)
-    net = _net_from_cfg(cfg, seed)
-    vol_cfg = _vol_from_cfg(cfg)
+    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
+    net = model_from_cfg(cfg, stable_hash(seed, "init"))
+    vol_cfg = walls_from_cfg(cfg)
     scheme = QuantizationScheme(mode=cfg["mode"], period_epochs=cfg["period_epochs"])
-    result = quantized_training(net, data, _opt_from_cfg(cfg), vol_cfg, scheme,
+    result = quantized_training(net, data, optimizer_from_cfg(cfg), vol_cfg, scheme,
                                 SeededRng(stable_hash(seed, "train")),
                                 epochs=cfg["epochs"], batch_size=cfg["batch_size"])
     path = _write_trajectory(out_dir, result.trajectory)
@@ -268,10 +247,10 @@ def run_spectral(cfg: dict, out_dir: str, seed: int):
     """Train at alpha=0 with contractive walls, then audit the bounds.
     Returns (layers_csv_path, LipschitzReport)."""
     _ensure_out(out_dir)
-    data = _dataset_from_cfg(cfg, seed)
-    net = _net_from_cfg(cfg, seed)
+    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
+    net = model_from_cfg(cfg, stable_hash(seed, "init"))
     vol_cfg = VolumizationConfig(v=1.0, alpha=0.0, fan_mode=cfg["fan_mode"])
-    run = new_run(net, _opt_from_cfg(cfg), vol_cfg,
+    run = new_run(net, optimizer_from_cfg(cfg), vol_cfg,
                   SeededRng(stable_hash(seed, "train")),
                   batch_size=cfg["batch_size"], vols=contractive_volumes(net))
     run_epochs(run, data, cfg["epochs"])
@@ -293,16 +272,7 @@ def run_spectral(cfg: dict, out_dir: str, seed: int):
 
 def run_sweep_cmd(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                   resume: bool = False):
-    spec = SweepSpec(
-        v_grid=tuple(cfg["v_grid"]), alpha_grid=tuple(cfg["alpha_grid"]),
-        repeats=cfg["repeats"], base_seed=seed,
-        n_classes=cfg["n_classes"], n_per_class=cfg["n_per_class"],
-        dim=cfg["dim"], spread=cfg["spread"], noise_ratio=cfg["noise_ratio"],
-        hidden_dims=tuple(cfg["hidden_dims"]), activation=cfg["activation"],
-        optimizer=_opt_from_cfg(cfg), epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"], fan_mode=cfg["fan_mode"],
-        overshoot_policy=cfg["overshoot_policy"],
-    )
+    spec = SweepSpec(cfg, base_seed=seed)
     _ensure_out(out_dir)
     csv_path = run_sweep(spec, out_dir, workers=workers, resume=resume)
     _write_effective_config(out_dir, cfg, {"seed": seed, "workers": workers})

@@ -4,67 +4,62 @@ Each grid cell (v-index, alpha-index, repeat) trains an independent model;
 its seed is stable_hash(base_seed, v_idx, alpha_idx, repeat), so any cell
 can be recomputed in isolation and a sweep is reproducible regardless of
 worker count or completion order. All cells of one repeat share the repeat's
-dataset (same stable-hashed dataset seed), which pairs the comparisons
-across (v, alpha) and cuts variance at desk scale.
+dataset (seed stable_hash(base_seed, "dataset", repeat)), which pairs the
+comparisons across (v, alpha) and cuts variance at desk scale. A cell's
+weights start from stable_hash(cell_seed, "init") and its shuffle stream
+from the cell seed; the dataset, model, optimizer and walls come from the
+same config.py builders a single `train` run uses.
 
 Results land as one JSON file per cell under <out>/cells/; the canonical
 CSV is regenerated from those files in grid order, one row per cell plus a
-mean row per (v, alpha) aggregating the ok repeats. Cell failures become
-rows with a status message; they never abort the sweep.
+mean row per (v, alpha) aggregating the ok repeats. A cell that fails with
+a numeric or other runtime error becomes a row with a status message and
+never aborts the sweep; a ConfigError aborts it, since no cell of a bad
+config can succeed.
 """
 
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ._container import write_atomic
+from .config import (SWEEP_SCHEMA, dataset_from_cfg, model_from_cfg,
+                     optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
-from .data import gen_blobs, inject_label_noise
 from .errors import ConfigError, VolumizeError
 from .linalg import SeededRng, stable_hash
-from .net import LayerSpec, init_network
-from .optimizers import OptimizerSpec
 from .training import train_model
-from .volumization import VolumizationConfig
 
 SWEEP_CSV_HEADER = ("v", "alpha", "repeat", "seed", "best", "last", "gap", "status")
 
 
-@dataclass(frozen=True)
 class SweepSpec:
-    v_grid: tuple
-    alpha_grid: tuple
-    repeats: int = 3
-    base_seed: int = 0
-    n_classes: int = 4
-    n_per_class: int = 250
-    dim: int = 8
-    spread: float = 1.0
-    noise_ratio: float = 0.0
-    hidden_dims: tuple = (32,)
-    activation: str = "relu"
-    optimizer: OptimizerSpec = OptimizerSpec()
-    epochs: int = 100
-    batch_size: int = 128
-    fan_mode: str = "fan_in"
-    overshoot_policy: str = "leave"
+    """A (v, alpha) grid over typed SWEEP_SCHEMA values, as
+    config.apply_schema returns them, plus the seed every cell and dataset
+    seed derives from. The config is the only copy of the sweep's settings;
+    the dataset, model and optimizer come from the config.py builders."""
 
-    def __post_init__(self):
-        if not self.v_grid or not self.alpha_grid:
+    def __init__(self, cfg: dict, base_seed: int):
+        missing = sorted(set(SWEEP_SCHEMA) - set(cfg))
+        if missing:
+            raise ConfigError(f"sweep config lacks keys {missing}")
+        if cfg["repeats"] < 1:
+            raise ConfigError(f"repeats must be >= 1, got {cfg['repeats']}")
+        if not 0.0 <= cfg["noise_ratio"] < 1.0:
+            raise ConfigError(f"noise_ratio must be in [0, 1), got {cfg['noise_ratio']}")
+        if cfg["epochs"] < 1:
+            raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
+        if not cfg["v_grid"] or not cfg["alpha_grid"]:
             raise ConfigError("v_grid and alpha_grid must be non-empty")
-        for v in self.v_grid:
-            if not (float(v) >= 0.0):
-                raise ConfigError(f"v grid values must be >= 0, got {v}")
-        for a in self.alpha_grid:
-            if not -1.0 <= float(a) <= 1.0:
-                raise ConfigError(f"alpha grid values must lie in [-1, 1], got {a}")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if not 0.0 <= self.noise_ratio < 1.0:
-            raise ConfigError(f"noise_ratio must be in [0, 1), got {self.noise_ratio}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        self.cfg = dict(cfg)
+        self.base_seed = base_seed
+        self.v_grid = cfg["v_grid"]
+        self.alpha_grid = cfg["alpha_grid"]
+        self.repeats = cfg["repeats"]
+        # the walls of every grid point, built (and so checked) up front
+        self.walls = [[walls_from_cfg({**cfg, "v": v, "alpha": a})
+                       for a in self.alpha_grid] for v in self.v_grid]
 
     def cells(self):
         """Canonical cell order: v-major, then alpha, then repeat."""
@@ -113,37 +108,24 @@ class CellResult:
         )
 
 
-def dataset_for_repeat(spec: SweepSpec, repeat: int):
-    rng = SeededRng(spec.dataset_seed(repeat))
-    data = gen_blobs(rng.spawn("blobs"), n_classes=spec.n_classes,
-                     n_per_class=spec.n_per_class, dim=spec.dim,
-                     spread=spec.spread)
-    return inject_label_noise(data, spec.noise_ratio, rng.spawn("noise"))
-
-
 def run_cell(spec: SweepSpec, v_idx: int, alpha_idx: int, repeat: int) -> CellResult:
-    v = float(spec.v_grid[v_idx])
-    alpha = float(spec.alpha_grid[alpha_idx])
+    """Train one cell. A ConfigError propagates, since the config is bad for
+    every cell; any other VolumizeError becomes the cell's status row."""
+    walls = spec.walls[v_idx][alpha_idx]
     seed = spec.cell_seed(v_idx, alpha_idx, repeat)
     result = CellResult(v_idx=v_idx, alpha_idx=alpha_idx, repeat=repeat,
-                        v=v, alpha=alpha, seed=seed)
+                        v=float(walls.v), alpha=float(walls.alpha), seed=seed)
+    cfg = spec.cfg
     try:
-        data = dataset_for_repeat(spec, repeat)
-        rng = SeededRng(seed)
-        dims = [spec.dim, *spec.hidden_dims, spec.n_classes]
-        layer_specs = [
-            LayerSpec(dims[i], dims[i + 1],
-                      activation=spec.activation if i + 2 < len(dims) else "identity")
-            for i in range(len(dims) - 1)
-        ]
-        net = init_network(layer_specs, rng.spawn("init"), fan_mode=spec.fan_mode)
-        cfg = VolumizationConfig(v=v, alpha=alpha, fan_mode=spec.fan_mode,
-                                 overshoot_policy=spec.overshoot_policy)
-        traj = train_model(net, data, spec.optimizer, cfg, rng,
-                           epochs=spec.epochs, batch_size=spec.batch_size)
+        data = dataset_from_cfg(cfg, spec.dataset_seed(repeat))
+        net = model_from_cfg(cfg, stable_hash(seed, "init"))
+        traj = train_model(net, data, optimizer_from_cfg(cfg), walls, SeededRng(seed),
+                           epochs=cfg["epochs"], batch_size=cfg["batch_size"])
         result.best = traj.best
         result.last = traj.last
         result.gap = traj.gap
+    except ConfigError:
+        raise
     except VolumizeError as exc:
         result.status = f"error: {exc}"
     return result

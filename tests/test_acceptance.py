@@ -55,6 +55,7 @@ from volumize import (
     weight_decay_error_mc,
     weight_histogram,
 )
+from volumize.config import SWEEP_SCHEMA, apply_schema
 
 
 @pytest.fixture
@@ -410,10 +411,11 @@ def test_12_tight_walls_collect_weight_mass(report):
 
 
 def test_13_sweeps_and_resume_are_bit_reproducible(report, tmp_path):
-    spec = SweepSpec(v_grid=(0.25, 1.0), alpha_grid=(0.0, 0.5), repeats=2,
-                     base_seed=1313, n_per_class=25, dim=4, hidden_dims=(8,),
-                     optimizer=OptimizerSpec(kind="sgd", lr=0.05), epochs=3,
-                     batch_size=16)
+    spec = SweepSpec(apply_schema(
+        {"v_grid": "0.25, 1", "alpha_grid": "0, 0.5", "repeats": "2",
+         "n_per_class": "25", "dim": "4", "hidden_dims": "8", "optimizer": "sgd",
+         "lr": "0.05", "epochs": "3", "batch_size": "16"}, SWEEP_SCHEMA),
+        base_seed=1313)
     csv_a = Path(run_sweep(spec, str(tmp_path / "a"))).read_bytes()
     csv_b = Path(run_sweep(spec, str(tmp_path / "b"))).read_bytes()
     sweep_ok = csv_a == csv_b

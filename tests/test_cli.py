@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -86,6 +87,27 @@ class TestExitCodes:
                      _cfg(tmp_path, TRAIN_CFG.format(epochs=2), "less.cfg"),
                      "--out", str(out), "--resume"])
         assert code == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0"],
+                             ids=["n_classes", "batch_size"])
+    def test_bad_sweep_config_exits_one(self, tmp_path, capsys, workers, bad):
+        cfg = _cfg(tmp_path, (
+            "n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
+            "repeats = 1\nv_grid = 0.5, inf\nalpha_grid = 0\n" + bad + "\n"))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 1
+        assert bad.split()[0] in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "quantize"])
+    def test_zero_epochs_exits_one_before_writing(self, tmp_path, capsys, command):
+        cfg = _cfg(tmp_path, TRAIN_CFG.format(epochs=0))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
 
     def test_failed_theory_check_exits_three(self, tmp_path, capsys):
         # starved sample budget: the 2% band cannot hold across the grid
@@ -185,6 +207,8 @@ class TestOutputs:
 
 
 class TestConsoleScript:
+    @pytest.mark.skipif(shutil.which("volumize") is None,
+                        reason="volumize is not installed on PATH")
     def test_installed_entry_point(self):
         proc = subprocess.run(["volumize", "--help"], capture_output=True,
                               text=True)

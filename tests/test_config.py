@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from volumize import runs, sweep
 from volumize.config import (
     QUANTIZE_SCHEMA,
     SWEEP_SCHEMA,
@@ -16,7 +17,13 @@ from volumize.config import (
     load_config,
     parse_kv_file,
 )
+from volumize.data import gen_blobs, inject_label_noise
 from volumize.errors import ConfigError
+from volumize.linalg import SeededRng, stable_hash
+from volumize.net import LayerSpec, init_network
+from volumize.optimizers import OptimizerSpec
+from volumize.training import new_run, run_epochs, train_model
+from volumize.volumization import VolumizationConfig
 
 
 def _write(tmp_path, text):
@@ -138,6 +145,12 @@ class TestApplySchema:
         assert (out["v"], out["alpha"], out["optimizer"]) == (0.5, 0.99, "sgd")
 
 
+    def test_load_config_overrides_win_over_file(self, tmp_path):
+        p = _write(tmp_path, "kind = fig4a\nsigma = 0.25\n")
+        out = load_config(p, THEORY_SCHEMA, {"kind": "theorem3"})
+        assert (out["kind"], out["sigma"]) == ("theorem3", 0.25)
+
+
 class TestEffectiveConfigText:
     def test_echo_reparses_to_same_values(self, tmp_path):
         values = load_config(None, SWEEP_SCHEMA)
@@ -181,3 +194,90 @@ class TestShippedSchemas:
         out = load_config(None, SWEEP_SCHEMA)
         assert out["v_grid"][-1] == math.inf
         assert -1.0 in out["alpha_grid"] and 1.0 in out["alpha_grid"]
+
+
+# The seed derivations of a train run and a sweep cell, spelled out by hand.
+# Both runners go through the config builders; these tests pin that the
+# builders and the runners' seed tags still give these exact bits.
+
+_SMALL = {"n_classes": "3", "n_per_class": "25", "dim": "4", "spread": "0.6",
+          "noise_ratio": "0.2", "hidden_dims": "8, 5", "activation": "tanh",
+          "fan_mode": "fan_out", "optimizer": "sgd", "lr": "0.05",
+          "epochs": "2", "batch_size": "16"}
+_WALLS = VolumizationConfig(v=0.5, alpha=0.5, fan_mode="fan_out")
+
+
+def _blobs_by_hand(seed):
+    root = SeededRng(seed)
+    data = gen_blobs(root.spawn("blobs"), n_classes=3, n_per_class=25, dim=4,
+                     spread=0.6)
+    return inject_label_noise(data, 0.2, root.spawn("noise"))
+
+
+def _net_by_hand(seed):
+    specs = [LayerSpec(4, 8, activation="tanh"), LayerSpec(8, 5, activation="tanh"),
+             LayerSpec(5, 3)]
+    return init_network(specs, SeededRng(seed), fan_mode="fan_out")
+
+
+def _data_bytes(d):
+    return [a.tobytes() for a in (d.x_train, d.y_train, d.x_test, d.y_test,
+                                  d.corrupted_indices)]
+
+
+def _net_bytes(net):
+    return [(name, t.tobytes()) for name, t in net.param_tensors()]
+
+
+def _traj_lists(t):
+    return (t.train_loss, t.train_acc, t.test_loss, t.test_acc)
+
+
+class TestSeedDerivations:
+    def test_train_run(self, tmp_path, monkeypatch):
+        seen = {}
+        real = runs.run_epochs
+
+        def spy(run, data, n_epochs, **kw):
+            seen.update(data=data, init=_net_bytes(run.net), run=run)
+            real(run, data, n_epochs, **kw)
+
+        monkeypatch.setattr(runs, "run_epochs", spy)
+        cfg = apply_schema({**_SMALL, "v": "0.5", "alpha": "0.5"}, TRAIN_SCHEMA)
+        runs.run_train(cfg, str(tmp_path), 11)
+
+        data = _blobs_by_hand(stable_hash(11, "dataset"))
+        net = _net_by_hand(stable_hash(11, "init"))
+        assert _data_bytes(seen["data"]) == _data_bytes(data)
+        assert seen["init"] == _net_bytes(net)
+        run = new_run(net, OptimizerSpec(kind="sgd", lr=0.05), _WALLS,
+                      SeededRng(stable_hash(11, "train")), batch_size=16)
+        run_epochs(run, data, 2)
+        assert _net_bytes(seen["run"].net) == _net_bytes(run.net)
+        assert _traj_lists(seen["run"].trajectory) == _traj_lists(run.trajectory)
+
+    def test_sweep_cell(self, monkeypatch):
+        seen = {}
+        real = sweep.train_model
+
+        def spy(net, data, opt_spec, walls, rng, **kw):
+            seen.update(data=data, init=_net_bytes(net), net=net)
+            seen["traj"] = real(net, data, opt_spec, walls, rng, **kw)
+            return seen["traj"]
+
+        monkeypatch.setattr(sweep, "train_model", spy)
+        cfg = apply_schema({**_SMALL, "v_grid": "1, 0.5", "alpha_grid": "0.5",
+                            "repeats": "2"}, SWEEP_SCHEMA)
+        res = sweep.run_cell(sweep.SweepSpec(cfg, base_seed=11), 1, 0, 1)
+
+        cell_seed = stable_hash(11, 1, 0, 1)
+        data = _blobs_by_hand(stable_hash(11, "dataset", 1))
+        net = _net_by_hand(stable_hash(cell_seed, "init"))
+        assert res.seed == cell_seed
+        assert _data_bytes(seen["data"]) == _data_bytes(data)
+        assert seen["init"] == _net_bytes(net)
+        traj = train_model(net, data, OptimizerSpec(kind="sgd", lr=0.05), _WALLS,
+                           SeededRng(cell_seed), epochs=2, batch_size=16)
+        assert _net_bytes(seen["net"]) == _net_bytes(net)
+        assert _traj_lists(seen["traj"]) == _traj_lists(traj)
+        assert (res.best, res.last, res.gap) == (traj.best, traj.last, traj.gap)

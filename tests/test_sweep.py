@@ -7,33 +7,34 @@ import pytest
 
 import volumize.sweep as sweep_mod
 from volumize.cli import main
+from volumize.config import SWEEP_SCHEMA, apply_schema, dataset_from_cfg
 from volumize.errors import ConfigError, NumericError
 from volumize.linalg import stable_hash
-from volumize.optimizers import OptimizerSpec
 from volumize.sweep import (
     SWEEP_CSV_HEADER,
     CellResult,
     SweepSpec,
-    dataset_for_repeat,
     run_cell,
     run_sweep,
 )
 
+_SPEC_CFG = {
+    "v_grid": "0, 0.5", "alpha_grid": "0, 0.9", "repeats": "2",
+    "n_classes": "3", "n_per_class": "25", "dim": "4", "spread": "0.6",
+    "hidden_dims": "8", "optimizer": "sgd", "lr": "0.05", "mu": "0.9",
+    "epochs": "3", "batch_size": "16",
+}
 
-def _spec(**kw):
-    kw.setdefault("v_grid", (0.0, 0.5))
-    kw.setdefault("alpha_grid", (0.0, 0.9))
-    kw.setdefault("repeats", 2)
-    kw.setdefault("base_seed", 17)
-    kw.setdefault("n_classes", 3)
-    kw.setdefault("n_per_class", 25)
-    kw.setdefault("dim", 4)
-    kw.setdefault("spread", 0.6)
-    kw.setdefault("hidden_dims", (8,))
-    kw.setdefault("optimizer", OptimizerSpec(kind="sgd", lr=0.05, mu=0.9))
-    kw.setdefault("epochs", 3)
-    kw.setdefault("batch_size", 16)
-    return SweepSpec(**kw)
+
+def _spec(base_seed=17, **kw):
+    """A small sweep; kw overrides config keys with typed values."""
+    raw = {k: ", ".join(map(str, v)) if isinstance(v, tuple) else str(v)
+           for k, v in kw.items()}
+    return SweepSpec(apply_schema({**_SPEC_CFG, **raw}, SWEEP_SCHEMA), base_seed)
+
+
+def _repeat_dataset(spec, repeat):
+    return dataset_from_cfg(spec.cfg, spec.dataset_seed(repeat))
 
 
 class TestSweepSpec:
@@ -50,15 +51,15 @@ class TestSweepSpec:
 
     def test_dataset_shared_across_cells_of_a_repeat(self):
         spec = _spec()
-        a = dataset_for_repeat(spec, 0)
-        b = dataset_for_repeat(spec, 0)
-        c = dataset_for_repeat(spec, 1)
+        a = _repeat_dataset(spec, 0)
+        b = _repeat_dataset(spec, 0)
+        c = _repeat_dataset(spec, 1)
         assert (a.x_train == b.x_train).all()
         assert not (a.x_train == c.x_train).all()
 
     def test_noise_applied_to_repeat_dataset(self):
         spec = _spec(noise_ratio=0.4, n_per_class=50)
-        d = dataset_for_repeat(spec, 0)
+        d = _repeat_dataset(spec, 0)
         assert d.corrupted_indices.size == int(0.4 * d.n_train)
 
     @pytest.mark.parametrize("kw", [
@@ -69,6 +70,12 @@ class TestSweepSpec:
     def test_validation(self, kw):
         with pytest.raises(ConfigError):
             _spec(**kw)
+
+    def test_missing_schema_key_is_config_error(self):
+        cfg = dict(_spec().cfg)
+        del cfg["batch_size"]
+        with pytest.raises(ConfigError, match="batch_size"):
+            SweepSpec(cfg, 17)
 
 
 class TestRunCell:
@@ -98,6 +105,15 @@ class TestRunCell:
         assert "non-finite" in res.status
         import math
         assert math.isnan(res.best) and math.isnan(res.last)
+
+
+    def test_config_errors_abort_the_cell(self, monkeypatch):
+        def bad(*a, **kw):
+            raise ConfigError("batch_size must be >= 1, got 0")
+
+        monkeypatch.setattr(sweep_mod, "train_model", bad)
+        with pytest.raises(ConfigError, match="batch_size"):
+            run_cell(_spec(repeats=1), 0, 0, 0)
 
 
 class TestRunSweep:
