@@ -214,9 +214,19 @@ THEORY_SCHEMA = {
 
 # --- builders -----------------------------------------------------------
 
+def check_dataset_cfg(cfg: dict) -> None:
+    """Refuse, as config errors, the dataset values that data.py refuses as
+    domain errors, so a bad config file exits 1 from every subcommand."""
+    if not cfg["spread"] > 0:
+        raise ConfigError(f"spread must be positive, got {cfg['spread']}")
+    if not 0.0 <= cfg["noise_ratio"] < 1.0:
+        raise ConfigError(f"noise_ratio must be in [0, 1), got {cfg['noise_ratio']}")
+
+
 def dataset_from_cfg(cfg: dict, seed: int):
     """Blobs from the dataset keys, then label noise, each on its own child
     stream of seed."""
+    check_dataset_cfg(cfg)
     root = SeededRng(seed)
     blobs = data.gen_blobs(root.spawn("blobs"), n_classes=cfg["n_classes"],
                            n_per_class=cfg["n_per_class"], dim=cfg["dim"],

@@ -246,6 +246,7 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
 def run_spectral(cfg: dict, out_dir: str, seed: int):
     """Train at alpha=0 with contractive walls, then audit the bounds.
     Returns (layers_csv_path, LipschitzReport)."""
+    _require_epochs(cfg)
     _ensure_out(out_dir)
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     net = model_from_cfg(cfg, stable_hash(seed, "init"))

@@ -10,6 +10,10 @@ weights start from stable_hash(cell_seed, "init") and its shuffle stream
 from the cell seed; the dataset, model, optimizer and walls come from the
 same config.py builders a single `train` run uses.
 
+A cell reports best, last and gap, all three from its per-epoch test
+accuracy, so cells train with train_metrics=False: the training split is
+never evaluated and the cell's trajectory has empty train lists.
+
 Results land as one JSON file per cell under <out>/cells/; the canonical
 CSV is regenerated from those files in grid order, one row per cell plus a
 mean row per (v, alpha) aggregating the ok repeats. A cell that fails with
@@ -24,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._container import write_atomic
-from .config import (SWEEP_SCHEMA, dataset_from_cfg, model_from_cfg,
-                     optimizer_from_cfg, walls_from_cfg)
+from .config import (SWEEP_SCHEMA, check_dataset_cfg, dataset_from_cfg,
+                     model_from_cfg, optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
 from .errors import ConfigError, VolumizeError
 from .linalg import SeededRng, stable_hash
@@ -46,8 +50,7 @@ class SweepSpec:
             raise ConfigError(f"sweep config lacks keys {missing}")
         if cfg["repeats"] < 1:
             raise ConfigError(f"repeats must be >= 1, got {cfg['repeats']}")
-        if not 0.0 <= cfg["noise_ratio"] < 1.0:
-            raise ConfigError(f"noise_ratio must be in [0, 1), got {cfg['noise_ratio']}")
+        check_dataset_cfg(cfg)
         if cfg["epochs"] < 1:
             raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
         if not cfg["v_grid"] or not cfg["alpha_grid"]:
@@ -120,7 +123,8 @@ def run_cell(spec: SweepSpec, v_idx: int, alpha_idx: int, repeat: int) -> CellRe
         data = dataset_from_cfg(cfg, spec.dataset_seed(repeat))
         net = model_from_cfg(cfg, stable_hash(seed, "init"))
         traj = train_model(net, data, optimizer_from_cfg(cfg), walls, SeededRng(seed),
-                           epochs=cfg["epochs"], batch_size=cfg["batch_size"])
+                           epochs=cfg["epochs"], batch_size=cfg["batch_size"],
+                           train_metrics=False)
         result.best = traj.best
         result.last = traj.last
         result.gap = traj.gap

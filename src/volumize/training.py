@@ -25,7 +25,11 @@ class MetricTrajectory:
     """Per-epoch metrics plus the three summary numbers used everywhere.
 
     Last averages test accuracy over the final 10 epochs; runs shorter than
-    that average over everything and say so via short_run.
+    that average over everything and say so via short_run. Every summary
+    reads the test lists only; the train lists stay empty for a run advanced
+    with train_metrics=False (a sweep cell), and such a trajectory is not
+    checkpointable: load_checkpoint refuses lists whose lengths differ from
+    the epoch counter.
     """
 
     train_loss: list = field(default_factory=list)
@@ -106,10 +110,16 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
     )
 
 
-def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None) -> None:
+def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
+               train_metrics: bool = True) -> None:
     """Advance a run by n_epochs. Metrics are recorded at each epoch's end,
     then epoch_hook(net, opt_state, completed_epoch) fires, in that order,
     so hooks see the recorded state and may mutate it for the next epoch.
+
+    With train_metrics=False the end-of-epoch pass over the training split
+    is skipped and train_loss/train_acc get no entries; the test metrics,
+    the weights and the shuffle stream are bit for bit those of the default.
+    A run advanced that way cannot be checkpointed and loaded back.
     """
     if n_epochs < 0:
         raise ConfigError(f"n_epochs must be >= 0, got {n_epochs}")
@@ -126,10 +136,11 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None) -> None:
             step(run.net, grads, run.opt_state, run.opt_spec,
                  vols=run.vols, alpha=run.vol_cfg.alpha,
                  overshoot_policy=run.vol_cfg.overshoot_policy)
-        tr_loss, tr_acc = evaluate(run.net, data.x_train, data.y_train, run.loss)
+        if train_metrics:
+            tr_loss, tr_acc = evaluate(run.net, data.x_train, data.y_train, run.loss)
+            run.trajectory.train_loss.append(tr_loss)
+            run.trajectory.train_acc.append(tr_acc)
         te_loss, te_acc = evaluate(run.net, data.x_test, data.y_test, run.loss)
-        run.trajectory.train_loss.append(tr_loss)
-        run.trajectory.train_acc.append(tr_acc)
         run.trajectory.test_loss.append(te_loss)
         run.trajectory.test_acc.append(te_acc)
         run.epoch += 1
@@ -139,10 +150,13 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None) -> None:
 
 def train_model(net, data, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
                 rng: SeededRng, epochs: int = 100, batch_size: int = 128,
-                loss: str = "softmax_xent", epoch_hook=None) -> MetricTrajectory:
+                loss: str = "softmax_xent", epoch_hook=None,
+                train_metrics: bool = True) -> MetricTrajectory:
     """One-call training: build a fresh run, advance it, hand back the
     trajectory. The net and optimizer state are mutated in place; keep the
-    TrainingRun API instead when you need checkpoints."""
+    TrainingRun API instead when you need checkpoints. train_metrics=False
+    leaves the trajectory's train lists empty (see run_epochs) for a caller
+    that reads only test metrics."""
     run = new_run(net, opt_spec, vol_cfg, rng, batch_size=batch_size, loss=loss)
-    run_epochs(run, data, epochs, epoch_hook=epoch_hook)
+    run_epochs(run, data, epochs, epoch_hook=epoch_hook, train_metrics=train_metrics)
     return run.trajectory

@@ -89,8 +89,8 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0"],
-                             ids=["n_classes", "batch_size"])
+    @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0", "spread = 0"],
+                             ids=["n_classes", "batch_size", "spread"])
     def test_bad_sweep_config_exits_one(self, tmp_path, capsys, workers, bad):
         cfg = _cfg(tmp_path, (
             "n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
@@ -107,6 +107,26 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
+    def test_spectral_zero_epochs_exits_one_before_writing(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "n_per_class = 25\ndim = 4\nhidden_dims = 8\n"
+                             "epochs = 0\nprobe_pairs = 300\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["spectral", "--config", cfg, "--out", str(out)]) == 1
+        assert "epochs must be >= 1" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["train", "quantize"])
+    @pytest.mark.parametrize("bad", ["noise_ratio = 1", "spread = 0"],
+                             ids=["noise_ratio", "spread"])
+    def test_bad_dataset_value_exits_one(self, tmp_path, capsys, command, bad):
+        cfg = _cfg(tmp_path, TRAIN_CFG.format(epochs=2).replace("spread = 0.6\n", "")
+                   + bad + "\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert bad.split()[0] in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
     def test_failed_theory_check_exits_three(self, tmp_path, capsys):

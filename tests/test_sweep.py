@@ -6,10 +6,22 @@ import os
 import pytest
 
 import volumize.sweep as sweep_mod
+import volumize.training as training_mod
+from volumize import runs
 from volumize.cli import main
-from volumize.config import SWEEP_SCHEMA, apply_schema, dataset_from_cfg
+from volumize.config import (
+    SWEEP_SCHEMA,
+    TRAIN_SCHEMA,
+    apply_schema,
+    dataset_from_cfg,
+    model_from_cfg,
+    optimizer_from_cfg,
+)
 from volumize.errors import ConfigError, NumericError
-from volumize.linalg import stable_hash
+from volumize.linalg import SeededRng, stable_hash
+from volumize.quantizer import QuantizationScheme, quantized_training
+from volumize.training import train_model
+from volumize.volumization import VolumizationConfig
 from volumize.sweep import (
     SWEEP_CSV_HEADER,
     CellResult,
@@ -65,7 +77,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("kw", [
         dict(v_grid=()), dict(alpha_grid=()), dict(v_grid=(-0.1,)),
         dict(alpha_grid=(1.5,)), dict(repeats=0), dict(noise_ratio=1.0),
-        dict(epochs=0),
+        dict(epochs=0), dict(spread=0.0),
     ])
     def test_validation(self, kw):
         with pytest.raises(ConfigError):
@@ -244,3 +256,76 @@ class TestRunSweep:
         serial = run_sweep(spec, str(tmp_path / "s"), workers=1)
         parallel = run_sweep(spec, str(tmp_path / "p"), workers=2)
         assert open(serial, "rb").read() == open(parallel, "rb").read()
+
+
+def _spy_evaluate(monkeypatch):
+    """Record the row count of every split training.evaluate sees."""
+    seen = []
+    real = training_mod.evaluate
+
+    def spy(net, x, y, loss="softmax_xent"):
+        seen.append(x.shape[0])
+        return real(net, x, y, loss)
+
+    monkeypatch.setattr(training_mod, "evaluate", spy)
+    return seen
+
+
+class TestTrainingSplit:
+    """A cell reads only test metrics, so it never evaluates the training
+    split; the runners that write metrics.csv still evaluate both."""
+
+    def test_cell_matches_full_run_on_test_metrics(self, monkeypatch):
+        spec = _spec(v_grid=(0.5,), alpha_grid=(0.0,), repeats=1)
+        seen = {}
+        real = sweep_mod.train_model
+
+        def spy(*args, **kw):
+            seen["traj"] = real(*args, **kw)
+            return seen["traj"]
+
+        monkeypatch.setattr(sweep_mod, "train_model", spy)
+        res = run_cell(spec, 0, 0, 0)
+        seed = spec.cell_seed(0, 0, 0)
+        full = train_model(model_from_cfg(spec.cfg, stable_hash(seed, "init")),
+                           _repeat_dataset(spec, 0), optimizer_from_cfg(spec.cfg),
+                           spec.walls[0][0], SeededRng(seed),
+                           epochs=spec.cfg["epochs"],
+                           batch_size=spec.cfg["batch_size"])
+        cell = seen["traj"]
+        assert cell.train_loss == [] and cell.train_acc == []
+        for name in ("test_loss", "test_acc"):
+            assert ([x.hex() for x in getattr(cell, name)]
+                    == [x.hex() for x in getattr(full, name)])
+        assert len(full.train_loss) == full.n_epochs == cell.n_epochs == 3
+        assert ([x.hex() for x in (res.best, res.last, res.gap)]
+                == [x.hex() for x in (full.best, full.last, full.gap)])
+
+    def test_cell_evaluates_only_the_test_split(self, monkeypatch):
+        spec = _spec(v_grid=(0.5,), alpha_grid=(0.0,), repeats=1)
+        seen = _spy_evaluate(monkeypatch)
+        assert run_cell(spec, 0, 0, 0).status == "ok"
+        data = _repeat_dataset(spec, 0)
+        assert seen == [data.x_test.shape[0]] * spec.cfg["epochs"]
+        assert data.x_test.shape[0] != data.x_train.shape[0]
+
+    def test_run_train_evaluates_both_splits(self, tmp_path, monkeypatch):
+        raw = {k: v for k, v in _SPEC_CFG.items() if k in TRAIN_SCHEMA}
+        cfg = apply_schema({**raw, "epochs": "2", "v": "0.5", "alpha": "0"},
+                           TRAIN_SCHEMA)
+        seen = _spy_evaluate(monkeypatch)
+        _, traj = runs.run_train(cfg, str(tmp_path / "o"), 5)
+        data = dataset_from_cfg(cfg, stable_hash(5, "dataset"))
+        assert seen == [data.x_train.shape[0], data.x_test.shape[0]] * 2
+        assert len(traj.train_loss) == len(traj.train_acc) == 2
+
+    def test_quantized_training_evaluates_both_splits(self, monkeypatch):
+        spec = _spec()
+        data = _repeat_dataset(spec, 0)
+        seen = _spy_evaluate(monkeypatch)
+        result = quantized_training(
+            model_from_cfg(spec.cfg, 3), data, optimizer_from_cfg(spec.cfg),
+            VolumizationConfig(v=0.5, alpha=0.0), QuantizationScheme(),
+            SeededRng(3), epochs=2, batch_size=16)
+        assert seen == [data.x_train.shape[0], data.x_test.shape[0]] * 2
+        assert len(result.trajectory.train_acc) == 2

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from volumize.errors import ConfigError, DomainError
+from volumize.checkpoint import load_checkpoint, save_checkpoint
+from volumize.errors import CheckpointError, ConfigError, DomainError
 from volumize.linalg import SeededRng, stable_hash
 from volumize.net import LayerSpec, forward, init_network
 from volumize.optimizers import OptimizerSpec
@@ -134,6 +135,30 @@ class TestRunEpochs:
         run_epochs(run, tiny_data, 0)
         assert run.epoch == 0
         assert run.trajectory.n_epochs == 0
+
+    def test_without_train_metrics_keeps_test_bits(self, tiny_data, sgd_spec):
+        walls = VolumizationConfig(v=0.3, alpha=0.0)
+        full = new_run(_net(12), sgd_spec, walls, SeededRng(12), batch_size=16)
+        lean = new_run(_net(12), sgd_spec, walls, SeededRng(12), batch_size=16)
+        run_epochs(full, tiny_data, 3)
+        run_epochs(lean, tiny_data, 3, train_metrics=False)
+        assert lean.epoch == full.epoch == 3
+        assert lean.trajectory.train_loss == [] and lean.trajectory.train_acc == []
+        for name in ("test_loss", "test_acc"):
+            assert ([x.hex() for x in getattr(lean.trajectory, name)]
+                    == [x.hex() for x in getattr(full.trajectory, name)])
+        for (_, a), (_, b) in zip(lean.net.param_tensors(), full.net.param_tensors()):
+            assert a.tobytes() == b.tobytes()
+        assert lean.shuffle_rng.get_state() == full.shuffle_rng.get_state()
+
+    def test_run_without_train_metrics_does_not_load_back(self, tmp_path,
+                                                          tiny_data, sgd_spec):
+        run = new_run(_net(13), sgd_spec, OFF, SeededRng(13), batch_size=16)
+        run_epochs(run, tiny_data, 2, train_metrics=False)
+        path = tmp_path / "lean.bin"
+        save_checkpoint(path, run)
+        with pytest.raises(CheckpointError, match="trajectory lengths"):
+            load_checkpoint(path)
 
     def test_negative_epochs(self, tiny_data, sgd_spec):
         run = new_run(_net(6), sgd_spec, OFF, SeededRng(6), batch_size=16)
