@@ -100,13 +100,27 @@ def _header_for(run: TrainingRun) -> dict:
     }
 
 
+def _check_epochs(epoch: int, trajectory: MetricTrajectory) -> None:
+    lengths = {len(trajectory.train_loss), len(trajectory.train_acc),
+               len(trajectory.test_loss), len(trajectory.test_acc)}
+    if lengths != {epoch}:
+        raise CheckpointError(
+            f"integrity: epoch counter {epoch} does not match the "
+            f"trajectory lengths {sorted(lengths)}")
+
+
 def save_checkpoint(path, run: TrainingRun) -> None:
+    """Write run to path atomically. A run that load_checkpoint would
+    refuse (custom per-tensor walls, or trajectory lengths that disagree
+    with the epoch counter, as after train_metrics=False) is refused here,
+    before anything is written."""
     derived = (derive_layer_volumes(run.net, run.vol_cfg)
                if run.vol_cfg.enabled else None)
     if run.vols != derived:
         # the header stores only vol_cfg; walls that don't derive from it
         # would come back wrong, so refuse rather than misload later
         raise ConfigError("runs with custom per-tensor walls cannot be checkpointed")
+    _check_epochs(run.epoch, run.trajectory)
     header = json.dumps(_header_for(run), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
     chunks = [t.ravel() for _, t in run.net.param_tensors()]
@@ -182,12 +196,7 @@ def load_checkpoint(path) -> TrainingRun:
             test_loss=[_unhex(x) for x in traj["test_loss"]],
             test_acc=[_unhex(x) for x in traj["test_acc"]],
         )
-        lengths = {len(trajectory.train_loss), len(trajectory.train_acc),
-                   len(trajectory.test_loss), len(trajectory.test_acc)}
-        if lengths != {r["epoch"]}:
-            raise CheckpointError(
-                f"integrity: epoch counter {r['epoch']} does not match the "
-                f"trajectory lengths {sorted(lengths)}")
+        _check_epochs(r["epoch"], trajectory)
         return TrainingRun(
             net=net, opt_spec=opt_spec, opt_state=opt_state,
             vol_cfg=vol_cfg,

@@ -14,6 +14,8 @@ A cell reports best, last and gap, all three from its per-epoch test
 accuracy, so cells train with train_metrics=False: the training split is
 never evaluated and the cell's trajectory has empty train lists.
 
+Pending cells run through _pool.map_ordered, the package's one parallel
+path, on the caller's explicit worker count (the CLI default is 1).
 Results land as one JSON file per cell under <out>/cells/; the canonical
 CSV is regenerated from those files in grid order, one row per cell plus a
 mean row per (v, alpha) aggregating the ok repeats. A cell that fails with
@@ -24,10 +26,10 @@ config can succeed.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from ._container import write_atomic
+from ._pool import map_ordered
 from .config import (SWEEP_SCHEMA, check_dataset_cfg, dataset_from_cfg,
                      model_from_cfg, optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
@@ -152,8 +154,7 @@ def _read_cell(spec: SweepSpec, path: str, vi: int, ai: int, r: int) -> CellResu
     return res
 
 
-def _run_cell_to_file(args) -> None:
-    spec, vi, ai, r, path = args
+def _run_cell_to_file(spec: SweepSpec, vi: int, ai: int, r: int, path: str) -> None:
     write_atomic(path, json.dumps(run_cell(spec, vi, ai, r).to_json(),
                                   sort_keys=True).encode("utf-8"))
 
@@ -166,10 +167,9 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
     it, every cell is recomputed and rewritten. A kept cell whose v, alpha
     or seed differs from this spec's raises ConfigError before any cell
     runs. The CSV is always rebuilt from the cell files in canonical order,
-    so its bytes depend only on the spec, never on scheduling.
+    so its bytes depend only on the spec, never on scheduling. workers < 1
+    raises ConfigError.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
     pending = []
     for vi, ai, r in spec.cells():
@@ -178,12 +178,7 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
             _read_cell(spec, path, vi, ai, r)
             continue
         pending.append((spec, vi, ai, r, path))
-    if workers == 1 or len(pending) <= 1:
-        for args in pending:
-            _run_cell_to_file(args)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_cell_to_file, pending))
+    map_ordered(_run_cell_to_file, pending, workers)
 
     results = [_read_cell(spec, _cell_path(out_dir, vi, ai, r), vi, ai, r)
                for vi, ai, r in spec.cells()]

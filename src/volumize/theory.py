@@ -25,6 +25,15 @@ variate eta^2 (adding back sigma^2/3), which leaves exactly the crossing
 contribution to be sampled; near V = a+sigma that shrinks the standard
 error by orders of magnitude and is what makes three-sigma interval checks
 feasible at sane sample counts.
+
+Every point of an MC grid draws from its own stable_hash-derived Philox
+stream, so the points are independent tasks: clip_error_points runs them
+through _pool.map_ordered, the package's one parallel path, on one process
+per available CPU (the affinity mask, capped by a cgroup CPU quota). The
+results, and so the CSV bytes, never depend on that count. A worker holds
+one point's sample arrays at a time (about three float64 arrays of up to
+_MC_CHUNK elements, 96 MiB), so a grid needs up to that much per CPU.
+flow_curve and the theorem3 flows run in the calling process.
 """
 
 import math
@@ -32,9 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _pool
 from .errors import ConfigError, DomainError, NumericError
-from .linalg import SeededRng, as_matrix, jacobi_eigh, sample_cauchy, sample_uniform
+from .linalg import (SeededRng, as_matrix, jacobi_eigh, sample_cauchy,
+                     sample_uniform, stable_hash)
 
 NOISE_KINDS = ("uniform", "cauchy")
 _MC_CHUNK = 1 << 22
@@ -203,6 +213,19 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
     return _moments_to_estimate(s1, s2, n_samples, offset)
 
 
+def _clip_error_task(problem: TeacherStudentProblem, vol: float, seed: int,
+                     n_samples: int) -> McEstimate:
+    return clip_error_mc(problem, vol, SeededRng(seed), n_samples)
+
+
+def clip_error_points(points) -> list:
+    """clip_error_mc at each (problem, vol, seed, n_samples) point, in order.
+
+    Point i draws from SeededRng(seed_i) alone, so the points run on every
+    available CPU and the estimates are the same at any CPU count."""
+    return _pool.map_ordered(_clip_error_task, points, _pool.available_cpus())
+
+
 def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
                           n_samples: int) -> McEstimate:
     """MC estimate of E[(u'/(1+lam) - u)^2] for uniform noise."""
@@ -346,12 +369,11 @@ def mc_curve(a: float, sigma: float, vols, seed: int, n_samples: int,
     vols = np.asarray(vols, dtype=np.float64)
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec(kind, sigma))
     base = SeededRng(seed)
-    errs = np.empty_like(vols)
-    ses = np.empty_like(vols)
-    for i, v in enumerate(vols):
-        est = clip_error_mc(problem, float(v), base.spawn("mc-curve", i), n_samples)
-        errs[i] = est.value
-        ses[i] = est.stderr
+    # point i's stream is base.spawn("mc-curve", i), named by its seed
+    ests = clip_error_points([(problem, float(v), stable_hash(base.seed, "mc-curve", i),
+                               n_samples) for i, v in enumerate(vols)])
+    errs = np.array([est.value for est in ests], dtype=np.float64)
+    ses = np.array([est.stderr for est in ests], dtype=np.float64)
     return ErrorCurve("monte_carlo", a, sigma, vols, errs, ses, n_samples, seed)
 
 
@@ -450,8 +472,10 @@ def cauchy_comparison(a: float = 1.0, scale: float = 1.0, vol_grid=None,
                               "constant-model limit: noise variance undefined"))
 
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("cauchy", scale))
-    for i, v in enumerate(vol_grid):
-        est = clip_error_mc(problem, float(v), base.spawn("vol", i), n_samples)
-        rows.append(ComparisonRow("volumization", float(v), est.value, est.stderr,
+    vols = [float(v) for v in vol_grid]
+    ests = clip_error_points([(problem, v, stable_hash(base.seed, "vol", i), n_samples)
+                              for i, v in enumerate(vols)])
+    for v, est in zip(vols, ests):
+        rows.append(ComparisonRow("volumization", v, est.value, est.stderr,
                                   n_samples, ""))
     return ComparisonTable(a=a, scale=scale, seed=seed, rows=rows)

@@ -126,7 +126,9 @@ class TestAtomicWrites:
 
         newer = _tiny_run()
         newer.epoch = 3
-        newer.trajectory.train_loss.append(0.25)
+        for metric in (newer.trajectory.train_loss, newer.trajectory.train_acc,
+                       newer.trajectory.test_loss, newer.trajectory.test_acc):
+            metric.append(0.25)
         monkeypatch.setattr(os, fails, boom)
         with pytest.raises(OSError, match="injected"):
             save_checkpoint(path, newer)

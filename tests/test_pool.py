@@ -1,0 +1,195 @@
+"""The ordered process map and the worker-count independence of its users.
+
+Theory grids take their worker count from _pool.available_cpus; the tests
+patch it to 1, 2 and 3, so the pool runs (3 workers with uneven shares of
+the items) whatever the CPU count of the machine running them.
+"""
+
+import multiprocessing
+import os
+
+import numpy as np
+import pytest
+
+from volumize import _pool, config, runs
+from volumize.cli import main
+from volumize.errors import ConfigError, DomainError
+from volumize.theory import cauchy_comparison, flow_curve, mc_curve
+
+CPU_COUNTS = (1, 2, 3)
+
+
+def _pid_of(x):
+    return x, os.getpid()
+
+
+def _mc_curve_hex(a, sigma, vols, seed, n_samples):
+    c = mc_curve(a, sigma, vols, seed=seed, n_samples=n_samples)
+    return [float(x).hex() for x in (*c.errors, *c.stderrs)]
+
+
+def _fail_on_negative(x):
+    if x < 0:
+        raise DomainError(f"negative item {x}")
+    return x
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Records the max_workers of every pool map_ordered starts."""
+    sizes = []
+    real = _pool.ProcessPoolExecutor
+
+    def spy(max_workers, **kw):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers, **kw)
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", spy)
+    return sizes
+
+
+def _with_cpus(monkeypatch, n):
+    monkeypatch.setattr(_pool, "available_cpus", lambda: n)
+
+
+class TestMapOrdered:
+    def test_available_cpus_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(_pool, "_CPU_QUOTA_FILES", ())
+        assert _pool.available_cpus() == len(os.sched_getaffinity(0))
+
+    def test_no_affinity_mask_means_one_cpu(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _pool.available_cpus() == 1
+
+    @pytest.mark.parametrize("files, quota", [
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "max 100000\n"}, None),
+        ({"quota": "-1\n", "period": "100000\n"}, None),
+        ({"quota": "300000\n", "period": "100000\n"}, 3),
+        ({"cpu.max": "garbled\n", "quota": "100000\n", "period": "100000\n"}, 1),
+        ({}, None),
+    ])
+    def test_cgroup_cpu_quota(self, tmp_path, monkeypatch, files, quota):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(_pool, "_CPU_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),),
+            (str(tmp_path / "quota"), str(tmp_path / "period"))))
+        assert _pool._cpu_quota() == quota
+        mask = len(os.sched_getaffinity(0))
+        assert _pool.available_cpus() == (mask if quota is None else min(mask, quota))
+
+    @pytest.mark.parametrize("workers", (0, -1))
+    def test_fewer_than_one_worker_is_config_error(self, workers):
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            _pool.map_ordered(_pid_of, [(1,), (2,)], workers)
+
+    def test_one_worker_runs_in_process(self, pools):
+        got = _pool.map_ordered(_pid_of, [(i,) for i in range(5)], 1)
+        assert got == [(i, os.getpid()) for i in range(5)]
+        assert pools == []
+
+    def test_single_item_runs_in_process(self, pools):
+        assert _pool.map_ordered(_pid_of, [(7,)], 4) == [(7, os.getpid())]
+        assert _pool.map_ordered(_pid_of, [], 4) == []
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_pool_keeps_input_order(self, pools, workers):
+        items = [(i,) for i in range(29)]  # 29 items: uneven shares
+        got = _pool.map_ordered(_pid_of, items, workers)
+        assert [x for x, _ in got] == list(range(29))
+        assert os.getpid() not in {pid for _, pid in got}
+        assert pools == [workers]
+
+    def test_pool_is_capped_at_the_item_count(self, pools):
+        _pool.map_ordered(_pid_of, [(1,), (2,)], 8)
+        assert pools == [2]
+
+    def test_task_error_keeps_its_class(self, pools):
+        with pytest.raises(DomainError, match="negative item -3"):
+            _pool.map_ordered(_fail_on_negative, [(1,), (-3,), (4,), (-5,)], 2)
+        assert pools == [2]
+
+
+def _theory_bytes(tmp_path, kind, tag, **raw):
+    cfg = config.apply_schema({"kind": kind, **raw}, config.THEORY_SCHEMA)
+    out = tmp_path / tag
+    path, _ = runs.run_theory(cfg, str(out), 11)
+    with open(path, "rb") as f:
+        return f.read()
+
+
+class TestWorkerCountIndependence:
+    @pytest.mark.parametrize("kind, raw", [
+        ("theorem1", {"n_samples": "4000"}),
+        ("fig4a", {"n_samples": "2000", "sigma_grid": "0.3, 0.7",
+                   "v_grid_points": "25"}),
+        ("fig4b", {"n_samples": "10000"}),
+    ])
+    def test_theory_csv_bytes(self, tmp_path, monkeypatch, pools, kind, raw):
+        got = {}
+        for n in CPU_COUNTS:
+            _with_cpus(monkeypatch, n)
+            got[n] = _theory_bytes(tmp_path, kind, f"{kind}-{n}", **raw)
+        assert got[1] == got[2] == got[3]
+        assert 2 in pools and 3 in pools  # the pool really ran
+
+    def test_mc_curve_values(self, monkeypatch, pools):
+        vols = np.linspace(0.0, 2.0, 26)
+        curves = {}
+        for n in CPU_COUNTS:
+            _with_cpus(monkeypatch, n)
+            c = mc_curve(1.0, 0.5, vols, seed=8, n_samples=3000)
+            curves[n] = [float(x).hex() for x in (*c.errors, *c.stderrs)]
+        assert curves[1] == curves[2] == curves[3]
+        assert pools == [2, 3]
+
+    def test_cauchy_comparison_values(self, monkeypatch, pools):
+        tables = {}
+        for n in CPU_COUNTS:
+            _with_cpus(monkeypatch, n)
+            t = cauchy_comparison(n_samples=5000, seed=9)
+            tables[n] = [(r.method, float(r.vol).hex(), float(r.error).hex(),
+                          float(r.stderr).hex(), r.n_samples) for r in t.rows]
+        assert tables[1] == tables[2] == tables[3]
+        assert pools == [2, 3]
+
+    def test_flow_curve_stays_in_process(self, monkeypatch, pools):
+        _with_cpus(monkeypatch, 3)
+        flow_curve(1.0, 0.5, [0.4, 0.8, 1.2], seed=10, dim=500)
+        assert pools == []
+
+    def test_mc_curve_inside_a_daemonic_worker(self, monkeypatch):
+        # multiprocessing.Pool workers are daemonic and may not fork children
+        _with_cpus(monkeypatch, 2)
+        args = (1.0, 0.5, [0.25, 0.5, 1.0, 1.5], 8, 3000)
+        with multiprocessing.get_context("fork").Pool(1) as outer:
+            got = outer.apply(_mc_curve_hex, args)
+        assert got == _mc_curve_hex(*args)
+
+
+class TestWorkerErrors:
+    @pytest.mark.parametrize("cpus", CPU_COUNTS)
+    def test_negative_wall_in_mc_curve_is_domain_error(self, monkeypatch, cpus):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(DomainError, match="vol must be >= 0"):
+            mc_curve(1.0, 0.5, [0.5, 1.0, -0.25, 1.5], seed=1, n_samples=100)
+
+    def test_worker_error_gives_the_same_exit_code(self, tmp_path, monkeypatch,
+                                                   capsys):
+        # n_samples = 1 is refused inside clip_error_mc, so in a worker
+        cfg = tmp_path / "t.txt"
+        cfg.write_text("n_samples = 1\nsigma_grid = 0.3, 0.7\n")
+        seen = set()
+        for n in CPU_COUNTS:
+            _with_cpus(monkeypatch, n)
+            for kind in ("theorem1", "fig4a"):
+                code = main(["theory", kind, "--config", str(cfg),
+                             "--out", str(tmp_path / f"{kind}-{n}")])
+                seen.add((kind, code, capsys.readouterr().err))
+        assert seen == {
+            ("theorem1", 2, "error: need n_samples > 1, got 1\n"),
+            ("fig4a", 2, "error: need n_samples > 1, got 1\n"),
+        }

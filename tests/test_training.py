@@ -153,12 +153,22 @@ class TestRunEpochs:
 
     def test_run_without_train_metrics_does_not_load_back(self, tmp_path,
                                                           tiny_data, sgd_spec):
+        # save refuses the run up front: the good checkpoint already at the
+        # path stays byte for byte, and a fresh path is never created
         run = new_run(_net(13), sgd_spec, OFF, SeededRng(13), batch_size=16)
-        run_epochs(run, tiny_data, 2, train_metrics=False)
+        run_epochs(run, tiny_data, 1)
         path = tmp_path / "lean.bin"
         save_checkpoint(path, run)
+        good = path.read_bytes()
+        run_epochs(run, tiny_data, 1, train_metrics=False)
+        with pytest.raises(CheckpointError, match="integrity: .*trajectory lengths"):
+            save_checkpoint(path, run)
+        assert path.read_bytes() == good
+        assert load_checkpoint(path).epoch == 1
+        fresh = tmp_path / "fresh.bin"
         with pytest.raises(CheckpointError, match="trajectory lengths"):
-            load_checkpoint(path)
+            save_checkpoint(fresh, run)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lean.bin"]
 
     def test_negative_epochs(self, tiny_data, sgd_spec):
         run = new_run(_net(6), sgd_spec, OFF, SeededRng(6), batch_size=16)
