@@ -32,9 +32,8 @@ from .theory import (ErrorCurve, McEstimate, NoiseSpec, TeacherStudentProblem,
 from .training import (MetricTrajectory, TrainingRun, evaluate, new_run,
                        run_epochs, train_model)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .volumization import (LayerVolume, VolumizationConfig,
-                           apply_volumization, derive_layer_volumes,
-                           volumize_step)
+from .volumization import (VolumizationConfig, apply_volumization,
+                           derive_layer_volumes, volumize_step)
 
 __version__ = "0.1.0"
 
@@ -62,7 +61,7 @@ __all__ = [
     "MetricTrajectory", "TrainingRun", "evaluate", "new_run", "run_epochs",
     "train_model",
     "load_checkpoint", "save_checkpoint",
-    "LayerVolume", "VolumizationConfig", "apply_volumization",
+    "VolumizationConfig", "apply_volumization",
     "derive_layer_volumes", "volumize_step",
     "__version__",
 ]

@@ -8,8 +8,9 @@ the body (little-endian throughout) is
 The header describes the model (layer specs, init scales), the tensor
 manifest, optimizer spec and step counter, volumization config,
 shuffle-stream state, epoch counter, and the metric history; the payload
-is the concatenation of all parameter tensors followed by first-moment
-buffers and (when present) second-moment buffers, in manifest order.
+is the network's parameter arena followed by the first-moment arena and
+(when present) the second-moment arena. Each arena holds the tensors in
+manifest order, so it is written whole and cut back out whole.
 Every float that must survive the round trip exactly (hyperparameters,
 metrics, init scales) is stored as a C99 hex literal, so load(save(run))
 reproduces the run bit for bit and a resumed run's trajectory is
@@ -111,7 +112,7 @@ def _check_epochs(epoch: int, trajectory: MetricTrajectory) -> None:
 
 def save_checkpoint(path, run: TrainingRun) -> None:
     """Write run to path atomically. A run that load_checkpoint would
-    refuse (custom per-tensor walls, or trajectory lengths that disagree
+    refuse (custom walls, or trajectory lengths that disagree
     with the epoch counter, as after train_metrics=False) is refused here,
     before anything is written."""
     derived = (derive_layer_volumes(run.net, run.vol_cfg)
@@ -119,15 +120,13 @@ def save_checkpoint(path, run: TrainingRun) -> None:
     if run.vols != derived:
         # the header stores only vol_cfg; walls that don't derive from it
         # would come back wrong, so refuse rather than misload later
-        raise ConfigError("runs with custom per-tensor walls cannot be checkpointed")
+        raise ConfigError("runs with custom walls cannot be checkpointed")
     _check_epochs(run.epoch, run.trajectory)
     header = json.dumps(_header_for(run), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    chunks = [t.ravel() for _, t in run.net.param_tensors()]
-    chunks += [m.ravel() for m in run.opt_state.m]
-    if run.opt_state.n is not None:
-        chunks += [n.ravel() for n in run.opt_state.n]
-    payload = np.concatenate(chunks) if chunks else np.empty(0)
+    state = run.opt_state
+    payload = np.concatenate([run.net.params, state.m]
+                             + ([] if state.n is None else [state.n]))
     write_framed(path, _MAGIC, _VERSION,
                  len(header).to_bytes(4, "little") + header
                  + payload.astype("<f8", copy=False).tobytes())
@@ -164,26 +163,23 @@ def load_checkpoint(path) -> TrainingRun:
                 or o["has_n"] != (o["kind"] != "sgd")):
             raise CheckpointError("integrity: bad batch size, step, loss or moments")
 
-        # parameters, then m, then n when present, each in manifest order
+        # the parameter arena, then m, then n when present
         sets = 3 if o["has_n"] else 2
-        if flat.size != sets * sum(math.prod(s) for s in shapes):
+        size = sum(math.prod(s) for s in shapes)
+        if flat.size != sets * size:
             raise CheckpointError("integrity: payload length does not match manifest")
-        tensors, cursor = [], 0
-        for shape in shapes * sets:
-            size = math.prod(shape)
-            tensors.append(flat[cursor:cursor + size].reshape(shape))
-            cursor += size
-        k = len(shapes)
-        params = iter(tensors[:k])
-        layers = [Layer(spec, next(params), next(params) if spec.has_bias else None,
+        layers = [Layer(spec, np.zeros((spec.in_dim, spec.out_dim)),
+                        np.zeros(spec.out_dim) if spec.has_bias else None,
                         _unhex(ls["init_scale_a"]))
                   for spec, ls in zip(specs, model["layers"])]
         net = Network(layers, model["fan_mode"])
+        net.params[...] = flat[:size]
         opt_spec = OptimizerSpec(kind=o["kind"], lr=_unhex(o["lr"]),
                                  mu=_unhex(o["mu"]), nu=_unhex(o["nu"]),
                                  eps=_unhex(o["eps"]),
                                  bias_correction=o["bias_correction"])
-        opt_state = OptimizerState(tensors[k:2 * k], tensors[2 * k:] or None, o["t"])
+        opt_state = OptimizerState(flat[size:2 * size],
+                                   flat[2 * size:] if o["has_n"] else None, o["t"])
 
         v = header["vol"]
         vol_cfg = VolumizationConfig(v=_unhex(v["v"]), alpha=_unhex(v["alpha"]),

@@ -45,13 +45,31 @@ class Layer:
 
 
 class Network:
-    """A stack of affine layers; parameter arrays are mutated in place by
-    the optimizer, so identity is meaningful and clone() exists for tests.
+    """A stack of affine layers over one float64 arena, ``params``.
+
+    The constructor copies every weight and bias into the arena in
+    param_tensors() order (layer 0's weight in C order, its bias, then
+    layer 1, ...) and rebinds Layer.w/Layer.b as views into it; layer i owns
+    the contiguous slice ``layer_slices[i]``. The optimizer and the walls
+    mutate the arena in place, so identity is meaningful and clone() exists
+    for tests.
     """
 
     def __init__(self, layers, fan_mode: str):
         self.layers = layers
         self.fan_mode = fan_mode
+        self.params = np.concatenate([np.ravel(t) for _, _, t in self.layer_tensors()],
+                                     dtype=np.float64)
+        self.layer_slices = []
+        off = 0
+        for layer in layers:
+            start = off
+            off += layer.w.size
+            layer.w = self.params[start:off].reshape(layer.w.shape)
+            if layer.b is not None:
+                layer.b = self.params[off:off + layer.b.size]
+                off += layer.b.size
+            self.layer_slices.append(slice(start, off))
 
     @property
     def in_dim(self) -> int:
@@ -62,12 +80,13 @@ class Network:
         return self.layers[-1].spec.out_dim
 
     def layer_tensors(self):
-        """Stable (layer, name, array) enumeration: layerK.weight, layerK.bias."""
+        """Stable (layer index, name, array) enumeration: layerK.weight,
+        layerK.bias; the checkpoint manifest and the arena order."""
         out = []
         for i, layer in enumerate(self.layers):
-            out.append((layer, f"layer{i}.weight", layer.w))
+            out.append((i, f"layer{i}.weight", layer.w))
             if layer.b is not None:
-                out.append((layer, f"layer{i}.bias", layer.b))
+                out.append((i, f"layer{i}.bias", layer.b))
         return out
 
     def param_tensors(self):
@@ -76,14 +95,12 @@ class Network:
 
     @property
     def n_params(self) -> int:
-        return sum(t.size for _, t in self.param_tensors())
+        return self.params.size
 
     def clone(self) -> "Network":
-        layers = [
-            Layer(l.spec, l.w.copy(), None if l.b is None else l.b.copy(), l.init_scale_a)
-            for l in self.layers
-        ]
-        return Network(layers, self.fan_mode)
+        """A network with its own arena holding this one's values."""
+        return Network([Layer(l.spec, l.w, l.b, l.init_scale_a) for l in self.layers],
+                       self.fan_mode)
 
 
 def init_network(specs, rng: SeededRng, fan_mode: str = "fan_in") -> Network:

@@ -1,6 +1,6 @@
 """Volumized first-order optimizers: sgd, adam, laprop.
 
-Update rules (per tensor, elementwise; t counts steps from 1):
+Update rules (elementwise; t counts steps from 1):
 
     sgd     m = mu*m + g                w -= lr*m
     adam    n = nu*n + (1-nu)*g^2       m = mu*m + (1-mu)*g
@@ -12,9 +12,11 @@ with bias corrections c_m = 1-mu^t, c_n = 1-nu^t (both 1 when
 bias_correction is off; sgd never bias-corrects). Note sgd deliberately
 accumulates raw gradients (no (1-mu) factor).
 
-The wall transform runs after the full optimizer update of every tensor in
-the step, scaling first moments alongside weights; second moments are never
-touched by it.
+The network's parameters live in one arena (net.params), and each moment
+buffer is one flat array of the same size and layout, so a step is one
+update-kernel call over the whole network. The wall transform runs after
+that update, one layer slice at a time, scaling first moments alongside
+weights; second moments are never touched by it.
 """
 
 import math
@@ -52,9 +54,9 @@ class OptimizerSpec:
 
 
 class OptimizerState:
-    """First/second moment buffers mirroring net.param_tensors(), plus the
-    step counter. Buffers are plain arrays so checkpoints can serialize
-    them byte-exactly.
+    """First/second moment arenas laid out like net.params, plus the step
+    counter. Buffers are plain arrays so checkpoints can serialize them
+    byte-exactly.
     """
 
     def __init__(self, m, n, t: int = 0):
@@ -64,18 +66,18 @@ class OptimizerState:
 
     @classmethod
     def init_for(cls, net, spec: OptimizerSpec) -> "OptimizerState":
-        m = [np.zeros_like(t) for _, t in net.param_tensors()]
-        n = None if spec.kind == "sgd" else [np.zeros_like(t) for _, t in net.param_tensors()]
-        return cls(m, n, 0)
+        size = net.params.size
+        return cls(np.zeros(size), None if spec.kind == "sgd" else np.zeros(size), 0)
 
 
 def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
          vols=None, alpha: float = 1.0, overshoot_policy: str = "leave") -> None:
-    """One optimizer step over all tensors, then the wall transform.
+    """One optimizer step over the whole arena, then the wall transform.
 
     Mutates net parameters and state in place. ``grads`` is a
     GradientBundle (or anything with a .grads list aligned to
-    net.param_tensors()). vols=None skips the transform entirely.
+    net.param_tensors()). ``vols`` holds one wall per layer; None skips the
+    transform entirely.
     """
     tensors = net.param_tensors()
     gs = grads.grads
@@ -84,8 +86,10 @@ def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
     for (name, w), g in zip(tensors, gs):
         if g.shape != w.shape:
             raise ShapeError(f"gradient shape {g.shape} != {name} shape {w.shape}")
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name}")
+    g = np.concatenate([np.ravel(gi) for gi in gs], dtype=np.float64)
+    if not np.isfinite(g).all():
+        name = next(name for (name, _), gi in zip(tensors, gs) if not np.isfinite(gi).all())
+        raise NumericError(f"non-finite gradient for {name}")
 
     state.t += 1
     if spec.kind != "sgd" and spec.bias_correction:
@@ -95,18 +99,14 @@ def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
         cm = 1.0
         cn = 1.0
 
-    for i, ((name, w), g) in enumerate(zip(tensors, gs)):
-        wf = w.reshape(-1)
-        gf = np.ascontiguousarray(g, dtype=np.float64).reshape(-1)
-        mf = state.m[i].reshape(-1)
-        if spec.kind == "sgd":
-            _kernels.sgd_update(wf, gf, mf, spec.lr, spec.mu)
-        elif spec.kind == "adam":
-            _kernels.adam_update(wf, gf, mf, state.n[i].reshape(-1),
-                                 spec.lr, spec.mu, spec.nu, spec.eps, cm, cn)
-        else:
-            _kernels.laprop_update(wf, gf, mf, state.n[i].reshape(-1),
-                                   spec.lr, spec.mu, spec.nu, spec.eps, cm, cn)
+    if spec.kind == "sgd":
+        _kernels.sgd_update(net.params, g, state.m, spec.lr, spec.mu)
+    elif spec.kind == "adam":
+        _kernels.adam_update(net.params, g, state.m, state.n,
+                             spec.lr, spec.mu, spec.nu, spec.eps, cm, cn)
+    else:
+        _kernels.laprop_update(net.params, g, state.m, state.n,
+                               spec.lr, spec.mu, spec.nu, spec.eps, cm, cn)
 
     if vols is not None:
         apply_volumization(net, state, vols, alpha, overshoot_policy)

@@ -70,13 +70,12 @@ def quantize(w, vol: float, mode: str):
 
 
 def quantize_network(net, vols, mode: str) -> None:
-    """Round every parameter tensor (biases included) in place onto its
-    layer's walls."""
-    by_name = {lv.tensor: lv.vol for lv in vols}
-    for name, t in net.param_tensors():
-        if name not in by_name:
-            raise ConfigError(f"no volume entry for tensor {name!r}")
-        t[...] = quantize(t, by_name[name], mode)
+    """Round every layer slice of the arena (biases included) in place onto
+    that layer's walls; ``vols`` holds one wall per layer."""
+    if len(vols) != len(net.layers):
+        raise ConfigError(f"got {len(vols)} walls for {len(net.layers)} layers")
+    for sl, vol in zip(net.layer_slices, vols):
+        net.params[sl] = quantize(net.params[sl], vol, mode)
 
 
 @dataclass(eq=False)
@@ -108,20 +107,19 @@ def mass_near_walls(values, vol: float, delta: float = 0.05) -> float:
 
 def weight_histogram(net, vols=None, bins: int = 64, delta: float = 0.05):
     """One histogram per layer over [-max|w|, max|w|], weights and biases
-    pooled (they share the layer's walls)."""
+    pooled (they share the layer's walls, one per layer in ``vols``)."""
     if bins < 3:
         raise ConfigError(f"bins must be >= 3, got {bins}")
-    by_name = {lv.tensor: lv.vol for lv in vols} if vols is not None else {}
+    if vols is not None and len(vols) != len(net.layers):
+        raise ConfigError(f"got {len(vols)} walls for {len(net.layers)} layers")
     out = []
-    for i, layer in enumerate(net.layers):
-        vals = layer.w.ravel()
-        if layer.b is not None:
-            vals = np.concatenate([vals, layer.b.ravel()])
+    for i, sl in enumerate(net.layer_slices):
+        vals = net.params[sl]
         m = float(np.abs(vals).max()) if vals.size else 0.0
         if m == 0.0:
             m = 1.0
         counts, edges = np.histogram(vals, bins=bins, range=(-m, m))
-        vol = by_name.get(f"layer{i}.weight", float("nan"))
+        vol = float("nan") if vols is None else float(vols[i])
         if np.isfinite(vol) and vol > 0:
             mass = mass_near_walls(vals, vol, delta)
         else:
@@ -208,18 +206,17 @@ def _decode_codes(raw: bytes, n: int, vol: float, mode: str) -> np.ndarray:
 
 def save_quantized_weights(path, named_tensors, vols, mode: str) -> None:
     """Write tensors in the packed wall-code format (rounding them first;
-    a no-op for already-rounded tensors)."""
+    a no-op for already-rounded tensors). ``vols`` holds one wall per
+    tensor, aligned with ``named_tensors``."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    by_name = {lv.tensor: lv.vol for lv in vols}
+    tensors = list(named_tensors)
+    if len(vols) != len(tensors):
+        raise ConfigError(f"got {len(vols)} walls for {len(tensors)} tensors")
     body = bytearray()
     body.append(_MODE_CODES[mode])
-    tensors = list(named_tensors)
     body += struct.pack("<I", len(tensors))
-    for name, t in tensors:
-        if name not in by_name:
-            raise ConfigError(f"no volume entry for tensor {name!r}")
-        vol = by_name[name]
+    for (name, t), vol in zip(tensors, vols):
         if not vol > 0:
             raise DomainError(f"vol for {name!r} must be positive, got {vol}")
         t = np.asarray(t, dtype=np.float64)

@@ -224,9 +224,10 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
 
     _, float_acc = evaluate(result.float_net, data.x_test, data.y_test)
     _, quant_acc = evaluate(result.quantized_net, data.x_test, data.y_test)
-    vols = derive_layer_volumes(result.quantized_net, vol_cfg)
-    save_quantized_weights(os.path.join(out_dir, "weights.vzqw"),
-                           result.quantized_net.param_tensors(), vols, scheme.mode)
+    net = result.quantized_net
+    vols = derive_layer_volumes(net, vol_cfg)
+    save_quantized_weights(os.path.join(out_dir, "weights.vzqw"), net.param_tensors(),
+                           [vols[i] for i, _, _ in net.layer_tensors()], scheme.mode)
 
     hists = weight_histogram(result.float_net, vols)
     write_csv(os.path.join(out_dir, "walls.csv"),

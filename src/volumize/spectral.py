@@ -139,16 +139,10 @@ class LipschitzReport:
 
 
 def contractive_volumes(net):
-    """The per-tensor walls V_i = 1/max(rows_i, cols_i) that make the
+    """The walls V_i = 1/max(rows_i, cols_i), one per layer, that make the
     wall-respecting network 1-Lipschitz (biases share the layer wall; they
     do not affect the Lipschitz constant)."""
-    from .volumization import LayerVolume
-
-    vols = []
-    for layer, name, _ in net.layer_tensors():
-        vols.append(LayerVolume(tensor=name,
-                                vol=1.0 / max(layer.spec.in_dim, layer.spec.out_dim)))
-    return vols
+    return tuple(1.0 / max(layer.spec.in_dim, layer.spec.out_dim) for layer in net.layers)
 
 
 def check_network_lipschitz(net, tol: float = 1e-6, iters: int = 1000,
@@ -163,11 +157,9 @@ def check_network_lipschitz(net, tol: float = 1e-6, iters: int = 1000,
     """
     reports = []
     product = 1.0
-    for layer, name, t in net.layer_tensors():
-        if t is not layer.w:
-            continue
-        vol = 1.0 / max(layer.spec.in_dim, layer.spec.out_dim)
-        rep = check_entrywise_bound(t, vol, tol=tol, tensor=name, iters=iters, seed=seed)
+    for i, (layer, vol) in enumerate(zip(net.layers, contractive_volumes(net))):
+        rep = check_entrywise_bound(layer.w, vol, tol=tol, tensor=f"layer{i}.weight",
+                                    iters=iters, seed=seed)
         reports.append(rep)
         product *= rep.smax
     emp = empirical_lipschitz(net, SeededRng(stable_hash(seed, "lipschitz-probes")),

@@ -83,7 +83,7 @@ class TrainingRun:
     opt_spec: OptimizerSpec
     opt_state: "object"
     vol_cfg: VolumizationConfig
-    vols: list          # None when the transform is inactive
+    vols: tuple         # one wall per layer; None when the transform is inactive
     shuffle_rng: SeededRng
     batch_size: int
     loss: str
@@ -94,14 +94,20 @@ class TrainingRun:
 def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
             rng: SeededRng, batch_size: int = 128,
             loss: str = "softmax_xent", vols=None) -> TrainingRun:
-    """vols overrides the per-tensor walls (vol_cfg then contributes only
-    alpha and the overshoot policy); by default they derive from vol_cfg."""
+    """vols overrides the walls, one per layer (vol_cfg then contributes
+    only alpha and the overshoot policy); by default they derive from
+    vol_cfg. A negative or NaN wall raises DomainError."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if loss not in LOSSES:
         raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
     if vols is None:
         vols = derive_layer_volumes(net, vol_cfg) if vol_cfg.enabled else None
+    else:
+        vols = tuple(float(v) for v in vols)
+        for i, v in enumerate(vols):
+            if not v >= 0.0:  # catches NaN too
+                raise DomainError(f"wall must be >= 0, got {v} for layer{i}")
     return TrainingRun(
         net=net, opt_spec=opt_spec, opt_state=OptimizerState.init_for(net, opt_spec),
         vol_cfg=vol_cfg, vols=vols,

@@ -1,8 +1,9 @@
 """Post-step weight transform that pulls out-of-volume weights toward walls.
 
-Each parameter tensor gets a wall position V >= 0 (in absolute units;
-``derive_layer_volumes`` maps the user-facing relative knob v through the
-layer's init scale a = sqrt(6/fan)), and a pull strength alpha:
+Each layer gets one wall position V >= 0, shared by its weight and bias (in
+absolute units; ``derive_layer_volumes`` maps the user-facing relative knob
+v through the layer's init scale a = sqrt(6/fan)), and a pull strength
+alpha:
 
     alpha = 1   leave crossed weights alone (identity)
     0 < a < 1   move them part way back to the wall, momentum scaled too
@@ -57,18 +58,6 @@ class VolumizationConfig:
         return self.alpha != 1.0 and np.isfinite(self.v)
 
 
-@dataclass(frozen=True)
-class LayerVolume:
-    """Absolute wall position for one parameter tensor."""
-
-    tensor: str
-    vol: float
-
-    def __post_init__(self):
-        if not (self.vol >= 0.0):
-            raise DomainError(f"volume must be >= 0, got {self.vol} for {self.tensor}")
-
-
 def volumize_step(w_hat, m_hat, vol: float, alpha: float, overshoot_policy: str = "leave"):
     """Pure-function form of the transform: returns new (w, m) arrays.
 
@@ -94,25 +83,23 @@ def volumize_step(w_hat, m_hat, vol: float, alpha: float, overshoot_policy: str 
 
 
 def apply_volumization(net, state, vols, alpha: float, overshoot_policy: str = "leave") -> None:
-    """In-place transform over every parameter tensor of a network.
+    """In-place transform over every layer slice of the network's arena.
 
-    ``vols`` must align with net.param_tensors(); ``state.m`` rides along
-    (optimizer first moments are decayed with their weights).
+    ``vols`` holds one wall per layer; ``state.m`` rides along (optimizer
+    first moments are decayed with their weights).
     """
-    tensors = net.param_tensors()
-    if len(vols) != len(tensors):
-        raise ShapeError(f"got {len(vols)} volumes for {len(tensors)} tensors")
-    clamp = overshoot_policy == "clamp"
+    if len(vols) != len(net.layers):
+        raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
     if overshoot_policy not in OVERSHOOT_POLICIES:
         raise ConfigError(f"unknown overshoot_policy {overshoot_policy!r}")
-    for (name, w), lv, m in zip(tensors, vols, state.m):
-        if lv.tensor != name:
-            raise ConfigError(f"volume list misaligned: {lv.tensor} vs tensor {name}")
-        _kernels.volumize(w.reshape(-1), m.reshape(-1), float(lv.vol), float(alpha), clamp)
+    clamp = overshoot_policy == "clamp"
+    for sl, vol in zip(net.layer_slices, vols):
+        _kernels.volumize(net.params[sl], state.m[sl], float(vol), float(alpha), clamp)
 
 
 def derive_layer_volumes(net, cfg: VolumizationConfig):
-    """Per-tensor absolute walls V = cfg.v * a(layer), biases included.
+    """One absolute wall per layer, V = cfg.v * a(layer), for its weight and
+    bias alike.
 
     The network records which fan convention its init scales were computed
     under; asking for volumes under the other convention is a config error
@@ -123,7 +110,4 @@ def derive_layer_volumes(net, cfg: VolumizationConfig):
             f"config fan_mode {cfg.fan_mode!r} does not match network "
             f"init fan_mode {net.fan_mode!r}"
         )
-    vols = []
-    for layer, name, _ in net.layer_tensors():
-        vols.append(LayerVolume(tensor=name, vol=cfg.v * layer.init_scale_a))
-    return vols
+    return tuple(cfg.v * layer.init_scale_a for layer in net.layers)

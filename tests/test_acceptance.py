@@ -18,7 +18,6 @@ import pytest
 from volumize import (
     GradientBundle,
     LayerSpec,
-    LayerVolume,
     NoiseSpec,
     OptimizerSpec,
     OptimizerState,
@@ -196,8 +195,7 @@ def _trajectory_matches(kind, mode, vol, alpha, n_steps=1000):
     spec = OptimizerSpec(kind=kind, lr=0.15, mu=0.9, nu=0.99, eps=1e-8)
     net = init_network([LayerSpec(1, 1)], SeededRng(606))
     state = OptimizerState.init_for(net, spec)
-    vols = [LayerVolume(tensor="layer0.weight", vol=vol),
-            LayerVolume(tensor="layer0.bias", vol=vol)]
+    vols = (vol,)  # one wall for the layer's weight and bias
     w, b = float(net.layers[0].w[0, 0]), float(net.layers[0].b[0])
     mw = mb = nw = nb = 0.0
     for t in range(1, n_steps + 1):
@@ -211,11 +209,11 @@ def _trajectory_matches(kind, mode, vol, alpha, n_steps=1000):
         b, mb = _scalar_wall(mode, b, mb, vol, alpha)
         ok = (_same_bits(w, net.layers[0].w[0, 0])
               and _same_bits(b, net.layers[0].b[0])
-              and _same_bits(mw, state.m[0][0, 0])
-              and _same_bits(mb, state.m[1][0]))
+              and _same_bits(mw, state.m[0])
+              and _same_bits(mb, state.m[1]))
         if kind != "sgd":
-            ok = (ok and _same_bits(nw, state.n[0][0, 0])
-                  and _same_bits(nb, state.n[1][0]))
+            ok = (ok and _same_bits(nw, state.n[0])
+                  and _same_bits(nb, state.n[1]))
         if not ok:
             return False
     return True

@@ -1,0 +1,29 @@
+"""The benchmark still runs against this tree and its checks still pass.
+
+``perfbench/run.py`` imports volumize from ``src`` and wraps some of its
+functions (the tracer, the step clock, the quantized-weight capture), then
+compares every output with ``perfbench/digests.json``. One train-small
+pass at seed 0, untraced and traced, catches a renamed hook, a changed
+signature or a moved output byte.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_train_small_is_correct(trace):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-small",
+         "--seed", "0", "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout[-2000:]
+    assert result["failed"] == 0

@@ -81,13 +81,11 @@ class TestRoundTrip:
                                     got.net.param_tensors()):
             assert na == nb
             assert_array_equal(a, b)
-        for a, b in zip(run.opt_state.m, got.opt_state.m):
-            assert_array_equal(a, b)
+        assert_array_equal(run.opt_state.m, got.opt_state.m)
         if kind == "sgd":
             assert got.opt_state.n is None
         else:
-            for a, b in zip(run.opt_state.n, got.opt_state.n):
-                assert_array_equal(a, b)
+            assert_array_equal(run.opt_state.n, got.opt_state.n)
         assert got.opt_state.t == run.opt_state.t
         assert got.opt_spec == run.opt_spec
         assert got.vol_cfg == run.vol_cfg
@@ -138,7 +136,7 @@ class TestRoundTrip:
         save_checkpoint(path, run)
         got = load_checkpoint(path)
         want = derive_layer_volumes(got.net, got.vol_cfg)
-        assert [lv.vol for lv in got.vols] == [lv.vol for lv in want]
+        assert got.vols == want
 
 
 class TestRefusals:
@@ -237,8 +235,7 @@ class TestRefusals:
         net = init_network([LayerSpec(5, 8, activation="relu"), LayerSpec(8, 3)],
                            SeededRng(6))
         cfg = VolumizationConfig(v=0.5, alpha=0.0)
-        custom = [type(lv)(tensor=lv.tensor, vol=0.2)
-                  for lv in derive_layer_volumes(net, cfg)]
+        custom = tuple(0.2 for _ in derive_layer_volumes(net, cfg))
         run = new_run(net, OptimizerSpec(kind="sgd", lr=0.05, mu=0.9), cfg,
                       SeededRng(6), batch_size=16, vols=custom)
         run_epochs(run, tiny_data, 1)

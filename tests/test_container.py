@@ -21,7 +21,7 @@ from volumize.net import LayerSpec, init_network
 from volumize.optimizers import OptimizerSpec
 from volumize.quantizer import load_quantized_weights, save_quantized_weights
 from volumize.training import new_run
-from volumize.volumization import LayerVolume, VolumizationConfig
+from volumize.volumization import VolumizationConfig
 
 # sha256 of the files _tiny_run / _tiny_weights produce
 CHECKPOINT_SHA256 = "469e9b6c0ce73d8e512ee22034d34d3f2d694440079183e780f634b2a61e3bf3"
@@ -39,9 +39,12 @@ def _tiny_run():
     run = new_run(net, OptimizerSpec(kind="adam", lr=0.01),
                   VolumizationConfig(v=0.5, alpha=0.25), SeededRng(12),
                   batch_size=4)
-    for k, (m, n) in enumerate(zip(run.opt_state.m, run.opt_state.n)):
-        m[...] = np.arange(m.size).reshape(m.shape) / (k + 3)
-        n[...] = np.arange(m.size).reshape(m.shape) / (k + 7)
+    off = 0
+    for k, (_, t) in enumerate(net.param_tensors()):
+        sl = slice(off, off + t.size)
+        off += t.size
+        run.opt_state.m[sl] = np.arange(t.size) / (k + 3)
+        run.opt_state.n[sl] = np.arange(t.size) / (k + 7)
     run.opt_state.t = 6
     run.epoch = 2
     run.trajectory.train_loss[:] = [0.75, 0.5]
@@ -53,8 +56,8 @@ def _tiny_run():
 
 def _tiny_weights(path, mode):
     net = _tiny_run().net
-    vols = [LayerVolume(name, 0.375) for name, _ in net.param_tensors()]
-    save_quantized_weights(path, net.param_tensors(), vols, mode)
+    tensors = net.param_tensors()
+    save_quantized_weights(path, tensors, [0.375] * len(tensors), mode)
 
 
 def _sha256(path):

@@ -12,9 +12,14 @@ from volumize import (
     empirical_lipschitz,
     evaluate,
     forward,
+    OptimizerSpec,
+    VolumizationConfig,
     init_network,
+    load_checkpoint,
     loss_and_grad,
+    new_run,
     power_iteration_smax,
+    save_checkpoint,
 )
 
 
@@ -89,6 +94,53 @@ class TestInit:
         dup = net.clone()
         dup.layers[0].w += 1.0
         assert not np.array_equal(dup.layers[0].w, net.layers[0].w)
+
+
+def _assert_views_into_arena(net):
+    """Every tensor is a view into net.params at its manifest offset."""
+    off = 0
+    for _, t in net.param_tensors():
+        assert np.shares_memory(t, net.params)
+        assert np.array_equal(t.ravel(), net.params[off:off + t.size])
+        off += t.size
+    assert off == net.params.size == net.n_params
+    assert net.params.dtype == np.float64 and net.params.flags.c_contiguous
+    for layer, sl in zip(net.layers, net.layer_slices):
+        size = layer.w.size + (0 if layer.b is None else layer.b.size)
+        assert sl.stop - sl.start == size
+
+
+class TestArena:
+    SPECS = [LayerSpec(4, 6, activation="relu"), LayerSpec(6, 5, has_bias=False),
+             LayerSpec(5, 3)]
+
+    def test_init_network_builds_views(self):
+        net = init_network(self.SPECS, SeededRng(21))
+        _assert_views_into_arena(net)
+        assert [sl.start for sl in net.layer_slices] == [0, 4 * 6 + 6, 4 * 6 + 6 + 6 * 5]
+        net.layers[1].w[2, 3] = 7.5
+        assert net.params[net.layer_slices[1]][2 * 5 + 3] == 7.5
+
+    def test_clone_has_its_own_arena(self):
+        net = init_network(self.SPECS, SeededRng(22))
+        dup = net.clone()
+        _assert_views_into_arena(dup)
+        assert not np.shares_memory(dup.params, net.params)
+        for (_, a), (_, b) in zip(net.param_tensors(), dup.param_tensors()):
+            assert not np.shares_memory(a, dup.params) and not np.shares_memory(b, net.params)
+        np.testing.assert_array_equal(dup.params, net.params)
+        before = net.params.copy()
+        dup.params += 1.0
+        np.testing.assert_array_equal(net.params, before)
+
+    def test_loaded_checkpoint_builds_views(self, tmp_path):
+        net = init_network(self.SPECS, SeededRng(23))
+        run = new_run(net, OptimizerSpec(kind="adam"), VolumizationConfig(), SeededRng(24))
+        save_checkpoint(tmp_path / "a.vzck", run)
+        got = load_checkpoint(tmp_path / "a.vzck")
+        _assert_views_into_arena(got.net)
+        np.testing.assert_array_equal(got.net.params, net.params)
+        assert got.opt_state.m.shape == got.opt_state.n.shape == net.params.shape
 
 
 class TestForward:

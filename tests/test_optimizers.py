@@ -13,17 +13,20 @@ import pytest
 
 from volumize import (
     ConfigError,
+    VolumizationConfig,
     LayerSpec,
     NumericError,
     OptimizerSpec,
     OptimizerState,
     SeededRng,
     ShapeError,
+    derive_layer_volumes,
     init_network,
+    loss_and_grad,
     step,
 )
-from volumize.net import GradientBundle
-from volumize.volumization import LayerVolume
+from volumize import _kernels
+from volumize.net import GradientBundle, Layer, Network
 
 
 def _grad_seq(t, j):
@@ -81,14 +84,12 @@ class _ScalarOracle:
                 self.m = alpha * self.m
 
 
-class _OneTensorNet:
-    """Minimal stand-in exposing param_tensors() for direct step() calls."""
-
-    def __init__(self, w):
-        self.w = np.asarray(w, dtype=np.float64)
-
-    def param_tensors(self):
-        return [("layer0.weight", self.w)]
+def _one_tensor_net(w):
+    """A one-layer, bias-free network whose arena is exactly ``w``: its one
+    tensor is the (len(w), 1) weight column, so gradients are columns too."""
+    w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
+    return Network([Layer(LayerSpec(w.shape[0], 1, has_bias=False), w, None, 1.0)],
+                   "fan_in")
 
 
 def _run_both(kind, n_steps=1000, vols=None, alpha=1.0, bias_correction=True,
@@ -96,18 +97,16 @@ def _run_both(kind, n_steps=1000, vols=None, alpha=1.0, bias_correction=True,
     spec = OptimizerSpec(kind=kind, lr=lr, mu=0.9, nu=0.999, eps=1e-8,
                          bias_correction=bias_correction)
     w0 = [0.5, -1.2, 2.0]
-    net = _OneTensorNet(w0)
+    net = _one_tensor_net(w0)
     state = OptimizerState.init_for(net, spec)
     oracles = [
         _ScalarOracle(kind, w, lr, 0.9, 0.999, 1e-8, bias_correction) for w in w0
     ]
-    vol_list = None
-    if vols is not None:
-        vol_list = [LayerVolume("layer0.weight", vols)]
     for t in range(n_steps):
         g = np.array([_grad_seq(t, j) for j in range(3)])
-        step(net, GradientBundle(0.0, [g]), state, spec,
-             vols=vol_list, alpha=alpha, overshoot_policy=overshoot_policy)
+        step(net, GradientBundle(0.0, [g[:, None]]), state, spec,
+             vols=None if vols is None else (vols,), alpha=alpha,
+             overshoot_policy=overshoot_policy)
         for j, o in enumerate(oracles):
             o.step(g[j], vol=vols, alpha=alpha,
                    clamp=overshoot_policy == "clamp")
@@ -118,32 +117,32 @@ def _run_both(kind, n_steps=1000, vols=None, alpha=1.0, bias_correction=True,
 def test_bitwise_trajectory_no_walls(kind):
     net, state, oracles = _run_both(kind)
     for j, o in enumerate(oracles):
-        assert net.w[j] == o.w, f"weight {j} diverged"
-        assert state.m[0][j] == o.m
+        assert net.params[j] == o.w, f"weight {j} diverged"
+        assert state.m[j] == o.m
         if kind != "sgd":
-            assert state.n[0][j] == o.n
+            assert state.n[j] == o.n
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam", "laprop"])
 def test_bitwise_trajectory_with_walls(kind):
     net, state, oracles = _run_both(kind, vols=0.4, alpha=0.7, lr=0.05)
     for j, o in enumerate(oracles):
-        assert net.w[j] == o.w
-        assert state.m[0][j] == o.m
+        assert net.params[j] == o.w
+        assert state.m[j] == o.m
 
 
 @pytest.mark.parametrize("kind", ["adam", "laprop"])
 def test_bitwise_trajectory_no_bias_correction(kind):
     net, _, oracles = _run_both(kind, bias_correction=False)
     for j, o in enumerate(oracles):
-        assert net.w[j] == o.w
+        assert net.params[j] == o.w
 
 
 def test_bitwise_trajectory_reflection_clamp():
     net, _, oracles = _run_both("sgd", vols=0.2, alpha=-1.0,
                                 overshoot_policy="clamp", lr=0.3)
     for j, o in enumerate(oracles):
-        assert net.w[j] == o.w
+        assert net.params[j] == o.w
 
 
 def test_second_moment_untouched_by_walls():
@@ -151,19 +150,76 @@ def test_second_moment_untouched_by_walls():
     _, state_wall, _ = _run_both("adam", n_steps=200, vols=0.4, alpha=0.5, lr=0.05)
     # the synthetic gradient stream ignores w, so n (a pure function of the
     # gradients) must come out identical, while m gets decayed at the walls
-    np.testing.assert_array_equal(state_free.n[0], state_wall.n[0])
-    assert not np.array_equal(state_free.m[0], state_wall.m[0])
+    np.testing.assert_array_equal(state_free.n, state_wall.n)
+    assert not np.array_equal(state_free.m, state_wall.m)
     # and the transform alone must leave n bits alone
-    net = _OneTensorNet([2.0])
+    net = _one_tensor_net([2.0])
     spec = OptimizerSpec(kind="adam", lr=1e-4)
     state = OptimizerState.init_for(net, spec)
-    g = np.array([1.0])
+    g = np.array([[1.0]])
     step(net, GradientBundle(0.0, [g]), state, spec)
-    n_after_update = state.n[0].copy()
+    n_after_update = state.n.copy()
     from volumize import apply_volumization
 
-    apply_volumization(net, state, [LayerVolume("layer0.weight", 0.5)], alpha=0.3)
-    np.testing.assert_array_equal(state.n[0], n_after_update)
+    apply_volumization(net, state, (0.5,), alpha=0.3)
+    np.testing.assert_array_equal(state.n, n_after_update)
+
+
+def _per_tensor_step(net, grads, ms, ns, spec, t, vols, alpha):
+    """The layout before the arena, kept as the reference: one update-kernel
+    call per tensor with its own moment buffers, then one wall call per
+    tensor with its layer's wall."""
+    cm = 1.0 - spec.mu ** t
+    cn = 1.0 - spec.nu ** t
+    update = _kernels.adam_update if spec.kind == "adam" else _kernels.laprop_update
+    tensors = net.layer_tensors()
+    for (_, _, w), g, m, n in zip(tensors, grads, ms, ns):
+        update(w.reshape(-1), np.ascontiguousarray(g).reshape(-1), m.reshape(-1),
+               n.reshape(-1), spec.lr, spec.mu, spec.nu, spec.eps, cm, cn)
+    crossed = []
+    for (i, _, w), m in zip(tensors, ms):
+        crossed.append(int(np.count_nonzero(np.abs(w) > vols[i])))
+        _kernels.volumize(w.reshape(-1), m.reshape(-1), float(vols[i]), float(alpha), False)
+    return crossed
+
+
+@pytest.mark.parametrize("kind", ["adam", "laprop"])
+def test_arena_step_matches_per_tensor_reference(kind):
+    # 8 -> 5 -> 3: two layers whose derived walls differ, so a layer slice
+    # that is off by one tensor or one layer changes bits
+    net = init_network([LayerSpec(8, 5, activation="tanh"), LayerSpec(5, 3)],
+                       SeededRng(808))
+    ref = net.clone()
+    alpha = 0.5
+    vols = derive_layer_volumes(net, VolumizationConfig(v=0.2, alpha=alpha))
+    assert vols[0] != vols[1]
+    spec = OptimizerSpec(kind=kind, lr=0.05, mu=0.9, nu=0.99, eps=1e-8)
+    state = OptimizerState.init_for(net, spec)
+    ms = [np.zeros_like(t) for _, t in ref.param_tensors()]
+    ns = [np.zeros_like(t) for _, t in ref.param_tensors()]
+    rng = np.random.default_rng(809)
+    crossed = np.zeros(4, dtype=int)
+    for t in range(1, 201):
+        x = rng.standard_normal((16, 8))
+        y = rng.choice(3, 16, p=[0.6, 0.3, 0.1])  # skewed, so biases drift
+        bundle = loss_and_grad(net, x, y, "softmax_xent")
+        ref_grads = loss_and_grad(ref, x, y, "softmax_xent").grads
+        step(net, bundle, state, spec, vols=vols, alpha=alpha)
+        crossed += _per_tensor_step(ref, ref_grads, ms, ns, spec, t, vols, alpha)
+        assert net.params.tobytes() == ref.params.tobytes(), f"weights differ at step {t}"
+        assert state.m.tobytes() == np.concatenate([m.ravel() for m in ms]).tobytes()
+        assert state.n.tobytes() == np.concatenate([n.ravel() for n in ns]).tobytes()
+    assert crossed.all()  # the walls bit on every weight and bias tensor
+
+
+def test_step_rejects_walls_not_one_per_layer():
+    net = init_network([LayerSpec(3, 2), LayerSpec(2, 2)], SeededRng(3))
+    spec = OptimizerSpec(kind="sgd", lr=0.1)
+    state = OptimizerState.init_for(net, spec)
+    grads = [np.zeros_like(t) for _, t in net.param_tensors()]
+    for vols in ((0.5,), (0.5, 0.5, 0.5, 0.5)):
+        with pytest.raises(ShapeError):
+            step(net, GradientBundle(0.0, grads), state, spec, vols=vols, alpha=0.5)
 
 
 class TestStateInit:
@@ -172,20 +228,21 @@ class TestStateInit:
         state = OptimizerState.init_for(net, OptimizerSpec(kind="sgd"))
         assert state.n is None
         assert state.t == 0
-        assert [m.shape for m in state.m] == [(3, 2), (2,)]
+        assert state.m.shape == (net.params.size,) == (3 * 2 + 2,)
 
     def test_adam_moments_start_zero(self):
         net = init_network([LayerSpec(3, 2)], SeededRng(0))
         state = OptimizerState.init_for(net, OptimizerSpec(kind="adam"))
-        for buf in (*state.m, *state.n):
+        assert state.m.shape == state.n.shape == net.params.shape
+        for buf in (state.m, state.n):
             assert not buf.any()
 
     def test_step_counter_increments(self):
-        net = _OneTensorNet([1.0])
+        net = _one_tensor_net([1.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
         for want in (1, 2, 3):
-            step(net, GradientBundle(0.0, [np.array([0.5])]), state, spec)
+            step(net, GradientBundle(0.0, [np.array([[0.5]])]), state, spec)
             assert state.t == want
 
 
@@ -209,21 +266,21 @@ class TestValidation:
             OptimizerSpec(**kwargs)
 
     def test_gradient_shape_mismatch(self):
-        net = _OneTensorNet([1.0, 2.0])
+        net = _one_tensor_net([1.0, 2.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
         with pytest.raises(ShapeError):
             step(net, GradientBundle(0.0, [np.zeros(3)]), state, spec)
 
     def test_non_finite_gradient(self):
-        net = _OneTensorNet([1.0])
+        net = _one_tensor_net([1.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
         with pytest.raises(NumericError):
-            step(net, GradientBundle(0.0, [np.array([np.nan])]), state, spec)
+            step(net, GradientBundle(0.0, [np.array([[np.nan]])]), state, spec)
 
     def test_wrong_gradient_count(self):
-        net = _OneTensorNet([1.0])
+        net = _one_tensor_net([1.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
         with pytest.raises(ShapeError):

@@ -87,10 +87,9 @@ class TestQuantizeNetwork:
                             LayerSpec(10, 3)], rng)
         cfg = VolumizationConfig(v=0.5, alpha=0.5)
         vols = derive_layer_volumes(net, cfg)
-        by_name = {lv.tensor: lv.vol for lv in vols}
         quantize_network(net, vols, "ternary")
-        for name, t in net.param_tensors():
-            v = by_name[name]
+        for i, _, t in net.layer_tensors():
+            v = vols[i]
             assert set(np.unique(t)) <= {-v, 0.0, v}
 
     def test_missing_volume_entry(self, small_net):
@@ -157,9 +156,8 @@ class TestWeightHistogram:
         for layer in small_net.layers:
             layer.w[...] = np.sign(layer.w)  # park far outside the band
         hists = weight_histogram(small_net, vols=vols)
-        by_name = {lv.tensor: lv.vol for lv in vols}
         for i, h in enumerate(hists):
-            assert h.vol == by_name[f"layer{i}.weight"]
+            assert h.vol == vols[i]
             assert 0.0 <= h.mass_near_walls <= 1.0
 
     def test_rejects_tiny_bin_count(self, small_net):
@@ -172,7 +170,7 @@ class TestWeightHistogram:
         vols = derive_layer_volumes(net, VolumizationConfig(v=0.5, alpha=0.5))
         hists = weight_histogram(net, vols=vols, bins=8)
         assert [h.counts.sum() for h in hists] == [12, 8 + 2]
-        assert hists[0].mass_near_walls == mass_near_walls(net.layers[0].w, vols[0].vol)
+        assert hists[0].mass_near_walls == mass_near_walls(net.layers[0].w, vols[0])
 
 
 # --- quantized training --------------------------------------------------
@@ -222,8 +220,8 @@ class TestQuantizedTraining:
             assert_array_equal(a, b)
         # float_net stayed un-rounded
         assert any(
-            set(np.unique(t)) - {-lv.vol, 0.0, lv.vol}
-            for (_, t), lv in zip(res.float_net.param_tensors(), vols)
+            set(np.unique(t)) - {-vols[i], 0.0, vols[i]}
+            for i, _, t in res.float_net.layer_tensors()
         )
 
     @pytest.mark.parametrize("cfg", [
@@ -248,8 +246,9 @@ class TestQuantizedTraining:
 
 def _packed_net(seed=11):
     net = init_network([LayerSpec(7, 9, activation="tanh"), LayerSpec(9, 4)], SeededRng(seed))
-    cfg = VolumizationConfig(v=0.4, alpha=0.5)
-    return net, derive_layer_volumes(net, cfg)
+    vols = derive_layer_volumes(net, VolumizationConfig(v=0.4, alpha=0.5))
+    # the packed format stores one wall per tensor
+    return net, [vols[i] for i, _, _ in net.layer_tensors()]
 
 
 class TestPackedFormat:
@@ -260,11 +259,10 @@ class TestPackedFormat:
         save_quantized_weights(path, net.param_tensors(), vols, mode)
         got_mode, tensors = load_quantized_weights(path)
         assert got_mode == mode
-        by_name = {lv.tensor: lv.vol for lv in vols}
         assert [n for n, _ in tensors] == [n for n, _ in net.param_tensors()]
-        for (name, got), (_, orig) in zip(tensors, net.param_tensors()):
+        for (_, got), (_, orig), vol in zip(tensors, net.param_tensors(), vols):
             assert got.shape == orig.shape
-            assert_array_equal(got, quantize(orig, by_name[name], mode))
+            assert_array_equal(got, quantize(orig, vol, mode))
 
     def test_two_bits_per_weight(self, tmp_path):
         # size should be dominated by the packed codes, not float storage

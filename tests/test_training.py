@@ -181,9 +181,8 @@ class TestNewRun:
         net = _net(7)
         cfg = VolumizationConfig(v=0.5, alpha=0.5)
         run = new_run(net, sgd_spec, cfg, SeededRng(7))
-        want = derive_layer_volumes(net, cfg)
-        assert [lv.tensor for lv in run.vols] == [lv.tensor for lv in want]
-        assert [lv.vol for lv in run.vols] == [lv.vol for lv in want]
+        assert run.vols == derive_layer_volumes(net, cfg)
+        assert len(run.vols) == len(net.layers)
 
     def test_no_walls_when_disabled(self, sgd_spec):
         run = new_run(_net(7), sgd_spec, OFF, SeededRng(7))
@@ -193,10 +192,7 @@ class TestNewRun:
         # explicit walls distinct from what vol_cfg would derive
         net = _net(8)
         cfg = VolumizationConfig(v=0.5, alpha=0.0)
-        custom = [
-            type(lv)(tensor=lv.tensor, vol=0.123)
-            for lv in derive_layer_volumes(net, cfg)
-        ]
+        custom = [0.123 for _ in derive_layer_volumes(net, cfg)]
         run = new_run(net, sgd_spec, cfg, SeededRng(8), batch_size=16,
                       vols=custom)
         run_epochs(run, tiny_data, 2)
@@ -227,6 +223,6 @@ class TestTrainModel:
         spec = OptimizerSpec(kind="adam", lr=3e-3)
         train_model(net, tiny_data, spec, cfg, SeededRng(11), epochs=3,
                     batch_size=16)
-        by_name = {lv.tensor: lv.vol for lv in derive_layer_volumes(net, cfg)}
-        for name, t in net.param_tensors():
-            assert np.abs(t).max() <= by_name[name] + 1e-12
+        vols = derive_layer_volumes(net, cfg)
+        for i, _, t in net.layer_tensors():
+            assert np.abs(t).max() <= vols[i] + 1e-12

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from volumize import (
     ConfigError,
     LayerSpec,
-    LayerVolume,
     OptimizerSpec,
     OptimizerState,
     SeededRng,
@@ -17,6 +16,7 @@ from volumize import (
     apply_volumization,
     derive_layer_volumes,
     init_network,
+    new_run,
     volumize_step,
 )
 from volumize.errors import DomainError
@@ -54,8 +54,12 @@ class TestConfig:
             VolumizationConfig(**kwargs)
 
     def test_layer_volume_rejects_negative(self):
-        with pytest.raises(DomainError):
-            LayerVolume("w", -1.0)
+        # custom walls enter through new_run, one per layer
+        net = init_network([LayerSpec(2, 3), LayerSpec(3, 2)], SeededRng(0))
+        cfg = VolumizationConfig(v=1.0, alpha=0.5)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(DomainError):
+                new_run(net, OptimizerSpec(kind="sgd"), cfg, SeededRng(1), vols=(0.5, bad))
 
 
 class TestExactSpecialCases:
@@ -165,6 +169,15 @@ class TestValidation:
             volumize_step([1.0], [0.0], 1.0, 0.5, "wrap")
 
 
+def _tensor_slices(net):
+    """Each tensor's slice of the arena, in param_tensors() order."""
+    out, off = [], 0
+    for _, t in net.param_tensors():
+        out.append(slice(off, off + t.size))
+        off += t.size
+    return out
+
+
 class TestNetworkApplication:
     def _net(self):
         rng = SeededRng(3)
@@ -175,19 +188,17 @@ class TestNetworkApplication:
     def test_derive_layer_volumes_scales_by_init_a(self):
         net = self._net()
         vols = derive_layer_volumes(net, VolumizationConfig(v=0.5, alpha=0.0))
-        names = [name for name, _ in net.param_tensors()]
-        assert [lv.tensor for lv in vols] == names
         a1 = np.sqrt(6.0 / 6)
         a2 = np.sqrt(6.0 / 10)
-        # weight and bias of a layer share its scale
-        assert vols[0].vol == pytest.approx(0.5 * a1)
-        assert vols[1].vol == pytest.approx(0.5 * a1)
-        assert vols[2].vol == pytest.approx(0.5 * a2)
+        # one wall per layer, shared by its weight and bias
+        assert len(vols) == len(net.layers) == 2
+        assert vols[0] == pytest.approx(0.5 * a1)
+        assert vols[1] == pytest.approx(0.5 * a2)
 
     def test_inf_v_gives_inf_walls(self):
         net = self._net()
         vols = derive_layer_volumes(net, VolumizationConfig())
-        assert all(np.isinf(lv.vol) for lv in vols)
+        assert all(np.isinf(v) for v in vols)
 
     def test_fan_mode_mismatch_rejected(self):
         net = self._net()  # built fan_in
@@ -197,20 +208,18 @@ class TestNetworkApplication:
     def test_apply_scales_first_moment_only(self):
         net = self._net()
         state = OptimizerState.init_for(net, OptimizerSpec(kind="adam"))
-        for m in state.m:
-            m += 1.0
-        for n in state.n:
-            n += 2.0
+        state.m += 1.0
+        state.n += 2.0
         vols = derive_layer_volumes(net, VolumizationConfig(v=0.1, alpha=0.5))
         before = [w.copy() for _, w in net.param_tensors()]
         apply_volumization(net, state, vols, alpha=0.5)
         moved = 0
-        for (name, w), b, m, n in zip(net.param_tensors(), before, state.m, state.n):
-            crossed = np.abs(b) > dict((lv.tensor, lv.vol) for lv in vols)[name]
+        for (i, _, _), b, sl in zip(net.layer_tensors(), before, _tensor_slices(net)):
+            crossed = np.abs(b.ravel()) > vols[i]
             moved += int(crossed.sum())
-            np.testing.assert_array_equal(m[crossed], 0.5)
-            np.testing.assert_array_equal(m[~crossed], 1.0)
-            np.testing.assert_array_equal(n, 2.0)  # second moment never decays
+            np.testing.assert_array_equal(state.m[sl][crossed], 0.5)
+            np.testing.assert_array_equal(state.m[sl][~crossed], 1.0)
+        np.testing.assert_array_equal(state.n, 2.0)  # second moment never decays
         assert moved > 0  # the walls actually bit
 
     def test_apply_rejects_misaligned_volumes(self):
