@@ -1,4 +1,5 @@
-"""How bytes reach disk: one atomic writer and one binary framing.
+"""How bytes reach disk: one atomic writer, one binary framing and one
+record codec.
 
 Every file the package writes goes through write_atomic, so a crash or a
 failed write leaves the previous file in place, never a torn one. The two
@@ -8,12 +9,23 @@ binary formats (checkpoints, packed weights) share one framing:
 
 The crc covers the version byte and the body; each format owns only its
 body layout.
+
+The two JSON records (the checkpoint header's sections and the sweep's cell
+files) share one codec: to_record/from_record write and read a dataclass
+field by field, with every float and list[float] field as a C99 hex literal
+so that it round-trips bit for bit (nan, infinities and -0.0 included).
+The record's keys are the dataclass's field names, so adding a field to a
+record dataclass changes the format of the file it is written to (and so
+needs a version bump of the checkpoint format). Field annotations must be
+the types themselves, not strings: a module with `from __future__ import
+annotations` would have its floats written as plain JSON numbers.
 """
 
 import contextlib
 import os
 import struct
 import zlib
+from dataclasses import fields
 
 from .errors import CheckpointError
 
@@ -53,3 +65,26 @@ def read_framed(path, magic: bytes, version: int, what: str) -> bytes:
     if framed[0] != version:
         raise CheckpointError(f"version: unsupported {what} version {framed[0]}")
     return framed[1:]
+
+
+def _map_floats(tp, value, convert):
+    if tp is float:
+        return convert(value)
+    if tp == list[float]:
+        return [convert(x) for x in value]
+    return value
+
+
+def to_record(obj, **extra) -> dict:
+    """The fields of dataclass obj, floats as hex literals, plus extra."""
+    record = {f.name: _map_floats(f.type, getattr(obj, f.name), lambda x: float(x).hex())
+              for f in fields(obj)}
+    return {**record, **extra}
+
+
+def from_record(cls, record: dict):
+    """The inverse of to_record: cls built from the record's field keys.
+    Other keys are ignored; a missing field raises KeyError and a float
+    that is not a hex literal TypeError or ValueError."""
+    return cls(**{f.name: _map_floats(f.type, record[f.name], float.fromhex)
+                  for f in fields(cls)})

@@ -11,10 +11,12 @@ shuffle-stream state, epoch counter, and the metric history; the payload
 is the network's parameter arena followed by the first-moment arena and
 (when present) the second-moment arena. Each arena holds the tensors in
 manifest order, so it is written whole and cut back out whole.
-Every float that must survive the round trip exactly (hyperparameters,
-metrics, init scales) is stored as a C99 hex literal, so load(save(run))
-reproduces the run bit for bit and a resumed run's trajectory is
-indistinguishable from an uninterrupted one.
+The layer, optimizer, volumization and trajectory sections are the
+to_record images of LayerSpec, OptimizerSpec, VolumizationConfig and
+MetricTrajectory (volumize._container), so every float that must survive
+the round trip exactly (hyperparameters, metrics, init scales) is stored as
+a C99 hex literal, load(save(run)) reproduces the run bit for bit and a
+resumed run's trajectory is indistinguishable from an uninterrupted one.
 
 Load failures raise CheckpointError with a message starting "version:" for
 format-version mismatches and "integrity:" for everything else (bad magic,
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from ._container import read_framed, write_framed
+from ._container import from_record, read_framed, to_record, write_framed
 from .errors import CheckpointError, ConfigError, VolumizeError
 from .linalg import SeededRng
 from .net import LOSSES, Layer, LayerSpec, Network
@@ -39,65 +41,28 @@ _MAGIC = b"VZCK"
 _VERSION = 1
 
 
-def _hex(x: float) -> str:
-    return float(x).hex()
-
-
-def _unhex(s: str) -> float:
-    return float.fromhex(s)
-
-
 def _header_for(run: TrainingRun) -> dict:
-    net = run.net
-    spec = run.opt_spec
-    cfg = run.vol_cfg
     return {
         "kind": "training-run",
         "model": {
-            "fan_mode": net.fan_mode,
-            "layers": [
-                {
-                    "in_dim": l.spec.in_dim,
-                    "out_dim": l.spec.out_dim,
-                    "activation": l.spec.activation,
-                    "has_bias": l.spec.has_bias,
-                    "init_scale_a": _hex(l.init_scale_a),
-                }
-                for l in net.layers
-            ],
+            "fan_mode": run.net.fan_mode,
+            "layers": [to_record(l.spec, init_scale_a=float(l.init_scale_a).hex())
+                       for l in run.net.layers],
         },
         "tensors": [
             {"name": name, "shape": list(t.shape)}
-            for name, t in net.param_tensors()
+            for name, t in run.net.param_tensors()
         ],
-        "optimizer": {
-            "kind": spec.kind,
-            "lr": _hex(spec.lr),
-            "mu": _hex(spec.mu),
-            "nu": _hex(spec.nu),
-            "eps": _hex(spec.eps),
-            "bias_correction": spec.bias_correction,
-            "t": run.opt_state.t,
-            "has_n": run.opt_state.n is not None,
-        },
-        "vol": {
-            "v": _hex(cfg.v),
-            "alpha": _hex(cfg.alpha),
-            "fan_mode": cfg.fan_mode,
-            "overshoot_policy": cfg.overshoot_policy,
-        },
+        "optimizer": to_record(run.opt_spec, t=run.opt_state.t,
+                               has_n=run.opt_state.n is not None),
+        "vol": to_record(run.vol_cfg),
         "run": {
             "epoch": run.epoch,
             "batch_size": run.batch_size,
             "loss": run.loss,
         },
         "shuffle_rng": run.shuffle_rng.get_state(),
-        "trajectory": {
-            "train_loss": [_hex(x) for x in run.trajectory.train_loss],
-            "train_acc": [_hex(x) for x in run.trajectory.train_acc],
-            "test_loss": [_hex(x) for x in run.trajectory.test_loss],
-            "test_acc": [_hex(x) for x in run.trajectory.test_acc],
-        },
+        "trajectory": to_record(run.trajectory),
     }
 
 
@@ -149,9 +114,7 @@ def load_checkpoint(path) -> TrainingRun:
 
     try:
         model, o, r = header["model"], header["optimizer"], header["run"]
-        specs = [LayerSpec(in_dim=ls["in_dim"], out_dim=ls["out_dim"],
-                           activation=ls["activation"], has_bias=ls["has_bias"])
-                 for ls in model["layers"]]
+        specs = [from_record(LayerSpec, ls) for ls in model["layers"]]
         shapes = []
         for spec in specs:
             shapes.append((spec.in_dim, spec.out_dim))
@@ -170,28 +133,16 @@ def load_checkpoint(path) -> TrainingRun:
             raise CheckpointError("integrity: payload length does not match manifest")
         layers = [Layer(spec, np.zeros((spec.in_dim, spec.out_dim)),
                         np.zeros(spec.out_dim) if spec.has_bias else None,
-                        _unhex(ls["init_scale_a"]))
+                        float.fromhex(ls["init_scale_a"]))
                   for spec, ls in zip(specs, model["layers"])]
         net = Network(layers, model["fan_mode"])
         net.params[...] = flat[:size]
-        opt_spec = OptimizerSpec(kind=o["kind"], lr=_unhex(o["lr"]),
-                                 mu=_unhex(o["mu"]), nu=_unhex(o["nu"]),
-                                 eps=_unhex(o["eps"]),
-                                 bias_correction=o["bias_correction"])
+        opt_spec = from_record(OptimizerSpec, o)
         opt_state = OptimizerState(flat[size:2 * size],
                                    flat[2 * size:] if o["has_n"] else None, o["t"])
 
-        v = header["vol"]
-        vol_cfg = VolumizationConfig(v=_unhex(v["v"]), alpha=_unhex(v["alpha"]),
-                                     fan_mode=v["fan_mode"],
-                                     overshoot_policy=v["overshoot_policy"])
-        traj = header["trajectory"]
-        trajectory = MetricTrajectory(
-            train_loss=[_unhex(x) for x in traj["train_loss"]],
-            train_acc=[_unhex(x) for x in traj["train_acc"]],
-            test_loss=[_unhex(x) for x in traj["test_loss"]],
-            test_acc=[_unhex(x) for x in traj["test_acc"]],
-        )
+        vol_cfg = from_record(VolumizationConfig, header["vol"])
+        trajectory = from_record(MetricTrajectory, header["trajectory"])
         _check_epochs(r["epoch"], trajectory)
         return TrainingRun(
             net=net, opt_spec=opt_spec, opt_state=opt_state,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, NumericError, ShapeError
-from .volumization import apply_volumization
+from .volumization import OVERSHOOT_POLICIES, apply_volumization
 
 KINDS = ("sgd", "adam", "laprop")
 
@@ -77,8 +77,13 @@ def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
     Mutates net parameters and state in place. ``grads`` is a
     GradientBundle (or anything with a .grads list aligned to
     net.param_tensors()). ``vols`` holds one wall per layer; None skips the
-    transform entirely.
+    transform entirely. Bad arguments raise before anything is mutated.
     """
+    # apply_volumization checks these too, but only after the update has run
+    if vols is not None and len(vols) != len(net.layers):
+        raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
+    if overshoot_policy not in OVERSHOOT_POLICIES:
+        raise ConfigError(f"unknown overshoot_policy {overshoot_policy!r}")
     tensors = net.param_tensors()
     gs = grads.grads
     if len(gs) != len(tensors):

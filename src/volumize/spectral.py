@@ -85,19 +85,7 @@ class SpectralReport:
                   "within_sqrt", "within_max")
 
     def csv_row(self):
-        return {
-            "tensor": self.tensor,
-            "rows": self.rows,
-            "cols": self.cols,
-            "V": self.vol,
-            "smax": self.smax,
-            "entry_max": self.entry_max,
-            "bound_sqrt": self.bound_sqrt,
-            "bound_max": self.bound_max,
-            "entries_in_volume": self.entries_in_volume,
-            "within_sqrt": self.within_sqrt,
-            "within_max": self.within_max,
-        }
+        return {h: getattr(self, "vol" if h == "V" else h) for h in self.CSV_HEADER}
 
 
 def check_entrywise_bound(w, vol: float, tol: float = 1e-8, tensor: str = "w",

@@ -28,12 +28,12 @@ import json
 import os
 from dataclasses import dataclass
 
-from ._container import write_atomic
+from ._container import from_record, to_record, write_atomic
 from ._pool import map_ordered
 from .config import (SWEEP_SCHEMA, check_dataset_cfg, dataset_from_cfg,
                      model_from_cfg, optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
-from .errors import ConfigError, VolumizeError
+from .errors import CheckpointError, ConfigError, VolumizeError
 from .linalg import SeededRng, stable_hash
 from .training import train_model
 
@@ -82,6 +82,9 @@ class SweepSpec:
 
 @dataclass(eq=False)
 class CellResult:
+    """One cell's outcome; its file under <out>/cells/ is its to_record
+    image (volumize._container)."""
+
     v_idx: int
     alpha_idx: int
     repeat: int
@@ -94,23 +97,11 @@ class CellResult:
     status: str = "ok"
 
     def to_json(self) -> dict:
-        return {
-            "v_idx": self.v_idx, "alpha_idx": self.alpha_idx,
-            "repeat": self.repeat, "seed": self.seed,
-            "v": float(self.v).hex(), "alpha": float(self.alpha).hex(),
-            "best": float(self.best).hex(), "last": float(self.last).hex(),
-            "gap": float(self.gap).hex(), "status": self.status,
-        }
+        return to_record(self)
 
     @classmethod
     def from_json(cls, d: dict) -> "CellResult":
-        return cls(
-            v_idx=d["v_idx"], alpha_idx=d["alpha_idx"], repeat=d["repeat"],
-            seed=d["seed"], v=float.fromhex(d["v"]),
-            alpha=float.fromhex(d["alpha"]), best=float.fromhex(d["best"]),
-            last=float.fromhex(d["last"]), gap=float.fromhex(d["gap"]),
-            status=d["status"],
-        )
+        return from_record(cls, d)
 
 
 def run_cell(spec: SweepSpec, v_idx: int, alpha_idx: int, repeat: int) -> CellResult:
@@ -142,9 +133,13 @@ def _cell_path(out_dir: str, vi: int, ai: int, r: int) -> str:
 
 
 def _read_cell(spec: SweepSpec, path: str, vi: int, ai: int, r: int) -> CellResult:
-    """Load a cell file, refusing one computed for another grid or seed."""
-    with open(path, encoding="utf-8") as f:
-        res = CellResult.from_json(json.load(f))
+    """Load a cell file, refusing one computed for another grid or seed and,
+    as an integrity error, one that is damaged."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            res = CellResult.from_json(json.load(f))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"integrity: unreadable cell file {path} ({exc})") from exc
     want = {"v": float(spec.v_grid[vi]), "alpha": float(spec.alpha_grid[ai]),
             "seed": spec.cell_seed(vi, ai, r)}
     differ = [key for key, value in want.items() if getattr(res, key) != value]

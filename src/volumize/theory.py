@@ -84,16 +84,18 @@ class TeacherStudentProblem:
                 )
             object.__setattr__(self, "correlation", c)
 
+    def draw(self, rng: SeededRng, n: int):
+        """n draws of (u, eta): the teacher u ~ Unif(-a, a) first, then the
+        noise (zeros when uniform with sigma 0)."""
+        u = sample_uniform(rng, -self.a, self.a, n)
+        sigma = self.noise.sigma
+        if self.noise.kind == "cauchy":
+            return u, sample_cauchy(rng, sigma, n)
+        return u, np.zeros(n) if sigma == 0.0 else sample_uniform(rng, -sigma, sigma, n)
+
     def sample_teacher(self, rng: SeededRng):
         """Draws (u, u') = (teacher, noise-shifted target)."""
-        u = sample_uniform(rng, -self.a, self.a, self.dim)
-        if self.noise.kind == "uniform":
-            if self.noise.sigma == 0.0:
-                eta = np.zeros(self.dim)
-            else:
-                eta = sample_uniform(rng, -self.noise.sigma, self.noise.sigma, self.dim)
-        else:
-            eta = sample_cauchy(rng, self.noise.sigma, self.dim)
+        u, eta = self.draw(rng, self.dim)
         return u, u + eta
 
 
@@ -187,18 +189,13 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
     if control_variate and problem.noise.kind != "uniform":
         raise ConfigError("control variate requires uniform noise")
 
-    a = problem.a
     sigma = problem.noise.sigma
     s1 = 0.0
     s2 = 0.0
     done = 0
     while done < n_samples:
         k = min(_MC_CHUNK, n_samples - done)
-        u = sample_uniform(rng, -a, a, k)
-        if problem.noise.kind == "uniform":
-            eta = np.zeros(k) if sigma == 0.0 else sample_uniform(rng, -sigma, sigma, k)
-        else:
-            eta = sample_cauchy(rng, sigma, k)
+        u, eta = problem.draw(rng, k)
         if control_variate:
             z = _kernels.clip_sq_cv_values(u, eta, float(vol))
         else:
@@ -234,8 +231,8 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
         raise DomainError(f"lam must be >= 0, got {lam}")
     if n_samples <= 1:
         raise DomainError(f"need n_samples > 1, got {n_samples}")
-    u = sample_uniform(rng, -a, a, n_samples)
-    eta = np.zeros(n_samples) if sigma == 0.0 else sample_uniform(rng, -sigma, sigma, n_samples)
+    problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
+    u, eta = problem.draw(rng, n_samples)
     # ((u + eta)/(1 + lam) - u)**2, then its square, in one buffer
     e = np.add(u, eta, out=eta)
     e /= 1.0 + lam

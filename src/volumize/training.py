@@ -32,10 +32,10 @@ class MetricTrajectory:
     the epoch counter.
     """
 
-    train_loss: list = field(default_factory=list)
-    train_acc: list = field(default_factory=list)
-    test_loss: list = field(default_factory=list)
-    test_acc: list = field(default_factory=list)
+    train_loss: list[float] = field(default_factory=list)
+    train_acc: list[float] = field(default_factory=list)
+    test_loss: list[float] = field(default_factory=list)
+    test_acc: list[float] = field(default_factory=list)
 
     @property
     def n_epochs(self) -> int:

@@ -65,6 +65,10 @@ BAD_HEADER_VALUES = {
         h["run"].update(epoch=7),
         h["trajectory"].update(train_loss=[], train_acc=[], test_loss=[], test_acc=[])),
     "short test_acc": lambda h: h["trajectory"]["test_acc"].pop(),
+    # floats must be hex literals, and every field must be there
+    "lr as a json number": lambda h: h["optimizer"].update(lr=0.01),
+    "missing eps": lambda h: h["optimizer"].pop("eps"),
+    "non-hex test_acc entry": lambda h: h["trajectory"]["test_acc"].__setitem__(0, "half"),
 }
 
 

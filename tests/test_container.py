@@ -1,18 +1,24 @@
-"""The one file container: pinned bytes, corruption, and crash safety.
+"""The one file container: pinned bytes, corruption, crash safety, and the
+record codec.
 
 Checkpoints and packed weights share one framing (magic, version byte,
 body, crc32) and every output goes through one atomic writer. The golden
 digests below were recorded before the framing moved into one module, so
-they pin the bytes both formats had then.
+they pin the bytes both formats had then; the checkpoint digest also pins
+the header the record codec writes.
 """
 
 import hashlib
+import json
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from volumize._container import from_record, to_record
 from volumize.checkpoint import load_checkpoint, save_checkpoint
 from volumize.csvio import write_csv
 from volumize.errors import CheckpointError, ConfigError
@@ -20,7 +26,8 @@ from volumize.linalg import SeededRng
 from volumize.net import LayerSpec, init_network
 from volumize.optimizers import OptimizerSpec
 from volumize.quantizer import load_quantized_weights, save_quantized_weights
-from volumize.training import new_run
+from volumize.sweep import CellResult
+from volumize.training import MetricTrajectory, new_run
 from volumize.volumization import VolumizationConfig
 
 # sha256 of the files _tiny_run / _tiny_weights produce
@@ -161,3 +168,95 @@ class TestAtomicWrites:
             write_csv(path, ("a", "b"), [{"a": 3, "b": 4}, {"a": 5, "zzz": 6}])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+# the dataclasses whose to_record images are the checkpoint header sections
+# and the sweep cell files
+RECORD_CLASSES = (LayerSpec, OptimizerSpec, VolumizationConfig,
+                  MetricTrajectory, CellResult)
+_CODEC_TYPES = (float, list[float], int, str, bool)
+
+# nan, both infinities, -0.0, the least subnormal, and an int given for a float
+_SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 3)
+
+# every record class, carrying each special value its validation admits
+RECORDS = [
+    LayerSpec(3, 4, activation="tanh", has_bias=False),
+    OptimizerSpec(kind="laprop", lr=5e-324, mu=-0.0, nu=0, eps=3,
+                  bias_correction=False),
+    VolumizationConfig(v=math.inf, alpha=-0.0, fan_mode="fan_out",
+                       overshoot_policy="clamp"),
+    VolumizationConfig(v=5e-324, alpha=-1),
+    MetricTrajectory(*(list(_SPECIALS) for _ in range(4))),
+    CellResult(v_idx=1, alpha_idx=0, repeat=2, v=3, alpha=-0.0,
+               seed=2**64 - 1, best=math.nan, last=-math.inf, gap=5e-324,
+               status="error: diverged"),
+    CellResult(v_idx=0, alpha_idx=3, repeat=0, v=math.inf, alpha=-1,
+               seed=0, best=-0.0, last=math.inf, gap=math.nan),
+]
+
+
+def _codec_knows(tp) -> bool:
+    return any(tp == known for known in _CODEC_TYPES)
+
+
+def _hexed(tp, value):
+    """A field value with its floats as hex, so -0.0 != 0.0 and nan == nan."""
+    if tp is float:
+        return float(value).hex()
+    if tp == list[float]:
+        return [float(x).hex() for x in value]
+    return value
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
+    def test_every_record_field_has_a_codec_type(self, cls):
+        unknown = [(f.name, f.type) for f in fields(cls) if not _codec_knows(f.type)]
+        assert unknown == []
+
+    def test_string_annotations_fail_the_guard(self):
+        # what `from __future__ import annotations` would leave in f.type
+        for annotation in ("float", "list[float]", "int", "str", "bool"):
+            assert not _codec_knows(annotation)
+        assert not _codec_knows(list)
+
+    def test_every_record_class_is_covered(self):
+        assert {type(r) for r in RECORDS} == set(RECORD_CLASSES)
+
+    @pytest.mark.parametrize("obj", RECORDS, ids=lambda r: type(r).__name__)
+    def test_round_trip_is_bitwise(self, obj):
+        back = from_record(type(obj), json.loads(json.dumps(to_record(obj))))
+        for f in fields(obj):
+            got = getattr(back, f.name)
+            assert _hexed(f.type, got) == _hexed(f.type, getattr(obj, f.name))
+            if f.type is float:
+                assert type(got) is float
+            elif f.type == list[float]:
+                assert {type(x) for x in got} == {float}
+
+    def test_special_values_are_hex_literals(self):
+        rec = to_record(MetricTrajectory(test_acc=list(_SPECIALS)))
+        assert rec["train_loss"] == []
+        assert rec["test_acc"] == ["nan", "inf", "-inf", "-0x0.0p+0",
+                                   "0x0.0000000000001p-1022", "0x1.8000000000000p+1"]
+
+    def test_extra_keys_are_written_and_ignored_on_read(self):
+        spec = OptimizerSpec()
+        rec = to_record(spec, t=4, has_n=True)
+        assert sorted(rec) == ["bias_correction", "eps", "has_n", "kind", "lr",
+                               "mu", "nu", "t"]
+        assert from_record(OptimizerSpec, rec) == spec
+
+    def test_missing_field_is_key_error(self):
+        rec = to_record(VolumizationConfig())
+        del rec["alpha"]
+        with pytest.raises(KeyError, match="alpha"):
+            from_record(VolumizationConfig, rec)
+
+    @pytest.mark.parametrize("bad", [0.5, "half", ["0x1p-1"]],
+                             ids=["json-number", "not-hex", "list"])
+    def test_float_not_a_hex_literal_is_refused(self, bad):
+        rec = {**to_record(VolumizationConfig()), "alpha": bad}
+        with pytest.raises((TypeError, ValueError)):
+            from_record(VolumizationConfig, rec)

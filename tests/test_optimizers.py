@@ -222,6 +222,26 @@ def test_step_rejects_walls_not_one_per_layer():
             step(net, GradientBundle(0.0, grads), state, spec, vols=vols, alpha=0.5)
 
 
+@pytest.mark.parametrize("kw, error", [
+    ({"vols": (0.5,)}, ShapeError),
+    ({"vols": (0.5, 0.5), "overshoot_policy": "bounce"}, ConfigError),
+], ids=["one-wall-for-two-layers", "unknown-overshoot-policy"])
+def test_rejected_step_mutates_nothing(kw, error):
+    net = init_network([LayerSpec(3, 4, activation="relu"), LayerSpec(4, 2)],
+                       SeededRng(5))
+    spec = OptimizerSpec(kind="adam", lr=0.1)
+    state = OptimizerState.init_for(net, spec)
+    grads = [np.full(t.shape, 0.3) for _, t in net.param_tensors()]
+    step(net, GradientBundle(0.0, grads), state, spec)
+    before = (net.params.copy(), state.m.copy(), state.n.copy(), state.t)
+    with pytest.raises(error):
+        step(net, GradientBundle(0.0, grads), state, spec, alpha=0.5, **kw)
+    assert net.params.tobytes() == before[0].tobytes()
+    assert state.m.tobytes() == before[1].tobytes()
+    assert state.n.tobytes() == before[2].tobytes()
+    assert state.t == before[3] == 1
+
+
 class TestStateInit:
     def test_sgd_has_no_second_moment(self):
         net = init_network([LayerSpec(3, 2)], SeededRng(0))

@@ -107,6 +107,15 @@ class TestRunCell:
         assert back.seed == res.seed
         assert back.status == "ok"
 
+    def test_cell_file_text_is_pinned(self):
+        res = CellResult(v_idx=1, alpha_idx=0, repeat=2, v=0.5, alpha=-0.0,
+                         seed=12345678901234567890, best=0.75, last=float("nan"),
+                         gap=float("-inf"), status="error: diverged")
+        assert json.dumps(res.to_json(), sort_keys=True) == (
+            '{"alpha": "-0x0.0p+0", "alpha_idx": 0, "best": "0x1.8000000000000p-1", '
+            '"gap": "-inf", "last": "nan", "repeat": 2, "seed": 12345678901234567890, '
+            '"status": "error: diverged", "v": "0x1.0000000000000p-1", "v_idx": 1}')
+
     def test_failures_become_status_rows(self, monkeypatch):
         def boom(*a, **kw):
             raise NumericError("non-finite loss at epoch 1")
@@ -226,6 +235,30 @@ class TestRunSweep:
         assert main(["sweep", "--config", str(cfg), "--out", out, "--seed", "7",
                      "--resume"]) == 1
         assert "cell_v0_a0_r0.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "gap"}),
+        lambda text: json.dumps({**json.loads(text), "best": 0.5}),
+    ], ids=["truncated", "missing-gap", "number-for-hex"])
+    def test_damaged_cell_on_resume_exits_two(self, tmp_path, capsys, damage):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
+                       "repeats = 1\nv_grid = 0.5\nalpha_grid = 0\n")
+        out = str(tmp_path / "out")
+        argv = ["sweep", "--config", str(cfg), "--out", out, "--seed", "1"]
+        assert main(argv) == 0
+        cell = os.path.join(out, "cells", "cell_v0_a0_r0.json")
+        with open(cell, encoding="utf-8") as f:
+            text = f.read()
+        with open(cell, "w", encoding="utf-8") as f:
+            f.write(damage(text))
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: integrity: unreadable cell file")
+        assert "cell_v0_a0_r0.json" in err
+        assert "Traceback" not in err
 
     def test_error_cells_excluded_from_means(self, tmp_path, monkeypatch):
         spec = _spec(v_grid=(0.5,), alpha_grid=(0.0, 0.9), repeats=1)
