@@ -21,7 +21,11 @@ The elementwise theory kernels work in place one block of ``_BLOCK``
 elements at a time, through scratch allocated once per call; each element
 sees the same operations in the same order as a whole-array expression, no
 sum crosses a block, and the max over block maxima keeps a nan as one max
-would, so blocking changes no bit.
+would, so blocking changes no bit. Walls at V = +0.0 are weight decay: with
+alpha +0.0 or positive and finite and no clamp, ``flow_iter_identity`` takes
+its wall step as the one multiply ``alpha*w``, which gives the general wall
+expression's bits (the reason is at the branch); V = -0.0, alpha = -0.0 and
+alpha = inf do not, and keep the general path.
 Callers look kernels up at call time as ``_kernels.<name>``, so one can be
 swapped or wrapped in one place. Inputs are float64; callers validate.
 """
@@ -208,10 +212,23 @@ def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
     """One explicit-Euler step of the identity-correlation residual flow,
     followed by the wall transform (momentum-free). In-place on ``w``, one
     block at a time; returns max |change|, nan if any change is nan.
+
+    At vol = +0.0 (sign bit clear), alpha +0.0 or positive and finite, and
+    no clamp, the wall transform is weight decay and runs as ``w *= alpha``,
+    bit for bit the general path's result.
     """
     n = len(w)
     walls = alpha != 1.0 and np.isfinite(vol)
     pull = (1.0 - alpha) * vol
+    # V = +0.0 is weight decay, and alpha*w is exact: every nonzero w
+    # crosses |w| > +0.0 and pull*sgn(w) is a zero, so alpha*w + pull*sgn(w)
+    # is alpha*w unless alpha*w is itself a zero. That takes alpha < 1, where
+    # pull = (1-alpha)*(+0.0) is +0.0 and both zeros carry w's sign. A
+    # non-crossing +-0.0 or nan times alpha is itself. V = -0.0 (at alpha 0 a
+    # negative w gives +0.0 there), alpha = -0.0 (flips the sign of zeros)
+    # and alpha = inf (pull is nan) break this, so signs and finiteness count.
+    decay = (walls and not clamp and vol == 0.0 and not np.signbit(vol)
+             and 0.0 <= alpha < np.inf and not np.signbit(alpha))
     old, t, t2 = np.empty((3, min(n, _BLOCK)))
     crossed = np.empty(len(old), dtype=bool)
     dmax = 0.0
@@ -223,7 +240,9 @@ def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
         np.subtract(wb, ub, out=s)
         np.multiply(step, s, out=s)
         np.subtract(wb, s, out=wb)
-        if walls:
+        if decay:
+            np.multiply(alpha, wb, out=wb)
+        elif walls:
             np.abs(wb, out=s)
             np.greater(s, vol, out=c)
             if c.any():

@@ -134,7 +134,8 @@ def _cell_path(out_dir: str, vi: int, ai: int, r: int) -> str:
 
 def _read_cell(spec: SweepSpec, path: str, vi: int, ai: int, r: int) -> CellResult:
     """Load a cell file, refusing one computed for another grid or seed and,
-    as an integrity error, one that is damaged."""
+    as an integrity error, one that is damaged: unreadable, or naming
+    indices other than its file name's beside this spec's seed."""
     try:
         with open(path, encoding="utf-8") as f:
             res = CellResult.from_json(json.load(f))
@@ -146,6 +147,12 @@ def _read_cell(spec: SweepSpec, path: str, vi: int, ai: int, r: int) -> CellResu
     if differ:
         raise ConfigError(f"{path} belongs to another sweep: {', '.join(differ)} "
                           f"differ from this spec")
+    # the seed derives from the indices, so these can only differ by damage
+    named = {"v_idx": vi, "alpha_idx": ai, "repeat": r}
+    moved = [key for key, value in named.items() if getattr(res, key) != value]
+    if moved:
+        raise CheckpointError(f"integrity: cell file {path} records {', '.join(moved)} "
+                              f"other than its file name's")
     return res
 
 
@@ -160,10 +167,10 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
 
     With resume=True, cells whose JSON already exists are skipped; without
     it, every cell is recomputed and rewritten. A kept cell whose v, alpha
-    or seed differs from this spec's raises ConfigError before any cell
-    runs. The CSV is always rebuilt from the cell files in canonical order,
-    so its bytes depend only on the spec, never on scheduling. workers < 1
-    raises ConfigError.
+    or seed differs from this spec's raises ConfigError, and a damaged one
+    CheckpointError, before any cell runs. The CSV is always rebuilt from
+    the cell files in canonical order, so its bytes depend only on the spec,
+    never on scheduling. workers < 1 raises ConfigError.
     """
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
     pending = []

@@ -4,7 +4,8 @@
 functions (the tracer, the step clock, the quantized-weight capture), then
 compares every output with ``perfbench/digests.json``. One train-small
 pass at seed 0, untraced and traced, catches a renamed hook, a changed
-signature or a moved output byte.
+signature or a moved output byte; one untraced theory-mc pass catches a
+moved byte of the theorem1, fig4a, fig4b or theorem3 tables.
 """
 
 import json
@@ -17,13 +18,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_train_small_is_correct(trace):
+def _assert_one_pass_is_correct(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "train-small",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "0", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout[-2000:]
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_train_small_is_correct(trace):
+    _assert_one_pass_is_correct("train-small", trace)
+
+
+def test_theory_mc_is_correct():
+    _assert_one_pass_is_correct("theory-mc", 0)

@@ -16,6 +16,7 @@ import pytest
 
 import volumize
 from volumize import _kernels as K
+from volumize.theory import alpha_for_weight_decay
 
 
 def _rand(shape, seed, scale=1.0):
@@ -266,8 +267,14 @@ def test_backends_bitwise_identical(name):
     _assert_matches_oracle(name, _INPUTS[name](), _EXTRA.get(name, ()))
 
 
-_ALPHAS = (-1.0, -0.5, 0.0, 0.3, 1.0)
-_VOLS = (0.0, 0.4, 1.2, 2.0, np.inf)
+# theorem3's decay alpha, and one at which alpha*w underflows for the tiny
+# weights below; -0.0, inf and V = -0.0 sit at the edges of the V = 0 decay
+# path's conditions
+_ALPHAS = (-1.0, -0.5, -0.0, 0.0, 1e-300, 0.3, alpha_for_weight_decay(4.0, 0.1),
+           1.0, np.inf)
+_VOLS = (-0.0, 0.0, 0.4, 1.2, 2.0, np.inf)
+# signed zeros and tiny weights, kept by the flow's Euler step where u = w
+_EDGES = np.array([0.0, -0.0, 1e-30, -1e-30])
 
 
 @pytest.mark.parametrize("clamp", [False, True])
@@ -278,12 +285,13 @@ def test_wall_kernels_match_oracle_across_alpha_and_volume(clamp):
     for alpha in _ALPHAS:
         for vol in _VOLS:
             size = int(rng.integers(1, 40))
-            w = rng.standard_normal(size)
-            m = rng.standard_normal(size)
-            u = rng.standard_normal(size)
-            _assert_matches_oracle("volumize", (w, m), (vol, alpha, clamp))
-            _assert_matches_oracle("flow_iter_identity", (w, u),
-                                   (0.1, vol, alpha, clamp))
+            w = np.append(rng.standard_normal(size), _EDGES)
+            m = np.append(rng.standard_normal(size), _EDGES)
+            u = np.append(rng.standard_normal(size), _EDGES)
+            with np.errstate(invalid="ignore"):  # alpha = inf makes nans
+                _assert_matches_oracle("volumize", (w, m), (vol, alpha, clamp))
+                _assert_matches_oracle("flow_iter_identity", (w, u),
+                                       (0.1, vol, alpha, clamp))
 
 
 @pytest.mark.parametrize("vol", _VOLS)
@@ -589,7 +597,7 @@ def test_theory_kernels_match_oracle_at_block_scale():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["middle", "last"])
-@pytest.mark.parametrize("vol, alpha", [(np.inf, 0.3), (0.4, 0.5)])
+@pytest.mark.parametrize("vol, alpha", [(np.inf, 0.3), (0.4, 0.5), (0.0, 0.9)])
 def test_flow_delta_propagates_nan_and_inf(monkeypatch, bad, where, vol, alpha):
     # gradient_flow_sim stops with NumericError on a non-finite delta, so the
     # block maxima must keep a nan or inf from any block, as one max does
@@ -604,6 +612,35 @@ def test_flow_delta_propagates_nan_and_inf(monkeypatch, bad, where, vol, alpha):
         want = float(np.abs(w - w_old).max())
     assert np.isnan(delta) if np.isnan(bad) else delta == np.inf
     np.testing.assert_array_equal(delta, want)
+
+
+@pytest.mark.parametrize("vol, alpha, clamp, decay", [
+    (0.0, 0.5, False, True),
+    (0.0, 0.0, False, True),
+    (0.0, 2.0, False, True),
+    (-0.0, 0.5, False, False),
+    (0.0, -0.0, False, False),
+    (0.0, -0.5, False, False),
+    (0.0, np.inf, False, False),
+    (0.0, 0.5, True, False),
+    (0.4, 0.5, False, False),
+])
+def test_flow_takes_v0_walls_as_one_multiply(monkeypatch, vol, alpha, clamp, decay):
+    # exactly at V = +0.0, alpha +0.0 or positive and finite, no clamp, the
+    # wall step is alpha*w alone: no |w| > V mask and no sgn(w)
+    calls = []
+
+    class Numpy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(K, "np", Numpy())
+    w, u = _rand(50, 130), _rand(50, 131)
+    with np.errstate(invalid="ignore"):
+        K.flow_iter_identity(w, u, 0.1, vol, alpha, clamp)
+    assert ("sign" not in calls) is decay
+    assert calls.count("multiply") == (2 if decay else 3)
 
 
 @pytest.mark.parametrize("name", ["clip_sq_cv_values", "flow_iter_identity"])

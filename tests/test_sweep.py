@@ -260,6 +260,30 @@ class TestRunSweep:
         assert "cell_v0_a0_r0.json" in err
         assert "Traceback" not in err
 
+    def test_cell_with_indices_not_its_name_on_resume_exits_two(self, tmp_path, capsys):
+        # the seed still matches, so only damage can have moved the indices;
+        # kept, the CSV would report repeat 5 and lose the (v, alpha) mean row
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
+                       "repeats = 1\nv_grid = 0.5\nalpha_grid = 0\n")
+        out = str(tmp_path / "out")
+        argv = ["sweep", "--config", str(cfg), "--out", out, "--seed", "1"]
+        assert main(argv) == 0
+        csv = os.path.join(out, "sweep.csv")
+        before = open(csv, "rb").read()
+        cell = os.path.join(out, "cells", "cell_v0_a0_r0.json")
+        with open(cell, encoding="utf-8") as f:
+            record = json.load(f)
+        with open(cell, "w", encoding="utf-8") as f:
+            json.dump({**record, "repeat": 5, "v_idx": 3}, f)
+        capsys.readouterr()
+        assert main(argv + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: integrity: cell file")
+        assert "cell_v0_a0_r0.json" in err and "v_idx, repeat" in err
+        assert "Traceback" not in err
+        assert open(csv, "rb").read() == before
+
     def test_error_cells_excluded_from_means(self, tmp_path, monkeypatch):
         spec = _spec(v_grid=(0.5,), alpha_grid=(0.0, 0.9), repeats=1)
 

@@ -28,7 +28,7 @@ from volumize import (
     weight_decay_error_mc,
     weight_decay_optimum,
 )
-from volumize import config, runs
+from volumize import _pool, config, runs
 from volumize.errors import DomainError
 from volumize.linalg import sample_cauchy
 from volumize.theory import unregularized_prefix_errors
@@ -263,9 +263,12 @@ class TestCauchy:
         assert unreg[-1].error > unreg[0].error  # heavy tail: estimate grows
         assert unreg[-1].error > 10 * best.error
 
-    def test_fig4b_check_holds_with_one_prefix_row(self, tmp_path):
+    def test_fig4b_check_holds_with_one_prefix_row(self, tmp_path, monkeypatch):
         # at n <= 1e4 there is a single unregularized prefix row, so the
-        # built-in check cannot ask the estimate to grow across rows
+        # built-in check cannot ask the estimate to grow across rows. In
+        # process: a pool per run would cost more than these tiny grids, and
+        # tests/test_pool.py pins fig4b's bytes across worker counts.
+        monkeypatch.setattr(_pool, "available_cpus", lambda: 1)
         cfg = config.apply_schema({"kind": "fig4b", "n_samples": "10000"},
                                   config.THEORY_SCHEMA)
         failed = [seed for seed in range(100)
