@@ -25,7 +25,6 @@ be rebuilt from, an epoch counter that disagrees with the trajectory).
 """
 
 import json
-import math
 
 import numpy as np
 
@@ -114,13 +113,12 @@ def load_checkpoint(path) -> TrainingRun:
 
     try:
         model, o, r = header["model"], header["optimizer"], header["run"]
-        specs = [from_record(LayerSpec, ls) for ls in model["layers"]]
-        shapes = []
-        for spec in specs:
-            shapes.append((spec.in_dim, spec.out_dim))
-            if spec.has_bias:
-                shapes.append((spec.out_dim,))
-        if not specs or [tuple(t["shape"]) for t in header["tensors"]] != shapes:
+        # zero layers from the header's specs; the payload fills them below
+        layers = [Layer(from_record(LayerSpec, ls), 0.0, 0.0, float.fromhex(ls["init_scale_a"]))
+                  for ls in model["layers"]]
+        net = Network(layers, model["fan_mode"])
+        manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        if not layers or manifest != [(name, t.shape) for name, t in net.param_tensors()]:
             raise CheckpointError("integrity: tensor manifest does not match the layers")
         if (r["batch_size"] < 1 or o["t"] < 0 or r["loss"] not in LOSSES
                 or o["has_n"] != (o["kind"] != "sgd")):
@@ -128,14 +126,9 @@ def load_checkpoint(path) -> TrainingRun:
 
         # the parameter arena, then m, then n when present
         sets = 3 if o["has_n"] else 2
-        size = sum(math.prod(s) for s in shapes)
+        size = net.n_params
         if flat.size != sets * size:
             raise CheckpointError("integrity: payload length does not match manifest")
-        layers = [Layer(spec, np.zeros((spec.in_dim, spec.out_dim)),
-                        np.zeros(spec.out_dim) if spec.has_bias else None,
-                        float.fromhex(ls["init_scale_a"]))
-                  for spec, ls in zip(specs, model["layers"])]
-        net = Network(layers, model["fan_mode"])
         net.params[...] = flat[:size]
         opt_spec = from_record(OptimizerSpec, o)
         opt_state = OptimizerState(flat[size:2 * size],
@@ -154,6 +147,7 @@ def load_checkpoint(path) -> TrainingRun:
         )
     except CheckpointError:
         raise
-    except (VolumizeError, KeyError, TypeError, ValueError) as exc:
-        # a header can pass the crc and still hold values no run has
+    except (VolumizeError, KeyError, TypeError, ValueError, MemoryError) as exc:
+        # a header can pass the crc and still hold values no run has, such as
+        # layers too large to allocate
         raise CheckpointError(f"integrity: malformed header ({exc})") from exc

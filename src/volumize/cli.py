@@ -19,7 +19,7 @@ from .config import (QUANTIZE_SCHEMA, SPECTRAL_SCHEMA, SWEEP_SCHEMA,
                      THEORY_SCHEMA, TRAIN_SCHEMA, load_config)
 from .errors import ConfigError, VolumizeError
 
-THEORY_KINDS = ("fig4a", "fig4b", "theorem1", "theorem3")
+THEORY_KINDS = THEORY_SCHEMA["kind"].choices
 SCHEMAS = {"theory": THEORY_SCHEMA, "sweep": SWEEP_SCHEMA, "train": TRAIN_SCHEMA,
            "quantize": QUANTIZE_SCHEMA, "spectral": SPECTRAL_SCHEMA}
 

@@ -19,6 +19,7 @@ derived for it, so `train` and a sweep cell build the same objects from the
 same values and differ only in how they derive their seeds.
 """
 
+import math
 from dataclasses import dataclass
 
 # data and net are reached through their modules at call time, so a wrapper
@@ -28,8 +29,9 @@ from . import data, net
 from .csvio import format_value
 from .errors import ConfigError
 from .linalg import SeededRng
-from .optimizers import OptimizerSpec
-from .volumization import VolumizationConfig
+from .optimizers import KINDS, OptimizerSpec
+from .quantizer import MODES
+from .volumization import FAN_MODES, OVERSHOOT_POLICIES, VolumizationConfig
 
 _TYPES = ("int", "u64", "float", "bool", "str", "floats", "ints")
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -153,12 +155,12 @@ _DATASET_FIELDS = {
 
 _MODEL_FIELDS = {
     "hidden_dims": Field("ints", (32,)),
-    "activation": Field("str", "relu", choices=("identity", "relu", "tanh")),
-    "fan_mode": Field("str", "fan_in", choices=("fan_in", "fan_out")),
+    "activation": Field("str", "relu", choices=net.ACTIVATIONS),
+    "fan_mode": Field("str", "fan_in", choices=FAN_MODES),
 }
 
 _OPT_FIELDS = {
-    "optimizer": Field("str", "adam", choices=("sgd", "adam", "laprop")),
+    "optimizer": Field("str", "adam", choices=KINDS),
     "lr": Field("float", 1e-4),
     "mu": Field("float", 0.9),
     "nu": Field("float", 0.999),
@@ -171,7 +173,7 @@ _OPT_FIELDS = {
 _VOL_FIELDS = {
     "v": Field("float", float("inf")),
     "alpha": Field("float", 1.0),
-    "overshoot_policy": Field("str", "leave", choices=("leave", "clamp")),
+    "overshoot_policy": Field("str", "leave", choices=OVERSHOOT_POLICIES),
 }
 
 TRAIN_SCHEMA = {
@@ -181,7 +183,7 @@ TRAIN_SCHEMA = {
 
 SWEEP_SCHEMA = {
     **_DATASET_FIELDS, **_MODEL_FIELDS, **_OPT_FIELDS,
-    "overshoot_policy": Field("str", "leave", choices=("leave", "clamp")),
+    "overshoot_policy": Field("str", "leave", choices=OVERSHOOT_POLICIES),
     "v_grid": Field("floats", (0.25, 0.5, 1.0, 2.0, float("inf"))),
     "alpha_grid": Field("floats", (-1.0, -0.5, 0.0, 0.5, 0.99, 0.9999, 1.0)),
     "repeats": Field("int", 3),
@@ -189,7 +191,7 @@ SWEEP_SCHEMA = {
 
 QUANTIZE_SCHEMA = {
     **TRAIN_SCHEMA,
-    "mode": Field("str", "ternary", choices=("binary", "ternary")),
+    "mode": Field("str", "ternary", choices=MODES),
     "period_epochs": Field("int", 2),
 }
 
@@ -221,6 +223,35 @@ def check_dataset_cfg(cfg: dict) -> None:
         raise ConfigError(f"spread must be positive, got {cfg['spread']}")
     if not 0.0 <= cfg["noise_ratio"] < 1.0:
         raise ConfigError(f"noise_ratio must be in [0, 1), got {cfg['noise_ratio']}")
+
+
+def check_theory_cfg(cfg: dict) -> None:
+    """Refuse, as config errors, the theory values the lab refuses as domain
+    errors (or fails on), checking only the keys the configured kind reads."""
+    kind, a = cfg["kind"], cfg["a"]
+    if not 0 < a < math.inf:
+        raise ConfigError(f"a must be positive and finite, got {a}")
+    if cfg["n_samples"] < 2:
+        raise ConfigError(f"n_samples must be >= 2, got {cfg['n_samples']}")
+    if kind in ("theorem1", "fig4a"):
+        for sigma in cfg["sigma_grid"]:
+            if not 0 <= sigma <= a:
+                raise ConfigError(f"sigma_grid values must lie in [0, a={a}], got {sigma}")
+    if kind == "fig4a":
+        if cfg["v_grid_points"] < 2:
+            raise ConfigError(f"v_grid_points must be >= 2, got {cfg['v_grid_points']}")
+        if not 0 < cfg["v_max"] < math.inf:
+            raise ConfigError(f"v_max must be positive and finite, got {cfg['v_max']}")
+    if kind == "fig4b" and not cfg["sigma"] > 0:
+        raise ConfigError(f"sigma (the cauchy scale) must be positive, got {cfg['sigma']}")
+    if kind == "theorem3":
+        if not 0 <= cfg["sigma"] <= a:
+            raise ConfigError(f"sigma must lie in [0, a={a}], got {cfg['sigma']}")
+        for lam in cfg["lambda_grid"]:
+            if not lam >= 0:
+                raise ConfigError(f"lambda_grid values must be >= 0, got {lam}")
+        if cfg["flow_dim"] < 1:
+            raise ConfigError(f"flow_dim must be >= 1, got {cfg['flow_dim']}")
 
 
 def dataset_from_cfg(cfg: dict, seed: int):

@@ -3,7 +3,9 @@
 Weights are stored (in_dim, out_dim) so a batch flows as x @ W + b; all
 matrix products go through the deterministic kernels, which keeps whole
 training trajectories reproducible bit for bit. Activations are computed
-with numpy ufuncs (they are cheap and not order-sensitive).
+with numpy ufuncs (they are cheap and not order-sensitive). Network owns
+the one arena layout that the parameters, the optimizer moments and the
+gradients share: each layer's weight in C order, then its bias.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, NumericError, ShapeError
 from .linalg import SeededRng, as_matrix, he_uniform_init
+from .volumization import FAN_MODES
 
 ACTIVATIONS = ("identity", "relu", "tanh")
 LOSSES = ("mse", "softmax_xent")
@@ -47,29 +50,39 @@ class Layer:
 class Network:
     """A stack of affine layers over one float64 arena, ``params``.
 
-    The constructor copies every weight and bias into the arena in
-    param_tensors() order (layer 0's weight in C order, its bias, then
-    layer 1, ...) and rebinds Layer.w/Layer.b as views into it; layer i owns
-    the contiguous slice ``layer_slices[i]``. The optimizer and the walls
-    mutate the arena in place, so identity is meaningful and clone() exists
-    for tests.
+    Layer i owns the contiguous slice ``layer_slices[i]``: its weight in C
+    order, then its bias. The constructor copies each layer's w and b
+    (arrays, or scalars to broadcast) into the arena and rebinds them as
+    views into it. The optimizer and the walls mutate the arena in place,
+    so identity is meaningful; clone() gives a network its own copy.
     """
 
     def __init__(self, layers, fan_mode: str):
         self.layers = layers
         self.fan_mode = fan_mode
-        self.params = np.concatenate([np.ravel(t) for _, _, t in self.layer_tensors()],
-                                     dtype=np.float64)
         self.layer_slices = []
         off = 0
         for layer in layers:
-            start = off
-            off += layer.w.size
-            layer.w = self.params[start:off].reshape(layer.w.shape)
-            if layer.b is not None:
-                layer.b = self.params[off:off + layer.b.size]
-                off += layer.b.size
-            self.layer_slices.append(slice(start, off))
+            size = (layer.spec.in_dim + layer.spec.has_bias) * layer.spec.out_dim
+            self.layer_slices.append(slice(off, off + size))
+            off += size
+        self.params = np.empty(off)
+        for layer, (w, b) in zip(layers, self.layer_views(self.params)):
+            w[...] = layer.w
+            if b is not None:
+                b[...] = layer.b
+            layer.w, layer.b = w, b
+
+    def layer_views(self, arena):
+        """Each layer's (weight, bias or None), as views into ``arena``, any
+        array laid out like params."""
+        views = []
+        for layer, sl in zip(self.layers, self.layer_slices):
+            spec = layer.spec
+            w_end = sl.start + spec.in_dim * spec.out_dim
+            views.append((arena[sl.start:w_end].reshape(spec.in_dim, spec.out_dim),
+                          arena[w_end:sl.stop] if spec.has_bias else None))
+        return views
 
     @property
     def in_dim(self) -> int:
@@ -79,19 +92,19 @@ class Network:
     def out_dim(self) -> int:
         return self.layers[-1].spec.out_dim
 
-    def layer_tensors(self):
-        """Stable (layer index, name, array) enumeration: layerK.weight,
-        layerK.bias; the checkpoint manifest and the arena order."""
+    def layer_tensors(self, arena=None):
+        """Stable (layer index, name, view into ``arena``, default params)
+        enumeration: layerK.weight, layerK.bias; the checkpoint manifest."""
         out = []
-        for i, layer in enumerate(self.layers):
-            out.append((i, f"layer{i}.weight", layer.w))
-            if layer.b is not None:
-                out.append((i, f"layer{i}.bias", layer.b))
+        for i, (w, b) in enumerate(self.layer_views(self.params if arena is None else arena)):
+            out.append((i, f"layer{i}.weight", w))
+            if b is not None:
+                out.append((i, f"layer{i}.bias", b))
         return out
 
-    def param_tensors(self):
-        """The (name, array) pairs of layer_tensors()."""
-        return [(name, t) for _, name, t in self.layer_tensors()]
+    def param_tensors(self, arena=None):
+        """The (name, array) pairs of layer_tensors(arena)."""
+        return [(name, t) for _, name, t in self.layer_tensors(arena)]
 
     @property
     def n_params(self) -> int:
@@ -105,7 +118,7 @@ class Network:
 
 def init_network(specs, rng: SeededRng, fan_mode: str = "fan_in") -> Network:
     """He-uniform weights, zero biases; records a = sqrt(6/fan) per layer."""
-    if fan_mode not in ("fan_in", "fan_out"):
+    if fan_mode not in FAN_MODES:
         raise ConfigError(f"fan_mode must be fan_in or fan_out, got {fan_mode!r}")
     if not specs:
         raise ConfigError("need at least one layer")
@@ -118,8 +131,7 @@ def init_network(specs, rng: SeededRng, fan_mode: str = "fan_in") -> Network:
     for spec in specs:
         fan = spec.in_dim if fan_mode == "fan_in" else spec.out_dim
         w, a = he_uniform_init(rng, spec.in_dim, spec.out_dim, fan)
-        b = np.zeros(spec.out_dim) if spec.has_bias else None
-        layers.append(Layer(spec, w, b, a))
+        layers.append(Layer(spec, w, 0.0, a))
     return Network(layers, fan_mode)
 
 
@@ -157,7 +169,7 @@ def forward(net: Network, x):
 @dataclass
 class GradientBundle:
     loss: float
-    grads: list  # aligned with net.param_tensors()
+    grad: np.ndarray  # laid out like net.params
 
 
 def _loss_and_output_grad(y, target, loss: str, n: int):
@@ -192,7 +204,7 @@ def _loss_and_output_grad(y, target, loss: str, n: int):
 
 
 def loss_and_grad(net: Network, x, target, loss: str = "mse") -> GradientBundle:
-    """Loss and exact backprop gradients for every parameter tensor.
+    """Loss and exact backprop gradient, one array laid out like net.params.
 
     mse is the half-mean-squared form: sum of squared residual entries over
     2*batch. Raises NumericError if any activation, the loss, or a gradient
@@ -214,8 +226,8 @@ def loss_and_grad(net: Network, x, target, loss: str = "mse") -> GradientBundle:
     if not np.isfinite(value):
         raise NumericError("non-finite loss")
 
-    grads_rev = []
-    for i in range(len(net.layers) - 1, -1, -1):
+    grad = np.empty(net.n_params)
+    for i, (gw, gb) in reversed(list(enumerate(net.layer_views(grad)))):
         layer = net.layers[i]
         h_in, z, act = cache[i]
         kind = layer.spec.activation
@@ -223,17 +235,15 @@ def loss_and_grad(net: Network, x, target, loss: str = "mse") -> GradientBundle:
             delta = np.where(z > 0.0, delta, 0.0)  # subgradient 0 at the kink
         elif kind == "tanh":
             delta = delta * (1.0 - act * act)
-        gw = _kernels.matmul_tn(h_in, delta)
-        if layer.b is not None:
-            grads_rev.append(_kernels.colsum(delta))
-        grads_rev.append(gw)
+        gw[...] = _kernels.matmul_tn(h_in, delta)
+        if gb is not None:
+            gb[...] = _kernels.colsum(delta)
         if i > 0:
             delta = _kernels.matmul_nt(delta, layer.w)
-    grads = grads_rev[::-1]
-    for (name, _), g in zip(net.param_tensors(), grads):
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient for {name}")
-    return GradientBundle(loss=value, grads=grads)
+    if not np.isfinite(grad).all():
+        name = next(name for name, g in net.param_tensors(grad) if not np.isfinite(g).all())
+        raise NumericError(f"non-finite gradient for {name}")
+    return GradientBundle(loss=value, grad=grad)
 
 
 def empirical_lipschitz(net: Network, rng: SeededRng, n_pairs: int = 10000,

@@ -12,11 +12,11 @@ with bias corrections c_m = 1-mu^t, c_n = 1-nu^t (both 1 when
 bias_correction is off; sgd never bias-corrects). Note sgd deliberately
 accumulates raw gradients (no (1-mu) factor).
 
-The network's parameters live in one arena (net.params), and each moment
-buffer is one flat array of the same size and layout, so a step is one
-update-kernel call over the whole network. The wall transform runs after
-that update, one layer slice at a time, scaling first moments alongside
-weights; second moments are never touched by it.
+The network's parameters live in one arena (net.params), and the gradient
+and each moment buffer are flat arrays of the same size and layout, so a
+step is one update-kernel call over the whole network. The wall transform
+runs after that update, one layer slice at a time, scaling first moments
+alongside weights; second moments are never touched by it.
 """
 
 import math
@@ -75,8 +75,8 @@ def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
     """One optimizer step over the whole arena, then the wall transform.
 
     Mutates net parameters and state in place. ``grads`` is a
-    GradientBundle (or anything with a .grads list aligned to
-    net.param_tensors()). ``vols`` holds one wall per layer; None skips the
+    GradientBundle (or anything with a .grad array laid out like
+    net.params). ``vols`` holds one wall per layer; None skips the
     transform entirely. Bad arguments raise before anything is mutated.
     """
     # apply_volumization checks these too, but only after the update has run
@@ -84,16 +84,11 @@ def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
         raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
     if overshoot_policy not in OVERSHOOT_POLICIES:
         raise ConfigError(f"unknown overshoot_policy {overshoot_policy!r}")
-    tensors = net.param_tensors()
-    gs = grads.grads
-    if len(gs) != len(tensors):
-        raise ShapeError(f"got {len(gs)} gradients for {len(tensors)} tensors")
-    for (name, w), g in zip(tensors, gs):
-        if g.shape != w.shape:
-            raise ShapeError(f"gradient shape {g.shape} != {name} shape {w.shape}")
-    g = np.concatenate([np.ravel(gi) for gi in gs], dtype=np.float64)
+    g = grads.grad
+    if g.shape != net.params.shape:
+        raise ShapeError(f"gradient shape {g.shape} != parameter arena shape {net.params.shape}")
     if not np.isfinite(g).all():
-        name = next(name for (name, _), gi in zip(tensors, gs) if not np.isfinite(gi).all())
+        name = next(name for name, gi in net.param_tensors(g) if not np.isfinite(gi).all())
         raise NumericError(f"non-finite gradient for {name}")
 
     state.t += 1

@@ -18,8 +18,8 @@ import numpy as np
 from . import theory
 from ._container import write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (dataset_from_cfg, effective_config_text, model_from_cfg,
-                     optimizer_from_cfg, walls_from_cfg)
+from .config import (check_theory_cfg, dataset_from_cfg, effective_config_text,
+                     model_from_cfg, optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
 from .errors import ConfigError
 from .linalg import SeededRng, stable_hash
@@ -49,17 +49,9 @@ THEOREM3_HEADER = ("a", "sigma", "lambda", "alpha", "predicted", "mc_error",
                    "mc_within_2pct", "flow_within_5pct")
 
 
-def _v_grid(cfg: dict) -> np.ndarray:
-    pts = cfg["v_grid_points"]
-    if pts < 2:
-        raise ConfigError(f"v_grid_points must be >= 2, got {pts}")
-    if not cfg["v_max"] > 0:
-        raise ConfigError(f"v_max must be positive, got {cfg['v_max']}")
-    return np.linspace(0.0, cfg["v_max"], pts)
-
-
 def run_theory(cfg: dict, out_dir: str, seed: int):
     """Returns (csv_path, all_checks_passed)."""
+    check_theory_cfg(cfg)
     _ensure_out(out_dir)
     kind = cfg["kind"]
     a = cfg["a"]
@@ -85,7 +77,7 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
         write_csv(path, THEOREM1_HEADER, rows)
 
     elif kind == "fig4a":
-        vols = _v_grid(cfg)
+        vols = np.linspace(0.0, cfg["v_max"], cfg["v_grid_points"])
         cell = float(vols[1] - vols[0])
         rows = []
         for i, sigma in enumerate(cfg["sigma_grid"]):

@@ -20,7 +20,7 @@ walls), the minimum sits at V* = a - sigma/2 with value
 both V = a-sigma and V = a+sigma, staying strictly below in between.
 
 Monte-Carlo estimates use the same clip semantics on fresh draws. For
-uniform noise the default estimator subtracts the known-mean control
+uniform noise the estimator subtracts the known-mean control
 variate eta^2 (adding back sigma^2/3), which leaves exactly the crossing
 contribution to be sampled; near V = a+sigma that shrinks the standard
 error by orders of magnitude and is what makes three-sigma interval checks
@@ -170,13 +170,13 @@ def _moments_to_estimate(s1: float, s2: float, n: int, offset: float) -> McEstim
 
 
 def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
-                  n_samples: int, control_variate: bool | None = None) -> McEstimate:
+                  n_samples: int) -> McEstimate:
     """Unbiased MC estimate of E[(clip(u', V) - u)^2] with its stderr.
 
     Valid for identity correlation only (the clip is the converged alpha=0
     student there); custom-correlation problems go through
-    gradient_flow_sim instead. control_variate defaults to on for uniform
-    noise and is unavailable for cauchy (no finite noise variance)."""
+    gradient_flow_sim instead. Uniform noise uses the eta^2 control variate;
+    cauchy noise, which has no finite variance, the plain estimator."""
     if problem.correlation is not None:
         raise ConfigError("clip semantics hold for identity correlation only; "
                           "use gradient_flow_sim for custom correlation")
@@ -184,10 +184,7 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
         raise DomainError(f"vol must be >= 0, got {vol}")
     if n_samples <= 1:
         raise DomainError(f"need n_samples > 1, got {n_samples}")
-    if control_variate is None:
-        control_variate = problem.noise.kind == "uniform"
-    if control_variate and problem.noise.kind != "uniform":
-        raise ConfigError("control variate requires uniform noise")
+    control_variate = problem.noise.kind == "uniform"
 
     sigma = problem.noise.sigma
     s1 = 0.0

@@ -201,7 +201,7 @@ def _trajectory_matches(kind, mode, vol, alpha, n_steps=1000):
     for t in range(1, n_steps + 1):
         gw = math.sin(0.7 * t + 0.3)
         gb = 0.5 * math.cos(1.3 * t)
-        bundle = GradientBundle(loss=0.0, grads=[np.array([[gw]]), np.array([gb])])
+        bundle = GradientBundle(loss=0.0, grad=np.array([gw, gb]))
         step(net, bundle, state, spec, vols=vols, alpha=alpha)
         w, mw, nw = _scalar_update(kind, spec, t, w, mw, nw, gw)
         b, mb, nb = _scalar_update(kind, spec, t, b, mb, nb, gb)
@@ -328,8 +328,7 @@ def test_09_gradients_match_finite_differences(report):
                 target = rng.standard_normal((4, 3))
             else:
                 target = rng.integers(0, 3, 4)
-            got = np.concatenate(
-                [g.ravel() for g in loss_and_grad(net, x, target, loss).grads])
+            got = loss_and_grad(net, x, target, loss).grad
             want = _fd_gradient(net, x, target, loss)
             rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-4)
             worst = max(worst, float(rel.max()))

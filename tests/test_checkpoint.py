@@ -58,6 +58,10 @@ BAD_HEADER_VALUES = {
     "batch size 0": lambda h: h["run"].update(batch_size=0),
     "transposed weight shape": lambda h: h["tensors"][0].update(
         shape=h["tensors"][0]["shape"][::-1]),
+    "renamed tensor": lambda h: h["tensors"][1].update(name="layer0.b"),
+    # 8e14 bytes, beyond any process's address space, so refused at once
+    "layer too large to allocate": lambda h: h["model"]["layers"][0].update(
+        in_dim=10**7, out_dim=10**7),
     "negative step counter": lambda h: h["optimizer"].update(t=-1),
     "unknown loss": lambda h: h["run"].update(loss="hinge"),
     # the fields agree one by one but not with each other

@@ -129,6 +129,23 @@ class TestExitCodes:
         assert bad.split()[0] in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("kind, bad", [
+        ("theorem3", "lambda_grid = -1"),
+        ("theorem3", "sigma = 2"),
+        ("theorem3", "flow_dim = 0"),
+        ("theorem1", "n_samples = 1"),
+        ("theorem1", "sigma_grid = 1.5"),
+        ("fig4b", "sigma = 0"),
+        ("fig4a", "a = 0"),
+    ], ids=lambda v: v.split()[0])
+    def test_bad_theory_value_exits_one_before_writing(self, tmp_path, capsys, kind, bad):
+        cfg = _cfg(tmp_path, f"kind = {kind}\n{bad}\n")
+        out = tmp_path / "o"
+        assert main(["theory", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and bad.split()[0] in err
+        assert not out.exists()
+
     def test_failed_theory_check_exits_three(self, tmp_path, capsys):
         # starved sample budget: the 2% band cannot hold across the grid
         cfg = _cfg(tmp_path, "kind = theorem1\nn_samples = 500\n")

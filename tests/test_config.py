@@ -12,6 +12,7 @@ from volumize.config import (
     TRAIN_SCHEMA,
     Field,
     apply_schema,
+    check_theory_cfg,
     coerce,
     effective_config_text,
     load_config,
@@ -183,6 +184,18 @@ class TestShippedSchemas:
     def test_theory_requires_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             load_config(None, THEORY_SCHEMA)
+
+    def test_theory_check_reads_only_the_kinds_keys(self):
+        def check(**raw):
+            check_theory_cfg(load_config(None, THEORY_SCHEMA, raw))
+
+        # values out of range for keys the kind never reads pass
+        check(kind="theorem1", sigma="0", lambda_grid="-1", flow_dim="0", v_max="0")
+        check(kind="fig4b", sigma_grid="1.5", v_grid_points="1")
+        for kind, key, bad in (("fig4a", "v_grid_points", "1"), ("fig4a", "v_max", "inf"),
+                               ("theorem3", "a", "nan")):
+            with pytest.raises(ConfigError, match=key):
+                check(kind=kind, **{key: bad})
 
     def test_quantize_extends_train(self):
         assert set(TRAIN_SCHEMA) < set(QUANTIZE_SCHEMA)

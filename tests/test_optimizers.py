@@ -86,7 +86,8 @@ class _ScalarOracle:
 
 def _one_tensor_net(w):
     """A one-layer, bias-free network whose arena is exactly ``w``: its one
-    tensor is the (len(w), 1) weight column, so gradients are columns too."""
+    tensor is the (len(w), 1) weight column, so a gradient is a flat array
+    of len(w) values."""
     w = np.asarray(w, dtype=np.float64).reshape(-1, 1)
     return Network([Layer(LayerSpec(w.shape[0], 1, has_bias=False), w, None, 1.0)],
                    "fan_in")
@@ -104,7 +105,7 @@ def _run_both(kind, n_steps=1000, vols=None, alpha=1.0, bias_correction=True,
     ]
     for t in range(n_steps):
         g = np.array([_grad_seq(t, j) for j in range(3)])
-        step(net, GradientBundle(0.0, [g[:, None]]), state, spec,
+        step(net, GradientBundle(0.0, g), state, spec,
              vols=None if vols is None else (vols,), alpha=alpha,
              overshoot_policy=overshoot_policy)
         for j, o in enumerate(oracles):
@@ -156,8 +157,7 @@ def test_second_moment_untouched_by_walls():
     net = _one_tensor_net([2.0])
     spec = OptimizerSpec(kind="adam", lr=1e-4)
     state = OptimizerState.init_for(net, spec)
-    g = np.array([[1.0]])
-    step(net, GradientBundle(0.0, [g]), state, spec)
+    step(net, GradientBundle(0.0, np.array([1.0])), state, spec)
     n_after_update = state.n.copy()
     from volumize import apply_volumization
 
@@ -203,7 +203,8 @@ def test_arena_step_matches_per_tensor_reference(kind):
         x = rng.standard_normal((16, 8))
         y = rng.choice(3, 16, p=[0.6, 0.3, 0.1])  # skewed, so biases drift
         bundle = loss_and_grad(net, x, y, "softmax_xent")
-        ref_grads = loss_and_grad(ref, x, y, "softmax_xent").grads
+        ref_bundle = loss_and_grad(ref, x, y, "softmax_xent")
+        ref_grads = [g for _, g in ref.param_tensors(ref_bundle.grad)]
         step(net, bundle, state, spec, vols=vols, alpha=alpha)
         crossed += _per_tensor_step(ref, ref_grads, ms, ns, spec, t, vols, alpha)
         assert net.params.tobytes() == ref.params.tobytes(), f"weights differ at step {t}"
@@ -216,26 +217,36 @@ def test_step_rejects_walls_not_one_per_layer():
     net = init_network([LayerSpec(3, 2), LayerSpec(2, 2)], SeededRng(3))
     spec = OptimizerSpec(kind="sgd", lr=0.1)
     state = OptimizerState.init_for(net, spec)
-    grads = [np.zeros_like(t) for _, t in net.param_tensors()]
     for vols in ((0.5,), (0.5, 0.5, 0.5, 0.5)):
         with pytest.raises(ShapeError):
-            step(net, GradientBundle(0.0, grads), state, spec, vols=vols, alpha=0.5)
+            step(net, GradientBundle(0.0, np.zeros(net.n_params)), state, spec,
+                 vols=vols, alpha=0.5)
 
 
-@pytest.mark.parametrize("kw, error", [
-    ({"vols": (0.5,)}, ShapeError),
-    ({"vols": (0.5, 0.5), "overshoot_policy": "bounce"}, ConfigError),
-], ids=["one-wall-for-two-layers", "unknown-overshoot-policy"])
-def test_rejected_step_mutates_nothing(kw, error):
+def _nan_in_layer0_bias(g):
+    g = g.copy()
+    g[3 * 4 + 1] = np.nan  # past layer0.weight's 12 entries
+    return g
+
+
+@pytest.mark.parametrize("kw, bad_grad, error, match", [
+    ({"vols": (0.5,)}, None, ShapeError, "walls"),
+    ({"vols": (0.5, 0.5), "overshoot_policy": "bounce"}, None, ConfigError, "bounce"),
+    ({}, lambda g: g[:-1], ShapeError, "gradient shape"),
+    ({}, _nan_in_layer0_bias, NumericError, "layer0.bias"),
+], ids=["one-wall-for-two-layers", "unknown-overshoot-policy", "short-grad", "nan-grad"])
+def test_rejected_step_mutates_nothing(kw, bad_grad, error, match):
     net = init_network([LayerSpec(3, 4, activation="relu"), LayerSpec(4, 2)],
                        SeededRng(5))
     spec = OptimizerSpec(kind="adam", lr=0.1)
     state = OptimizerState.init_for(net, spec)
-    grads = [np.full(t.shape, 0.3) for _, t in net.param_tensors()]
-    step(net, GradientBundle(0.0, grads), state, spec)
+    grad = np.full(net.n_params, 0.3)
+    step(net, GradientBundle(0.0, grad), state, spec)
     before = (net.params.copy(), state.m.copy(), state.n.copy(), state.t)
-    with pytest.raises(error):
-        step(net, GradientBundle(0.0, grads), state, spec, alpha=0.5, **kw)
+    if bad_grad is not None:
+        grad = bad_grad(grad)
+    with pytest.raises(error, match=match):
+        step(net, GradientBundle(0.0, grad), state, spec, alpha=0.5, **kw)
     assert net.params.tobytes() == before[0].tobytes()
     assert state.m.tobytes() == before[1].tobytes()
     assert state.n.tobytes() == before[2].tobytes()
@@ -262,7 +273,7 @@ class TestStateInit:
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
         for want in (1, 2, 3):
-            step(net, GradientBundle(0.0, [np.array([[0.5]])]), state, spec)
+            step(net, GradientBundle(0.0, np.array([0.5])), state, spec)
             assert state.t == want
 
 
@@ -286,22 +297,18 @@ class TestValidation:
             OptimizerSpec(**kwargs)
 
     def test_gradient_shape_mismatch(self):
+        # too long, too short, empty, and per-tensor shaped rather than flat
         net = _one_tensor_net([1.0, 2.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
-        with pytest.raises(ShapeError):
-            step(net, GradientBundle(0.0, [np.zeros(3)]), state, spec)
+        for g in (np.zeros(3), np.zeros(1), np.zeros(0), np.zeros((2, 1))):
+            with pytest.raises(ShapeError):
+                step(net, GradientBundle(0.0, g), state, spec)
+        assert state.t == 0
 
     def test_non_finite_gradient(self):
         net = _one_tensor_net([1.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
         state = OptimizerState.init_for(net, spec)
-        with pytest.raises(NumericError):
-            step(net, GradientBundle(0.0, [np.array([[np.nan]])]), state, spec)
-
-    def test_wrong_gradient_count(self):
-        net = _one_tensor_net([1.0])
-        spec = OptimizerSpec(kind="sgd", lr=0.1)
-        state = OptimizerState.init_for(net, spec)
-        with pytest.raises(ShapeError):
-            step(net, GradientBundle(0.0, []), state, spec)
+        with pytest.raises(NumericError, match="layer0.weight"):
+            step(net, GradientBundle(0.0, np.array([np.nan])), state, spec)

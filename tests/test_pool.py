@@ -179,7 +179,9 @@ class TestWorkerErrors:
 
     def test_worker_error_gives_the_same_exit_code(self, tmp_path, monkeypatch,
                                                    capsys):
-        # n_samples = 1 is refused inside clip_error_mc, so in a worker
+        # n_samples = 1 is refused inside clip_error_mc, so in a worker, once
+        # the runner's own config check (which refuses it first) is bypassed
+        monkeypatch.setattr(runs, "check_theory_cfg", lambda cfg: None)
         cfg = tmp_path / "t.txt"
         cfg.write_text("n_samples = 1\nsigma_grid = 0.3, 0.7\n")
         seen = set()

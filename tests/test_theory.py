@@ -28,7 +28,7 @@ from volumize import (
     weight_decay_error_mc,
     weight_decay_optimum,
 )
-from volumize import _pool, config, runs
+from volumize import _kernels, _pool, config, runs
 from volumize.errors import DomainError
 from volumize.linalg import sample_cauchy
 from volumize.theory import unregularized_prefix_errors
@@ -99,15 +99,17 @@ class TestClipMc:
 
     def test_control_variate_exact_beyond_support(self):
         p = problem(sigma=0.5)
-        est = clip_error_mc(p, 1.6, SeededRng(0), 10000, control_variate=True)
+        est = clip_error_mc(p, 1.6, SeededRng(0), 10000)
         assert est.value == 0.25 / 3.0
         assert est.stderr == 0.0
 
     def test_control_variate_shrinks_stderr(self):
         p = problem(sigma=0.5)
-        plain = clip_error_mc(p, 1.4, SeededRng(1), 100000, control_variate=False)
-        cv = clip_error_mc(p, 1.4, SeededRng(1), 100000, control_variate=True)
-        assert cv.stderr < 0.2 * plain.stderr
+        cv = clip_error_mc(p, 1.4, SeededRng(1), 100000)
+        # the plain estimator's stderr on the same draws
+        plain = _kernels.clip_sq_values(*p.draw(SeededRng(1), 100000), 1.4)
+        plain_stderr = plain.std(ddof=1) / math.sqrt(plain.size)
+        assert cv.stderr < 0.2 * plain_stderr
 
     def test_deterministic_given_seed(self):
         p = problem(sigma=0.5)
@@ -124,10 +126,10 @@ class TestClipMc:
 
     def test_cauchy_noise_needs_plain_estimator(self):
         p = problem(sigma=1.0, kind="cauchy")
-        with pytest.raises(ConfigError):
-            clip_error_mc(p, 0.5, SeededRng(0), 1000, control_variate=True)
-        est = clip_error_mc(p, 0.5, SeededRng(0), 10000, control_variate=False)
+        est = clip_error_mc(p, 0.5, SeededRng(0), 10000)
+        plain = _kernels.clip_sq_values(*p.draw(SeededRng(0), 10000), 0.5)
         assert np.isfinite(est.value)
+        assert est.value == pytest.approx(plain.mean(), rel=1e-12)
 
 
 class TestWeightDecay:
