@@ -306,6 +306,18 @@ class TestValidation:
                 step(net, GradientBundle(0.0, g), state, spec)
         assert state.t == 0
 
+    def test_wrong_gradient_count(self):
+        # the gradient is one flat array: no tensors, or a second tensor's
+        # worth of entries, is a wrong arena length
+        net = _one_tensor_net([1.0])
+        spec = OptimizerSpec(kind="sgd", lr=0.1)
+        state = OptimizerState.init_for(net, spec)
+        for g in (np.zeros(0), np.zeros(2)):
+            with pytest.raises(ShapeError):
+                step(net, GradientBundle(0.0, g), state, spec)
+        assert state.t == 0
+        np.testing.assert_array_equal(net.params, [1.0])
+
     def test_non_finite_gradient(self):
         net = _one_tensor_net([1.0])
         spec = OptimizerSpec(kind="sgd", lr=0.1)
