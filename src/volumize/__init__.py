@@ -11,7 +11,7 @@ from ._kernels import backend
 from .data import Dataset, gen_blobs, inject_label_noise
 from .errors import (CheckpointError, ConfigError, DomainError, NumericError,
                      ShapeError, VolumizeError)
-from .linalg import SeededRng, jacobi_eigh, matmul, stable_hash
+from .linalg import SeededRng, stable_hash
 from .net import (GradientBundle, LayerSpec, Network, empirical_lipschitz,
                   forward, init_network, loss_and_grad)
 from .optimizers import OptimizerSpec, OptimizerState, step
@@ -42,7 +42,7 @@ __all__ = [
     "Dataset", "gen_blobs", "inject_label_noise",
     "CheckpointError", "ConfigError", "DomainError", "NumericError",
     "ShapeError", "VolumizeError",
-    "SeededRng", "jacobi_eigh", "matmul", "stable_hash",
+    "SeededRng", "stable_hash",
     "GradientBundle", "LayerSpec", "Network", "empirical_lipschitz",
     "forward", "init_network", "loss_and_grad",
     "OptimizerSpec", "OptimizerState", "step",

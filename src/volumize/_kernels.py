@@ -22,10 +22,11 @@ elements at a time, through scratch allocated once per call; each element
 sees the same operations in the same order as a whole-array expression, no
 sum crosses a block, and the max over block maxima keeps a nan as one max
 would, so blocking changes no bit. Walls at V = +0.0 are weight decay: with
-alpha +0.0 or positive and finite and no clamp, ``flow_iter_identity`` takes
-its wall step as the one multiply ``alpha*w``, which gives the general wall
+alpha +0.0 or positive and finite, ``flow_iter_identity`` takes its wall
+step as the one multiply ``alpha*w``, which gives the general wall
 expression's bits (the reason is at the branch); V = -0.0, alpha = -0.0 and
-alpha = inf do not, and keep the general path.
+alpha = inf do not, and keep the general path. The flow's walls never
+clamp; only training's ``volumize`` takes an overshoot clamp.
 Callers look kernels up at call time as ``_kernels.<name>``, so one can be
 swapped or wrapped in one place. Inputs are float64; callers validate.
 """
@@ -208,14 +209,15 @@ def clip_sq_cv_values(u, eta, vol):
     return z
 
 
-def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
-    """One explicit-Euler step of the identity-correlation residual flow,
-    followed by the wall transform (momentum-free). In-place on ``w``, one
-    block at a time; returns max |change|, nan if any change is nan.
+def flow_iter_identity(w, u_prime, step, vol, alpha):
+    """One explicit-Euler step of the whitened-input residual flow,
+    w - step*(w - u'), followed by the wall transform (momentum-free, no
+    clamp). In-place on ``w``, one block at a time; returns max |change|,
+    nan if any change is nan.
 
-    At vol = +0.0 (sign bit clear), alpha +0.0 or positive and finite, and
-    no clamp, the wall transform is weight decay and runs as ``w *= alpha``,
-    bit for bit the general path's result.
+    At vol = +0.0 (sign bit clear) and alpha +0.0 or positive and finite,
+    the wall transform is weight decay and runs as ``w *= alpha``, bit for
+    bit the general path's result.
     """
     n = len(w)
     walls = alpha != 1.0 and np.isfinite(vol)
@@ -227,7 +229,7 @@ def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
     # non-crossing +-0.0 or nan times alpha is itself. V = -0.0 (at alpha 0 a
     # negative w gives +0.0 there), alpha = -0.0 (flips the sign of zeros)
     # and alpha = inf (pull is nan) break this, so signs and finiteness count.
-    decay = (walls and not clamp and vol == 0.0 and not np.signbit(vol)
+    decay = (walls and vol == 0.0 and not np.signbit(vol)
              and 0.0 <= alpha < np.inf and not np.signbit(alpha))
     old, t, t2 = np.empty((3, min(n, _BLOCK)))
     crossed = np.empty(len(old), dtype=bool)
@@ -251,8 +253,6 @@ def flow_iter_identity(w, u_prime, step, vol, alpha, clamp):
                 np.multiply(pull, s, out=s)
                 np.multiply(alpha, wb, out=s2)
                 np.add(s2, s, out=s)
-                if clamp:
-                    np.clip(s, -vol, vol, out=s)
                 np.copyto(wb, s, where=c)
         np.subtract(wb, o, out=s)
         np.abs(s, out=s)

@@ -21,7 +21,9 @@ resumed run's trajectory is indistinguishable from an uninterrupted one.
 Load failures raise CheckpointError with a message starting "version:" for
 format-version mismatches and "integrity:" for everything else (bad magic,
 truncation, checksum or manifest mismatches, header values the run cannot
-be rebuilt from, an epoch counter that disagrees with the trajectory).
+be rebuilt from, an epoch counter that disagrees with the trajectory). The
+payload length is checked against the header's layer specs before the
+network is allocated, so a header declaring a huge model allocates nothing.
 """
 
 import json
@@ -113,22 +115,21 @@ def load_checkpoint(path) -> TrainingRun:
 
     try:
         model, o, r = header["model"], header["optimizer"], header["run"]
-        # zero layers from the header's specs; the payload fills them below
-        layers = [Layer(from_record(LayerSpec, ls), 0.0, 0.0, float.fromhex(ls["init_scale_a"]))
-                  for ls in model["layers"]]
-        net = Network(layers, model["fan_mode"])
-        manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-        if not layers or manifest != [(name, t.shape) for name, t in net.param_tensors()]:
-            raise CheckpointError("integrity: tensor manifest does not match the layers")
         if (r["batch_size"] < 1 or o["t"] < 0 or r["loss"] not in LOSSES
                 or o["has_n"] != (o["kind"] != "sgd")):
             raise CheckpointError("integrity: bad batch size, step, loss or moments")
-
-        # the parameter arena, then m, then n when present
-        sets = 3 if o["has_n"] else 2
-        size = net.n_params
-        if flat.size != sets * size:
+        # the parameter arena, then m, then n when present; the length is
+        # checked before the network is allocated
+        specs = [from_record(LayerSpec, ls) for ls in model["layers"]]
+        size = Network.arena_size(specs)
+        if flat.size != (3 if o["has_n"] else 2) * size:
             raise CheckpointError("integrity: payload length does not match manifest")
+        # zero layers from the header's specs, filled from the payload
+        net = Network([Layer(spec, 0.0, 0.0, float.fromhex(ls["init_scale_a"]))
+                       for spec, ls in zip(specs, model["layers"])], model["fan_mode"])
+        manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+        if not specs or manifest != [(name, t.shape) for name, t in net.param_tensors()]:
+            raise CheckpointError("integrity: tensor manifest does not match the layers")
         net.params[...] = flat[:size]
         opt_spec = from_record(OptimizerSpec, o)
         opt_state = OptimizerState(flat[size:2 * size],
@@ -147,7 +148,6 @@ def load_checkpoint(path) -> TrainingRun:
         )
     except CheckpointError:
         raise
-    except (VolumizeError, KeyError, TypeError, ValueError, MemoryError) as exc:
-        # a header can pass the crc and still hold values no run has, such as
-        # layers too large to allocate
+    except (VolumizeError, KeyError, TypeError, ValueError) as exc:
+        # a header can pass the crc and still hold values no run has
         raise CheckpointError(f"integrity: malformed header ({exc})") from exc

@@ -1,10 +1,8 @@
-"""Deterministic dense linear algebra and seeded sampling.
+"""Seeded sampling, stable hashing and the matrix validator.
 
 Matrices are plain C-contiguous float64 numpy arrays; `as_matrix` is the
-boundary validator. The one non-negotiable numeric property in this module
-is the summation order of `matmul`: strictly left-to-right over the inner
-index, so results match a scalar triple loop to the last ulp and runs are
-reproducible across machines.
+boundary validator. The products themselves live in `_kernels`, which pins
+their summation order.
 
 Randomness goes through SeededRng, a thin wrapper over the Philox 4x64-10
 counter-based bit generator: a pure function of (seed, position), with
@@ -16,7 +14,6 @@ import hashlib
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, ShapeError
 
 
@@ -161,69 +158,3 @@ def as_matrix(x, name: str = "matrix"):
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return arr
-
-
-def matmul(a, b):
-    """Dense product with deterministic left-to-right inner summation.
-
-    Matches the scalar triple loop elementwise to 0 ulp; see _kernels for
-    why this must never become a BLAS call.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims differ: {a.shape} @ {b.shape}")
-    return _kernels.matmul_nn(a, b)
-
-
-def jacobi_eigh(a, tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvector columns). Deterministic
-    (fixed sweep order), no LAPACK; meant for the small correlation
-    matrices in the theory lab, not for production-size problems.
-    """
-    a = as_matrix(a, "a").copy()
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ShapeError(f"matrix must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-        raise DomainError("matrix must be symmetric")
-    v = np.eye(n)
-    norm = float(np.sqrt((a * a).sum()))
-    if norm == 0.0:
-        return np.zeros(n), v
-    iu = np.triu_indices(n, 1)
-    for _ in range(max_sweeps):
-        # off-diagonal mass summed directly; norm^2 - diag^2 cancels below
-        # the ulp of norm^2 and would report convergence ~sqrt(eps) early
-        off = float(np.sqrt(2.0 * (a[iu] ** 2).sum()))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                # standard stable rotation angle
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 1.0 / (2.0 * theta)  # asymptotic; theta**2 would overflow
-                elif theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    vals = np.diag(a).copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]

@@ -63,7 +63,7 @@ class Network:
         self.layer_slices = []
         off = 0
         for layer in layers:
-            size = (layer.spec.in_dim + layer.spec.has_bias) * layer.spec.out_dim
+            size = Network.arena_size([layer.spec])
             self.layer_slices.append(slice(off, off + size))
             off += size
         self.params = np.empty(off)
@@ -72,6 +72,12 @@ class Network:
             if b is not None:
                 b[...] = layer.b
             layer.w, layer.b = w, b
+
+    @staticmethod
+    def arena_size(specs) -> int:
+        """Elements in the arena of layers with these LayerSpecs, known
+        before any network is built."""
+        return sum((s.in_dim + s.has_bias) * s.out_dim for s in specs)
 
     def layer_views(self, arena):
         """Each layer's (weight, bias or None), as views into ``arena``, any

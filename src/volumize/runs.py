@@ -108,7 +108,9 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
         step = 0.1
         rows = []
         for i, lam in enumerate(cfg["lambda_grid"]):
-            predicted = (sigma * sigma + lam * lam * a * a) / (3.0 * (1.0 + lam) ** 2)
+            # lam = inf is the constant student's limit, inf/inf in the formula
+            predicted = (a * a / 3.0 if lam == np.inf else
+                         (sigma * sigma + lam * lam * a * a) / (3.0 * (1.0 + lam) ** 2))
             est = theory.weight_decay_error_mc(
                 a, sigma, lam, SeededRng(stable_hash(seed, "t3", i)),
                 cfg["n_samples"])

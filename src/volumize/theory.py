@@ -2,10 +2,11 @@
 
 Setup: teacher weights u ~ Unif(-a, a) per coordinate, labels shift the
 effective target to u' = u + eta with eta either Unif(-sigma, sigma) or
-Cauchy(scale sigma). A student trained to convergence with a hard clip
-(alpha = 0) at walls +-V lands, for identity input correlation, exactly at
-w = clip(u', -V, V); its per-parameter generalization error is
-E[(w - u)^2].
+Cauchy(scale sigma). Inputs are whitened, so the student's residual flow
+is w' = -(w - u'), one coordinate at a time; the lab models only that case.
+A student trained to convergence with a hard clip (alpha = 0) at walls +-V
+lands exactly at w = clip(u', -V, V); its per-parameter generalization
+error is E[(w - u)^2].
 
 Closed form (uniform noise, 0 <= sigma <= a, c = a - V):
 
@@ -43,11 +44,12 @@ import numpy as np
 
 from . import _kernels, _pool
 from .errors import ConfigError, DomainError, NumericError
-from .linalg import (SeededRng, as_matrix, jacobi_eigh, sample_cauchy,
-                     sample_uniform, stable_hash)
+from .linalg import SeededRng, sample_cauchy, sample_uniform, stable_hash
 
 NOISE_KINDS = ("uniform", "cauchy")
 _MC_CHUNK = 1 << 22
+_FLOW_MAX_STEPS = 100000
+_FLOW_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,20 +71,12 @@ class TeacherStudentProblem:
     dim: int
     a: float = 1.0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    correlation: np.ndarray | None = None  # None means identity
 
     def __post_init__(self):
         if self.dim <= 0:
             raise DomainError(f"dim must be positive, got {self.dim}")
         if not self.a > 0:
             raise DomainError(f"a must be positive, got {self.a}")
-        if self.correlation is not None:
-            c = as_matrix(self.correlation, "correlation")
-            if c.shape != (self.dim, self.dim):
-                raise DomainError(
-                    f"correlation must be {self.dim}x{self.dim}, got {c.shape}"
-                )
-            object.__setattr__(self, "correlation", c)
 
     def draw(self, rng: SeededRng, n: int):
         """n draws of (u, eta): the teacher u ~ Unif(-a, a) first, then the
@@ -173,13 +167,9 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
                   n_samples: int) -> McEstimate:
     """Unbiased MC estimate of E[(clip(u', V) - u)^2] with its stderr.
 
-    Valid for identity correlation only (the clip is the converged alpha=0
-    student there); custom-correlation problems go through
-    gradient_flow_sim instead. Uniform noise uses the eta^2 control variate;
-    cauchy noise, which has no finite variance, the plain estimator."""
-    if problem.correlation is not None:
-        raise ConfigError("clip semantics hold for identity correlation only; "
-                          "use gradient_flow_sim for custom correlation")
+    The clip is the converged alpha=0 student. Uniform noise uses the eta^2
+    control variate; cauchy noise, which has no finite variance, the plain
+    estimator."""
     if not vol >= 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
     if n_samples <= 1:
@@ -254,63 +244,31 @@ class FlowResult:
 
 
 def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
-                      rng: SeededRng, step: float | None = None,
-                      max_steps: int = 100000, tol: float = 1e-10,
-                      overshoot_policy: str = "leave") -> FlowResult:
+                      rng: SeededRng, step: float = 0.1) -> FlowResult:
     """Explicit-Euler residual flow with the wall transform each iteration.
 
-    Student starts at w = 0 and follows w <- w - step*A(w - u'), then the
-    transform. The default step is 0.1/lambda_max(A); steps at or beyond
-    2/lambda_max are rejected (explicit Euler would not contract). Stops
-    when the max elementwise change drops below tol.
+    Student starts at w = 0 and follows w <- w - step*(w - u'), then the
+    transform. Steps outside (0, 2) are rejected (explicit Euler would not
+    contract). Stops when the max elementwise change drops below
+    _FLOW_TOL, or after _FLOW_MAX_STEPS iterations.
     """
     if not vol >= 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
     if not -1.0 <= alpha <= 1.0:
         raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
+    if not 0 < step < 2.0:
+        raise DomainError(f"explicit Euler needs 0 < step < 2, got {step}")
     u, u_prime = problem.sample_teacher(rng)
     w = np.zeros(problem.dim)
-    clamp = overshoot_policy == "clamp"
-
-    if problem.correlation is None:
-        lam_max = 1.0
-    else:
-        vals, _ = jacobi_eigh(problem.correlation)
-        if vals[0] <= 0:
-            raise DomainError(f"correlation must be SPD; min eigenvalue {vals[0]:.3e}")
-        lam_max = float(vals[-1])
-    if step is None:
-        step = 0.1 / lam_max
-    if not 0 < step * lam_max < 2.0:
-        raise DomainError(
-            f"explicit Euler needs 0 < step*lambda_max < 2, got {step * lam_max}"
-        )
 
     converged = False
-    delta = math.inf
-    it = 0
-    if problem.correlation is None:
-        for it in range(1, max_steps + 1):
-            delta = _kernels.flow_iter_identity(w, u_prime, step, float(vol),
-                                                float(alpha), clamp)
-            if not math.isfinite(delta) or delta > 1e12:
-                raise NumericError(f"flow diverged at iteration {it}: max step {delta:.3e}")
-            if delta < tol:
-                converged = True
-                break
-    else:
-        mom = np.zeros(problem.dim)
-        corr = problem.correlation
-        for it in range(1, max_steps + 1):
-            w_old = w.copy()
-            w -= step * _kernels.matvec(corr, w - u_prime)
-            _kernels.volumize(w, mom, float(vol), float(alpha), clamp)
-            delta = float(np.abs(w - w_old).max())
-            if not math.isfinite(delta) or delta > 1e12:
-                raise NumericError(f"flow diverged at iteration {it}: max step {delta:.3e}")
-            if delta < tol:
-                converged = True
-                break
+    for it in range(1, _FLOW_MAX_STEPS + 1):
+        delta = _kernels.flow_iter_identity(w, u_prime, step, float(vol), float(alpha))
+        if not math.isfinite(delta) or delta > 1e12:
+            raise NumericError(f"flow diverged at iteration {it}: max step {delta:.3e}")
+        if delta < _FLOW_TOL:
+            converged = True
+            break
 
     err = float(((w - u) ** 2).mean())
     return FlowResult(error=err, vol=float(vol), alpha=float(alpha), iterations=it,

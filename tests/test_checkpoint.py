@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -59,7 +60,7 @@ BAD_HEADER_VALUES = {
     "transposed weight shape": lambda h: h["tensors"][0].update(
         shape=h["tensors"][0]["shape"][::-1]),
     "renamed tensor": lambda h: h["tensors"][1].update(name="layer0.b"),
-    # 8e14 bytes, beyond any process's address space, so refused at once
+    # 8e14 bytes, refused by the payload length before anything is allocated
     "layer too large to allocate": lambda h: h["model"]["layers"][0].update(
         in_dim=10**7, out_dim=10**7),
     "negative step counter": lambda h: h["optimizer"].update(t=-1),
@@ -208,6 +209,21 @@ class TestRefusals:
         _resign(path, BAD_HEADER_VALUES[case])
         with pytest.raises(CheckpointError, match="^integrity:"):
             load_checkpoint(path)
+
+    def test_large_declared_layer_is_refused_without_allocating(self, tiny_data,
+                                                                 tmp_path):
+        # 2000x2000 weights would be 32 MB per arena; the short payload is
+        # refused from the layer specs before the network is built
+        path = self._saved(tiny_data, tmp_path)
+        _resign(path, lambda h: h["model"]["layers"][0].update(in_dim=2000, out_dim=2000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="^integrity: payload length"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_adam_without_second_moments_is_integrity_error(self, tiny_data,
                                                             tmp_path):

@@ -161,6 +161,18 @@ class TestExitCodes:
         assert code == 0
         assert "checks: pass" in capsys.readouterr().out
 
+    def test_infinite_lambda_is_the_constant_student_limit(self, tmp_path, capsys):
+        # lambda = inf decays every weight to 0, so the error is a^2/3; the
+        # closed form reads inf/inf there
+        cfg = _cfg(tmp_path, "kind = theorem3\na = 1.5\nsigma = 0.5\n"
+                             "lambda_grid = 0.5, inf\nn_samples = 20000\nflow_dim = 20000\n")
+        out = tmp_path / "o"
+        assert main(["theory", "--config", cfg, "--out", str(out), "--check"]) == 0
+        finite, inf = read_csv(out / "theorem3.csv")[1]
+        assert float(inf["predicted"]) == 1.5 * 1.5 / 3.0
+        assert (inf["mc_within_2pct"], inf["flow_within_5pct"]) == ("true", "true")
+        assert float(finite["predicted"]) == (0.25 + 0.25 * 2.25) / (3.0 * 1.5 ** 2)
+
 
 class TestOutputs:
     def test_theory_kind_from_positional(self, tmp_path, capsys):

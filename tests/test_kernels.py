@@ -162,7 +162,7 @@ def _clip_sq_cv_values_oracle(u, eta, vol):
     return z
 
 
-def _flow_iter_identity_oracle(w, u_prime, step, vol, alpha, clamp):
+def _flow_iter_identity_oracle(w, u_prime, step, vol, alpha):
     skip = alpha == 1.0 or not np.isfinite(vol)
     dmax = 0.0
     for i in range(w.shape[0]):
@@ -171,8 +171,6 @@ def _flow_iter_identity_oracle(w, u_prime, step, vol, alpha, clamp):
         if not skip and abs(wn) > vol:
             s = 1.0 if wn > 0.0 else -1.0
             wn = alpha * wn + (1.0 - alpha) * vol * s
-            if clamp:
-                wn = min(max(wn, -vol), vol)
         w[i] = wn
         d = abs(wn - wi)
         if d > dmax or d != d:  # a nan stays, as in numpy's max
@@ -251,7 +249,7 @@ _EXTRA = {
     "laprop_update": (1e-3, 0.9, 0.999, 1e-8, 0.271, 0.0999),
     "clip_sq_values": (0.8,),
     "clip_sq_cv_values": (0.8,),
-    "flow_iter_identity": (0.1, 0.5, 0.25, False),
+    "flow_iter_identity": (0.1, 0.5, 0.25),
 }
 
 
@@ -290,8 +288,9 @@ def test_wall_kernels_match_oracle_across_alpha_and_volume(clamp):
             u = np.append(rng.standard_normal(size), _EDGES)
             with np.errstate(invalid="ignore"):  # alpha = inf makes nans
                 _assert_matches_oracle("volumize", (w, m), (vol, alpha, clamp))
-                _assert_matches_oracle("flow_iter_identity", (w, u),
-                                       (0.1, vol, alpha, clamp))
+                if not clamp:  # the flow's walls never clamp
+                    _assert_matches_oracle("flow_iter_identity", (w, u),
+                                           (0.1, vol, alpha))
 
 
 @pytest.mark.parametrize("vol", _VOLS)
@@ -573,8 +572,7 @@ def test_clip_cv_kernel_matches_oracle_block_by_block(monkeypatch):
                 _assert_matches_oracle("clip_sq_cv_values", (u, eta), (vol,))
 
 
-@pytest.mark.parametrize("clamp", [False, True])
-def test_flow_kernel_matches_oracle_block_by_block(monkeypatch, clamp):
+def test_flow_kernel_matches_oracle_block_by_block(monkeypatch):
     monkeypatch.setattr(K, "_BLOCK", _SMALL_BLOCK)
     with np.errstate(all="ignore"):
         for n in _BLOCK_SIZES:
@@ -583,7 +581,7 @@ def test_flow_kernel_matches_oracle_block_by_block(monkeypatch, clamp):
             for alpha in _ALPHAS:
                 for vol in _VOLS:
                     _assert_matches_oracle("flow_iter_identity", (w, u),
-                                           (0.1, vol, alpha, clamp))
+                                           (0.1, vol, alpha))
 
 
 def test_theory_kernels_match_oracle_at_block_scale():
@@ -592,7 +590,7 @@ def test_theory_kernels_match_oracle_at_block_scale():
     a, b = _blocky(n, K._BLOCK, 500), _blocky(n, K._BLOCK, 501)
     with np.errstate(all="ignore"):
         _assert_matches_oracle("clip_sq_cv_values", (a, b), (0.8,))
-        _assert_matches_oracle("flow_iter_identity", (a, b), (0.1, 0.4, 0.3, True))
+        _assert_matches_oracle("flow_iter_identity", (a, b), (0.1, 0.4, 0.3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -608,26 +606,25 @@ def test_flow_delta_propagates_nan_and_inf(monkeypatch, bad, where, vol, alpha):
     u[_SMALL_BLOCK + 3 if where == "middle" else n - 2] = bad
     w = w_old.copy()
     with np.errstate(all="ignore"):
-        delta = K.flow_iter_identity(w, u, 0.1, vol, alpha, False)
+        delta = K.flow_iter_identity(w, u, 0.1, vol, alpha)
         want = float(np.abs(w - w_old).max())
     assert np.isnan(delta) if np.isnan(bad) else delta == np.inf
     np.testing.assert_array_equal(delta, want)
 
 
-@pytest.mark.parametrize("vol, alpha, clamp, decay", [
-    (0.0, 0.5, False, True),
-    (0.0, 0.0, False, True),
-    (0.0, 2.0, False, True),
-    (-0.0, 0.5, False, False),
-    (0.0, -0.0, False, False),
-    (0.0, -0.5, False, False),
-    (0.0, np.inf, False, False),
-    (0.0, 0.5, True, False),
-    (0.4, 0.5, False, False),
+@pytest.mark.parametrize("vol, alpha, decay", [
+    (0.0, 0.5, True),
+    (0.0, 0.0, True),
+    (0.0, 2.0, True),
+    (-0.0, 0.5, False),
+    (0.0, -0.0, False),
+    (0.0, -0.5, False),
+    (0.0, np.inf, False),
+    (0.4, 0.5, False),
 ])
-def test_flow_takes_v0_walls_as_one_multiply(monkeypatch, vol, alpha, clamp, decay):
-    # exactly at V = +0.0, alpha +0.0 or positive and finite, no clamp, the
-    # wall step is alpha*w alone: no |w| > V mask and no sgn(w)
+def test_flow_takes_v0_walls_as_one_multiply(monkeypatch, vol, alpha, decay):
+    # exactly at V = +0.0 with alpha +0.0 or positive and finite, the wall
+    # step is alpha*w alone: no |w| > V mask and no sgn(w)
     calls = []
 
     class Numpy:
@@ -638,7 +635,7 @@ def test_flow_takes_v0_walls_as_one_multiply(monkeypatch, vol, alpha, clamp, dec
     monkeypatch.setattr(K, "np", Numpy())
     w, u = _rand(50, 130), _rand(50, 131)
     with np.errstate(invalid="ignore"):
-        K.flow_iter_identity(w, u, 0.1, vol, alpha, clamp)
+        K.flow_iter_identity(w, u, 0.1, vol, alpha)
     assert ("sign" not in calls) is decay
     assert calls.count("multiply") == (2 if decay else 3)
 
@@ -656,7 +653,7 @@ def test_theory_kernels_allocate_one_block_of_scratch(name):
             out = K.clip_sq_cv_values(a, b, 0.8).nbytes
             floats, masks = 1, 2
         else:
-            K.flow_iter_identity(a, b, 0.1, 0.4, 0.3, True)
+            K.flow_iter_identity(a, b, 0.1, 0.4, 0.3)
             out, floats, masks = 0, 3, 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from volumize import (
-    ConfigError,
     NoiseSpec,
     SeededRng,
     TeacherStudentProblem,
@@ -117,13 +116,6 @@ class TestClipMc:
         b = clip_error_mc(p, 0.8, SeededRng(7), 50000)
         assert a.value == b.value and a.stderr == b.stderr
 
-    def test_custom_correlation_rejected(self):
-        p = TeacherStudentProblem(
-            dim=2, a=1.0, noise=NoiseSpec("uniform", 0.5), correlation=np.eye(2)
-        )
-        with pytest.raises(ConfigError):
-            clip_error_mc(p, 0.5, SeededRng(0), 1000)
-
     def test_cauchy_noise_needs_plain_estimator(self):
         p = problem(sigma=1.0, kind="cauchy")
         est = clip_error_mc(p, 0.5, SeededRng(0), 10000)
@@ -189,28 +181,34 @@ class TestGradientFlow:
         )
         np.testing.assert_allclose(res_a.w, res_b.w, atol=1e-7)
 
-    def test_identity_and_explicit_identity_matrix_agree(self):
-        p_fast = problem(dim=40, sigma=0.5)
-        p_mat = TeacherStudentProblem(
-            dim=40, a=1.0, noise=NoiseSpec("uniform", 0.5), correlation=np.eye(40)
-        )
-        fast = gradient_flow_sim(p_fast, 0.6, 0.3, SeededRng(25), step=0.05)
-        slow = gradient_flow_sim(p_mat, 0.6, 0.3, SeededRng(25), step=0.05)
-        np.testing.assert_allclose(fast.w, slow.w, atol=1e-8)
-        assert fast.converged and slow.converged
+    # error and iteration count of V > 0 flows, as float.hex: no benchmark
+    # workload runs this wall path, so no digest guards its bits
+    @pytest.mark.parametrize("sigma, alpha, step, seed, dim, error, iterations", [
+        (0.5, 0.0, 0.1, 31, 64, "0x1.575d9e74313a1p-4", 193),
+        (0.5, 0.3, 0.1, 31, 64, "0x1.50ec7b5f6f205p-4", 193),
+        (0.5, -0.5, 0.1, 31, 64, "0x1.5d3acd955d7dap-4", 193),
+        (0.5, 0.3, 0.05, 25, 40, "0x1.613a2bcf0d1ddp-4", 379),
+    ])
+    def test_general_wall_flow_bits_are_pinned(self, sigma, alpha, step, seed, dim,
+                                               error, iterations):
+        res = gradient_flow_sim(problem(dim=dim, sigma=sigma), 0.6, alpha,
+                                SeededRng(seed), step=step)
+        assert res.converged
+        assert (res.error.hex(), res.iterations) == (error, iterations)
 
-    def test_non_spd_correlation_rejected(self):
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalue -1
-        p = TeacherStudentProblem(
-            dim=2, a=1.0, noise=NoiseSpec("uniform", 0.5), correlation=bad
-        )
-        with pytest.raises(DomainError):
-            gradient_flow_sim(p, 0.5, 0.0, SeededRng(26))
-
-    def test_oversized_step_rejected(self):
+    @pytest.mark.parametrize("step", [0.0, -0.1, 2.0, 3.0, math.nan])
+    def test_oversized_step_rejected(self, step):
         p = problem(dim=10, sigma=0.5)
-        with pytest.raises(DomainError):
-            gradient_flow_sim(p, 0.5, 0.0, SeededRng(27), step=3.0)
+        with pytest.raises(DomainError, match="0 < step < 2"):
+            gradient_flow_sim(p, 0.5, 0.0, SeededRng(27), step=step)
+
+    def test_default_step_is_one_tenth(self):
+        p = problem(dim=64, sigma=0.5)
+        default = gradient_flow_sim(p, 0.6, 0.3, SeededRng(28))
+        tenth = gradient_flow_sim(p, 0.6, 0.3, SeededRng(28), step=0.1)
+        assert default.error.hex() == tenth.error.hex()
+        assert default.iterations == tenth.iterations
+        assert default.w.tobytes() == tenth.w.tobytes()
 
 
 class TestCurves:
