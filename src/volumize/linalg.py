@@ -6,8 +6,9 @@ their summation order.
 
 Randomness goes through SeededRng, a thin wrapper over the Philox 4x64-10
 counter-based bit generator: a pure function of (seed, position), with
-bit-exact state capture for checkpointing and hash-derived child streams
-for parallel work.
+bit-exact state capture for checkpointing, hash-derived child streams
+for parallel work and cursors placed ahead on a stream, so two parts of
+one draw can be read side by side.
 """
 
 import hashlib
@@ -77,6 +78,30 @@ class SeededRng:
     def spawn(self, *tags) -> "SeededRng":
         """Child stream keyed by (seed, *tags); same tags, same stream."""
         return SeededRng(stable_hash(self.seed, *tags))
+
+    def ahead(self, k: int) -> "SeededRng":
+        """A second cursor on this stream, k draws ahead of it.
+
+        Its draws are the ones this stream would give after k unit doubles
+        were drawn and discarded; this stream does not move. Each unit
+        double is one 64-bit Philox word and a Philox block holds four, so
+        the cursor skips whole blocks by advancing the counter and discards
+        the rest of the way.
+        """
+        if k < 0:
+            raise DomainError(f"need k >= 0, got {k}")
+        state = self.get_state()
+        pos = state["buffer_pos"] + k
+        if pos < 4:  # still in the block this stream has buffered
+            return SeededRng.from_state({**state, "buffer_pos": pos})
+        cursor = SeededRng.from_state(state)
+        # advance empties the buffer, as if the block at the counter were
+        # used up, and clears the pending 32-bit half, which this stream keeps
+        cursor._gen.bit_generator.advance(pos // 4 - 1)
+        cursor.set_state({**cursor.get_state(), "has_uint32": state["has_uint32"],
+                          "uinteger": state["uinteger"]})
+        cursor.random(pos % 4)
+        return cursor
 
     def get_state(self) -> dict:
         st = self._gen.bit_generator.state

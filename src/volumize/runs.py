@@ -99,9 +99,13 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
         best = table.best_volumization()
         unreg = [r for r in table.rows if r.method == "unregularized"]
         constant = [r for r in table.rows if r.method == "weight_decay"][0]
+        # |clip(u', V) - u| <= a + V for every draw, so no wall row may pass (a+V)^2
+        bounded = all(r.error <= (a + r.vol) ** 2
+                      for r in table.rows if r.method == "volumization")
         ok = (best.error < a * a / 3.0
               and constant.error == a * a / 3.0
-              and unreg[-1].error > 10.0 * best.error)
+              and unreg[-1].error > 10.0 * best.error
+              and bounded)
 
     elif kind == "theorem3":
         sigma = cfg["sigma"]

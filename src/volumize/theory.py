@@ -31,10 +31,18 @@ Every point of an MC grid draws from its own stable_hash-derived Philox
 stream, so the points are independent tasks: clip_error_points runs them
 through _pool.map_ordered, the package's one parallel path, on one process
 per available CPU (the affinity mask, capped by a cgroup CPU quota). The
-results, and so the CSV bytes, never depend on that count. A worker holds
-one point's sample arrays at a time (about three float64 arrays of up to
-_MC_CHUNK elements, 96 MiB), so a grid needs up to that much per CPU.
-flow_curve and the theorem3 flows run in the calling process.
+results, and so the CSV bytes, never depend on that count. flow_curve and
+the theorem3 flows run in the calling process.
+
+The estimators stream: they draw, transform and sum one block of at most
+_kernels._BLOCK samples at a time, so an estimate holds a few MB whatever
+its n. The bits are those of whole-array draws and sums. clip_error_mc
+takes its samples in segments of _MC_CHUNK, weight_decay_error_mc in one
+segment of n; a segment draws its teacher values and then its noise, so a
+block reads u from the rng and eta from a cursor placed the segment's
+length ahead (SeededRng.ahead). The blocks are the leaves of numpy's own
+pairwise-sum tree over the segment, so np.sum of each block, added up that
+tree, gives np.sum of the whole segment; the segment sums add in order.
 """
 
 import math
@@ -47,6 +55,7 @@ from .errors import ConfigError, DomainError, NumericError
 from .linalg import SeededRng, sample_cauchy, sample_uniform, stable_hash
 
 NOISE_KINDS = ("uniform", "cauchy")
+# clip_error_mc's summation segment: the bits of larger n depend on it
 _MC_CHUNK = 1 << 22
 _FLOW_MAX_STEPS = 100000
 _FLOW_TOL = 1e-10
@@ -81,11 +90,30 @@ class TeacherStudentProblem:
     def draw(self, rng: SeededRng, n: int):
         """n draws of (u, eta): the teacher u ~ Unif(-a, a) first, then the
         noise (zeros when uniform with sigma 0)."""
-        u = sample_uniform(rng, -self.a, self.a, n)
+        ((u, eta),) = self.draw_blocks(rng, (n,))
+        return u, eta
+
+    def draw_blocks(self, rng: SeededRng, sizes):
+        """draw(rng, sum(sizes)) cut into (u, eta) blocks of the given sizes.
+
+        The blocks concatenate to that draw bit for bit, and once they are
+        all taken rng is where the draw leaves it. u is read from rng and
+        eta from a cursor sum(sizes) draws ahead, so only one block of each
+        is held at a time."""
+        sizes = list(sizes)
         sigma = self.noise.sigma
-        if self.noise.kind == "cauchy":
-            return u, sample_cauchy(rng, sigma, n)
-        return u, np.zeros(n) if sigma == 0.0 else sample_uniform(rng, -sigma, sigma, n)
+        noise_free = self.noise.kind == "uniform" and sigma == 0.0
+        noise = None if noise_free else rng.ahead(sum(sizes))
+        for m in sizes:
+            u = sample_uniform(rng, -self.a, self.a, m)
+            if noise is None:
+                yield u, np.zeros(m)
+            elif self.noise.kind == "cauchy":
+                yield u, sample_cauchy(noise, sigma, m)
+            else:
+                yield u, sample_uniform(noise, -sigma, sigma, m)
+        if noise is not None:
+            rng.set_state(noise.get_state())
 
     def sample_teacher(self, rng: SeededRng):
         """Draws (u, u') = (teacher, noise-shifted target)."""
@@ -157,6 +185,51 @@ class McEstimate:
     n_samples: int
 
 
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum of n > 128 values splits them: about
+    half, rounded down to a multiple of its unroll width 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def _leaf_sizes(n: int) -> list:
+    """Lengths of the largest subtrees of at most _kernels._BLOCK values in
+    numpy's pairwise-sum tree over n values, in order; they add up to n."""
+    if n <= _kernels._BLOCK:
+        return [n]
+    half = _pairwise_split(n)
+    return _leaf_sizes(half) + _leaf_sizes(n - half)
+
+
+def _pairwise_combine(n: int, leaf_sums):
+    """Adds the leaf sums of _leaf_sizes(n) up numpy's pairwise tree.
+
+    leaf_sums yields one tuple of partial sums per leaf, in order (np.sum of
+    each leaf's values: a subtree of the whole array's tree). The result
+    has the bits of np.sum over the whole array, for each tuple entry."""
+    if n <= _kernels._BLOCK:
+        return next(leaf_sums)
+    half = _pairwise_split(n)
+    left = _pairwise_combine(half, leaf_sums)
+    right = _pairwise_combine(n - half, leaf_sums)
+    return tuple(x + y for x, y in zip(left, right))
+
+
+def _streamed_moments(problem: TeacherStudentProblem, rng: SeededRng, n: int,
+                      values) -> tuple:
+    """(sum z, sum z*z) of z = values(u, eta) over problem.draw(rng, n), with
+    the bits of np.sum over whole arrays, one leaf block in memory at a time.
+
+    values may work in place and returns one float64 array per block."""
+    sums = []
+    for u, eta in problem.draw_blocks(rng, _leaf_sizes(n)):
+        z = values(u, eta)
+        s1 = float(z.sum())
+        z *= z
+        sums.append((s1, float(z.sum())))
+    return _pairwise_combine(n, iter(sums))
+
+
 def _moments_to_estimate(s1: float, s2: float, n: int, offset: float) -> McEstimate:
     mean = s1 / n
     var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
@@ -175,24 +248,27 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
     if n_samples <= 1:
         raise DomainError(f"need n_samples > 1, got {n_samples}")
     control_variate = problem.noise.kind == "uniform"
+    vol = float(vol)
 
-    sigma = problem.noise.sigma
+    def values(u, eta):
+        # the kernels are elementwise on purpose: the sums are taken in one
+        # place, _streamed_moments, on numpy's own pairwise tree
+        if control_variate:
+            return _kernels.clip_sq_cv_values(u, eta, vol)
+        return _kernels.clip_sq_values(u, eta, vol)
+
     s1 = 0.0
     s2 = 0.0
     done = 0
+    # segments of _MC_CHUNK samples, summed in order, fix the bits for n
+    # beyond one segment: each segment draws its u and then its eta
     while done < n_samples:
         k = min(_MC_CHUNK, n_samples - done)
-        u, eta = problem.draw(rng, k)
-        if control_variate:
-            z = _kernels.clip_sq_cv_values(u, eta, float(vol))
-        else:
-            z = _kernels.clip_sq_values(u, eta, float(vol))
-        # reduce here in numpy: the kernels are elementwise on purpose, so
-        # the summation tree is fixed in one place
-        s1 += float(z.sum())
-        z *= z
-        s2 += float(z.sum())
+        t1, t2 = _streamed_moments(problem, rng, k, values)
+        s1 += t1
+        s2 += t2
         done += k
+    sigma = problem.noise.sigma
     offset = sigma * sigma / 3.0 if control_variate else 0.0
     return _moments_to_estimate(s1, s2, n_samples, offset)
 
@@ -219,15 +295,18 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
     if n_samples <= 1:
         raise DomainError(f"need n_samples > 1, got {n_samples}")
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
-    u, eta = problem.draw(rng, n_samples)
-    # ((u + eta)/(1 + lam) - u)**2, then its square, in one buffer
-    e = np.add(u, eta, out=eta)
-    e /= 1.0 + lam
-    e -= u
-    e *= e
-    s1 = float(e.sum())
-    e *= e
-    return _moments_to_estimate(s1, float(e.sum()), n_samples, 0.0)
+
+    def values(u, eta):
+        # ((u + eta)/(1 + lam) - u)**2 in eta's buffer
+        e = np.add(u, eta, out=eta)
+        e /= 1.0 + lam
+        e -= u
+        e *= e
+        return e
+
+    # one segment of n_samples: u for all of them, then eta
+    s1, s2 = _streamed_moments(problem, rng, n_samples, values)
+    return _moments_to_estimate(s1, s2, n_samples, 0.0)
 
 
 @dataclass(eq=False)
@@ -388,12 +467,23 @@ def unregularized_prefix_errors(rng: SeededRng, scale: float, prefix_ns):
 
     The population mean does not exist for cauchy noise, so these estimates
     have no limit; they grow (erratically) with sample count, which is the
-    behavior the comparison table records."""
+    behavior the comparison table records. The stream is drawn and summed
+    one block at a time: each block's cumulative sum starts from the last
+    one's total, so the sums are those of one sequential cumsum."""
     n_max = max(prefix_ns)
-    eta = sample_cauchy(rng, scale, n_max)
-    sq = eta * eta
-    csum = np.cumsum(sq)
-    return [float(csum[n - 1] / n) for n in prefix_ns]
+    csum_at = {}
+    total = 0.0
+    for start in range(0, n_max, _kernels._BLOCK):
+        m = min(_kernels._BLOCK, n_max - start)
+        sq = sample_cauchy(rng, scale, m)
+        sq *= sq
+        sq[0] += total
+        np.cumsum(sq, out=sq)
+        for n in prefix_ns:
+            if start < n <= start + m:
+                csum_at[n] = sq[n - 1 - start]
+        total = sq[-1]
+    return [float(csum_at[n] / n) for n in prefix_ns]
 
 
 def cauchy_comparison(a: float = 1.0, scale: float = 1.0, vol_grid=None,

@@ -59,6 +59,36 @@ class TestSeededRng:
         root.spawn("x")
         np.testing.assert_array_equal(root.random(4), before)
 
+    @staticmethod
+    def _discard(rng, k):
+        # draw and drop k unit doubles, a bounded block at a time
+        while k:
+            m = min(k, 1 << 20)
+            rng.random(m)
+            k -= m
+
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    @pytest.mark.parametrize("pending_half", [False, True])
+    def test_ahead_equals_draw_and_discard(self, buffer_pos, pending_half):
+        src = SeededRng(77)
+        src.random(6)  # the buffer now holds a real block
+        if pending_half:
+            src.integers(0, 10)  # a 32-bit draw keeps the other half pending
+        src.set_state({**src.get_state(), "buffer_pos": buffer_pos})
+        for k in list(range(8)) + [8, 12, 64, 4096, 10**7 + 3]:
+            before = src.get_state()
+            cursor = src.ahead(k)
+            assert src.get_state() == before
+            ref = SeededRng.from_state(before)
+            self._discard(ref, k)
+            np.testing.assert_array_equal(cursor.random(9), ref.random(9))
+            assert cursor.get_state() == ref.get_state()
+            assert cursor.integers(0, 1000, 5).tolist() == ref.integers(0, 1000, 5).tolist()
+
+    def test_ahead_refuses_a_negative_offset(self):
+        with pytest.raises(DomainError, match="k >= 0"):
+            SeededRng(1).ahead(-1)
+
     def test_state_round_trip_mid_stream(self):
         rng = SeededRng(5)
         rng.random(37)  # advance to an awkward position

@@ -5,7 +5,9 @@ keep both tied together permanently, plus the flow integrator as a third
 independent route to the same numbers.
 """
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,10 +29,13 @@ from volumize import (
     weight_decay_error_mc,
     weight_decay_optimum,
 )
-from volumize import _kernels, _pool, config, runs
+from volumize import _kernels, _pool, config, runs, theory
 from volumize.errors import DomainError
 from volumize.linalg import sample_cauchy
 from volumize.theory import unregularized_prefix_errors
+
+# two _MC_CHUNK segments, the second of three samples
+TWO_SEGMENTS = theory._MC_CHUNK + 3
 
 
 def problem(dim=1, a=1.0, sigma=0.5, kind="uniform"):
@@ -211,6 +216,103 @@ class TestGradientFlow:
         assert default.w.tobytes() == tenth.w.tobytes()
 
 
+def _discard(rng, k):
+    # draw and drop k unit doubles, a bounded block at a time
+    while k:
+        m = min(k, 1 << 20)
+        rng.random(m)
+        k -= m
+
+
+class TestStreaming:
+    """The estimators draw, transform and sum one block at a time, and keep
+    the bits of the whole-array draws and sums they replace."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 129, 2**16 - 1, 2**16 + 1,
+                                   2 * 10**5, 2 * 10**6 + 3, 2**22])
+    def test_pairwise_tree_sum_equals_np_sum(self, n):
+        # fails by name if numpy changes how its pairwise sum splits
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        sizes = theory._leaf_sizes(n)
+        assert sum(sizes) == n and max(sizes) <= _kernels._BLOCK
+        ends = np.cumsum(sizes)
+        leaves = iter([(float(x[e - m:e].sum()),) for m, e in zip(sizes, ends)])
+        (total,) = theory._pairwise_combine(n, leaves)
+        assert total.hex() == float(x.sum()).hex()
+        assert next(leaves, None) is None
+
+    @pytest.mark.parametrize("kind, sigma", [("uniform", 0.5), ("uniform", 0.0),
+                                             ("cauchy", 2.0)])
+    @pytest.mark.parametrize("sizes", [[5], [3, 1, 8, 2], theory._leaf_sizes(200003)])
+    def test_blocks_concatenate_to_one_draw(self, kind, sigma, sizes):
+        p = problem(kind=kind, sigma=sigma)
+        rng, ref = SeededRng(5), SeededRng(5)
+        blocks = list(p.draw_blocks(rng, sizes))
+        assert [len(u) for u, _ in blocks] == [len(e) for _, e in blocks] == sizes
+        u, eta = p.draw(ref, sum(sizes))
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == u.tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == eta.tobytes()
+        assert rng.get_state() == ref.get_state()
+
+    @pytest.mark.parametrize("n", [1000, TWO_SEGMENTS])
+    @pytest.mark.parametrize("kind, sigma, draws", [("uniform", 0.5, 2), ("uniform", 0.0, 1),
+                                                    ("cauchy", 1.0, 2)])
+    def test_clip_estimator_leaves_rng_where_its_draws_do(self, n, kind, sigma, draws):
+        rng, ref = SeededRng(8), SeededRng(8)
+        clip_error_mc(problem(kind=kind, sigma=sigma), 0.6, rng, n)
+        _discard(ref, draws * n)
+        assert rng.get_state() == ref.get_state()
+
+    @pytest.mark.parametrize("n", [1000, TWO_SEGMENTS])
+    def test_other_estimators_leave_rng_where_their_draws_do(self, n):
+        rng, ref = SeededRng(8), SeededRng(8)
+        weight_decay_error_mc(1.0, 0.5, 0.25, rng, n)
+        _discard(ref, 2 * n)
+        assert rng.get_state() == ref.get_state()
+        rng, ref = SeededRng(8), SeededRng(8)
+        unregularized_prefix_errors(rng, 1.0, [10, n])
+        _discard(ref, n)
+        assert rng.get_state() == ref.get_state()
+
+    @pytest.mark.parametrize("estimate", [
+        lambda n: clip_error_mc(problem(), 0.75, SeededRng(1), n),
+        lambda n: clip_error_mc(problem(sigma=1.0, kind="cauchy"), 0.75, SeededRng(1), n),
+        lambda n: weight_decay_error_mc(1.0, 0.5, 0.25, SeededRng(1), n),
+        lambda n: unregularized_prefix_errors(SeededRng(1), 1.0, [10**4, n]),
+    ], ids=["clip-uniform", "clip-cauchy", "weight-decay", "prefixes"])
+    def test_memory_does_not_grow_with_n(self, estimate):
+        # whole-array draws of 2e6 samples peaked at 30-61 MB
+        tracemalloc.start()
+        try:
+            estimate(2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+
+    # value and stderr as float.hex over two segments, recorded with the
+    # whole-array estimators; no benchmark digest reaches n > _MC_CHUNK
+    @pytest.mark.parametrize("kind, sigma, vol, seed, value, stderr", [
+        ("uniform", 0.5, 0.75, 41, "0x1.0d3404e2e1b98p-4", "0x1.8b9a106ff7c43p-16"),
+        ("cauchy", 1.0, 0.6, 42, "0x1.aad93285d3b5fp-2", "0x1.2bc7bd59b5c88p-12"),
+    ])
+    def test_two_segment_clip_bits_are_pinned(self, kind, sigma, vol, seed, value, stderr):
+        est = clip_error_mc(problem(kind=kind, sigma=sigma), vol, SeededRng(seed),
+                            TWO_SEGMENTS)
+        assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
+
+    def test_two_segment_weight_decay_and_prefix_bits_are_pinned(self):
+        est = weight_decay_error_mc(1.0, 0.5, 0.25, SeededRng(43), TWO_SEGMENTS)
+        assert (est.value.hex(), est.stderr.hex()) == ("0x1.1145e75817990p-4",
+                                                       "0x1.29280184d9d75p-15")
+        prefixes = unregularized_prefix_errors(SeededRng(44), 1.0,
+                                               [10**4, 10**5, 10**6, TWO_SEGMENTS])
+        assert [x.hex() for x in prefixes] == [
+            "0x1.7d3900ed3cac8p+16", "0x1.9a0cc412bdecfp+17", "0x1.26fe8b9abd58fp+21",
+            "0x1.44a01439c0b32p+28"]
+
+
 class TestCurves:
     def test_closed_form_curve_matches_pointwise(self):
         vols = [0.0, 0.5, 1.0, 1.5]
@@ -274,6 +376,23 @@ class TestCauchy:
         failed = [seed for seed in range(100)
                   if not runs.run_theory(cfg, str(tmp_path), seed)[1]]
         assert failed == []
+
+    @pytest.mark.parametrize("over, ok", [(False, True), (True, False)])
+    def test_fig4b_check_bounds_every_wall_row(self, tmp_path, monkeypatch, over, ok):
+        # a wall row's error can never pass (a+V)^2: |clip(u', V) - u| <= a + V
+        monkeypatch.setattr(_pool, "available_cpus", lambda: 1)
+        estimate = theory.clip_error_points
+
+        def last_row_at_bound(points):
+            ests = estimate(points)
+            bound = (points[-1][0].a + points[-1][1]) ** 2
+            value = math.nextafter(bound, math.inf) if over else bound
+            return ests[:-1] + [dataclasses.replace(ests[-1], value=value)]
+
+        monkeypatch.setattr(theory, "clip_error_points", last_row_at_bound)
+        cfg = config.apply_schema({"kind": "fig4b", "n_samples": "100000"},
+                                  config.THEORY_SCHEMA)
+        assert runs.run_theory(cfg, str(tmp_path), 3)[1] is ok
 
     def test_rows_carry_metadata(self):
         table = cauchy_comparison(n_samples=10**4, seed=4)
