@@ -56,9 +56,11 @@ class SeededRng:
         self.seed = seed
         self._gen = np.random.Generator(np.random.Philox(key=seed))
 
-    def random(self, n: int | None = None):
-        """Unit doubles in [0, 1); the raw stream every sampler maps from."""
-        return self._gen.random(n)
+    def random(self, n: int | None = None, out=None):
+        """Unit doubles in [0, 1); the raw stream every sampler maps from.
+
+        Drawn into ``out`` when it is given (n is then its length)."""
+        return self._gen.random(n, out=out)
 
     def uniform(self, lo: float, hi: float, n: int | None = None):
         return lo + (hi - lo) * self._gen.random(n)
@@ -136,30 +138,37 @@ class SeededRng:
         }
 
 
-def sample_uniform(rng: SeededRng, lo: float, hi: float, n: int):
+def sample_uniform(rng: SeededRng, lo: float, hi: float, n: int, out=None):
     """n i.i.d. draws in [lo, hi), as lo + (hi-lo) * unit-stream.
 
     The affine map is applied explicitly so the output is a deterministic
-    function of the unit stream (tests rely on that identity).
+    function of the unit stream (tests rely on that identity). It runs in
+    place on the draws, which go into ``out`` when it is given.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo}, {hi})")
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    return lo + (hi - lo) * rng.random(n)
+    r = rng.random(n, out=out)
+    r *= hi - lo
+    r += lo
+    return r
 
 
-def cauchy_from_unit(u, scale: float):
-    """Inverse-CDF map: scale * tan(pi * (u - 1/2)) for u in [0, 1)."""
-    return scale * np.tan(np.pi * (np.asarray(u, dtype=np.float64) - 0.5))
-
-
-def sample_cauchy(rng: SeededRng, scale: float, n: int):
+def sample_cauchy(rng: SeededRng, scale: float, n: int, out=None):
+    """n i.i.d. Cauchy(0, scale) draws by the inverse-CDF map
+    scale * tan(pi * (u - 1/2)) of the unit stream u, applied in place on
+    the draws, which go into ``out`` when it is given."""
     if scale <= 0:
         raise DomainError(f"need scale > 0, got {scale}")
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    return cauchy_from_unit(rng.random(n), scale)
+    r = rng.random(n, out=out)
+    r -= 0.5
+    r *= np.pi
+    np.tan(r, out=r)
+    r *= scale
+    return r
 
 
 def he_uniform_init(rng: SeededRng, rows: int, cols: int, fan: int):

@@ -35,8 +35,11 @@ results, and so the CSV bytes, never depend on that count. flow_curve and
 the theorem3 flows run in the calling process.
 
 The estimators stream: they draw, transform and sum one block of at most
-_kernels._BLOCK samples at a time, so an estimate holds a few MB whatever
-its n. The bits are those of whole-array draws and sums. clip_error_mc
+_kernels._BLOCK samples at a time, so an estimate holds a few blocks
+whatever its n. Those blocks (u, eta and the per-sample values) are
+allocated once per segment and reused: every block is drawn into them and
+the kernels write into them (out=). The bits are those of whole-array draws
+and sums. clip_error_mc
 takes its samples in segments of _MC_CHUNK, weight_decay_error_mc in one
 segment of n; a segment draws its teacher values and then its noise, so a
 block reads u from the rng and eta from a cursor placed the segment's
@@ -99,19 +102,25 @@ class TeacherStudentProblem:
         The blocks concatenate to that draw bit for bit, and once they are
         all taken rng is where the draw leaves it. u is read from rng and
         eta from a cursor sum(sizes) draws ahead, so only one block of each
-        is held at a time."""
+        is held at a time. Each block is drawn into two buffers allocated
+        once per call: a yielded block is overwritten by the next one, so a
+        caller that keeps blocks copies them."""
         sizes = list(sizes)
         sigma = self.noise.sigma
         noise_free = self.noise.kind == "uniform" and sigma == 0.0
         noise = None if noise_free else rng.ahead(sum(sizes))
+        width = max(sizes, default=0)
+        u_buf, eta_buf = np.empty(width), np.empty(width)
         for m in sizes:
-            u = sample_uniform(rng, -self.a, self.a, m)
+            u = sample_uniform(rng, -self.a, self.a, m, out=u_buf[:m])
+            eta = eta_buf[:m]
             if noise is None:
-                yield u, np.zeros(m)
+                eta.fill(0.0)  # refilled, as every block is drawn afresh
             elif self.noise.kind == "cauchy":
-                yield u, sample_cauchy(noise, sigma, m)
+                sample_cauchy(noise, sigma, m, out=eta)
             else:
-                yield u, sample_uniform(noise, -sigma, sigma, m)
+                sample_uniform(noise, -sigma, sigma, m, out=eta)
+            yield u, eta
         if noise is not None:
             rng.set_state(noise.get_state())
 
@@ -217,13 +226,17 @@ def _pairwise_combine(n: int, leaf_sums):
 
 def _streamed_moments(problem: TeacherStudentProblem, rng: SeededRng, n: int,
                       values) -> tuple:
-    """(sum z, sum z*z) of z = values(u, eta) over problem.draw(rng, n), with
-    the bits of np.sum over whole arrays, one leaf block in memory at a time.
+    """(sum z, sum z*z) of z = values(u, eta, out) over problem.draw(rng, n),
+    with the bits of np.sum over whole arrays, one leaf block in memory at a
+    time.
 
-    values may work in place and returns one float64 array per block."""
+    values writes z into out, a block as long as u allocated once per call,
+    and returns it."""
+    sizes = _leaf_sizes(n)
+    block = np.empty(max(sizes))
     sums = []
-    for u, eta in problem.draw_blocks(rng, _leaf_sizes(n)):
-        z = values(u, eta)
+    for u, eta in problem.draw_blocks(rng, sizes):
+        z = values(u, eta, block[:len(u)])
         s1 = float(z.sum())
         z *= z
         sums.append((s1, float(z.sum())))
@@ -250,12 +263,12 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
     control_variate = problem.noise.kind == "uniform"
     vol = float(vol)
 
-    def values(u, eta):
+    def values(u, eta, out):
         # the kernels are elementwise on purpose: the sums are taken in one
         # place, _streamed_moments, on numpy's own pairwise tree
         if control_variate:
-            return _kernels.clip_sq_cv_values(u, eta, vol)
-        return _kernels.clip_sq_values(u, eta, vol)
+            return _kernels.clip_sq_cv_values(u, eta, vol, out=out)
+        return _kernels.clip_sq_values(u, eta, vol, out=out)
 
     s1 = 0.0
     s2 = 0.0
@@ -296,9 +309,9 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
         raise DomainError(f"need n_samples > 1, got {n_samples}")
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
 
-    def values(u, eta):
-        # ((u + eta)/(1 + lam) - u)**2 in eta's buffer
-        e = np.add(u, eta, out=eta)
+    def values(u, eta, out):
+        # ((u + eta)/(1 + lam) - u)**2
+        e = np.add(u, eta, out=out)
         e /= 1.0 + lam
         e -= u
         e *= e
@@ -473,9 +486,10 @@ def unregularized_prefix_errors(rng: SeededRng, scale: float, prefix_ns):
     n_max = max(prefix_ns)
     csum_at = {}
     total = 0.0
+    block = np.empty(min(n_max, _kernels._BLOCK))
     for start in range(0, n_max, _kernels._BLOCK):
         m = min(_kernels._BLOCK, n_max - start)
-        sq = sample_cauchy(rng, scale, m)
+        sq = sample_cauchy(rng, scale, m, out=block[:m])
         sq *= sq
         sq[0] += total
         np.cumsum(sq, out=sq)

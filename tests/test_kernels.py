@@ -640,6 +640,87 @@ def test_flow_takes_v0_walls_as_one_multiply(monkeypatch, vol, alpha, decay):
     assert calls.count("multiply") == (2 if decay else 3)
 
 
+@pytest.mark.parametrize("name", ["clip_sq_values", "clip_sq_cv_values"])
+@pytest.mark.parametrize("vol", [0.0, 0.8, np.inf])
+def test_clip_kernels_make_no_masked_copy(monkeypatch, name, vol):
+    # a masked copy branches on every run of its mask, so it costs far more
+    # than a plain ufunc pass at mid densities; the clip kernels select
+    # with np.clip and a bitwise keep-mask instead
+    calls = []
+
+    class Numpy:
+        def __getattr__(self, attr):
+            fn = getattr(np, attr)
+            if isinstance(fn, type) or not callable(fn):
+                return fn
+
+            def spy(*args, **kwargs):
+                calls.append((attr, set(kwargs)))
+                return fn(*args, **kwargs)
+            return spy
+
+    monkeypatch.setattr(K, "np", Numpy())
+    u, eta = _rand(200, 140), _rand(200, 141, 0.5)
+    getattr(K, name)(u, eta, vol, out=np.empty(200))
+    names = [attr for attr, _ in calls]
+    assert "add" in names  # the proxy saw the kernel's calls
+    assert not {"where", "putmask", "place"} & set(names)
+    assert all("where" not in kwargs for _, kwargs in calls)
+
+
+def _crossing_blocks(n, a, sigma, seed):
+    """Lab draws u ~ Unif(-a, a), eta ~ Unif(-sigma, sigma), arranged so
+    that block 0 has u, eta >= 0 (it can cross only the upper wall), block
+    1 u, eta <= 0 (only the lower), block 2 both signs with +-0.0, +-inf
+    and nan lanes, and the ragged rest is scaled by 1e-3 (quiet at V > 0)."""
+    rng = np.random.default_rng(seed)
+    u, eta = rng.uniform(-a, a, n), rng.uniform(-sigma, sigma, n)
+    b = K._BLOCK
+    for x in (u, eta):
+        x[:b] = np.abs(x[:b])
+        x[b:2 * b] = -np.abs(x[b:2 * b])
+        x[3 * b:] *= 1e-3
+    lanes = rng.choice(np.arange(2 * b, 3 * b), size=(2, 10), replace=False)
+    u[lanes[0]] = [0.0, -0.0, np.inf, -np.inf, np.nan] * 2
+    eta[lanes[1]] = [0.0, -0.0, np.inf, -np.inf, np.nan] * 2
+    return u, eta
+
+
+# the lab's V grid at a = 1, sigma = 0.5: V = 0, a - sigma, V* = a - sigma/2,
+# a + sigma and beyond, signed zeros and no walls: from every sample
+# crossing (V = 0) to none (V > a + sigma, outside the non-finite lanes)
+_LAB_VOLS = (0.0, -0.0, 0.5, 0.75, 1.5, 2.0, np.inf)
+
+
+def test_crossing_blocks_cross_above_below_both_and_not():
+    n = 3 * K._BLOCK + 5
+    u, eta = _crossing_blocks(n, 1.0, 0.5, 150)
+    with np.errstate(invalid="ignore"):
+        s = u + eta
+        blocks = [s[i:i + K._BLOCK] for i in range(0, n, K._BLOCK)]
+        above = [bool((x > 0.75).any()) for x in blocks]
+        below = [bool((x < -0.75).any()) for x in blocks]
+    assert above == [True, False, True, False]
+    assert below == [False, True, True, False]
+
+
+@pytest.mark.parametrize("name", ["clip_sq_values", "clip_sq_cv_values"])
+@pytest.mark.parametrize("vol", _LAB_VOLS)
+def test_clip_kernels_write_into_out_at_block_scale(name, vol):
+    # through out=, as the estimators call them, across crossing densities
+    n = 3 * K._BLOCK + 5
+    u, eta = _crossing_blocks(n, 1.0, 0.5, 150)
+    args = (u.copy(), eta.copy())
+    out = np.full(n, np.nan)
+    with np.errstate(all="ignore"):
+        got = getattr(K, name)(*args, vol, out=out)
+        want = _ORACLES[name](u, eta, vol)
+    assert got is out
+    _assert_same_bits(out, want)
+    _assert_same_bits(args[0], u)
+    _assert_same_bits(args[1], eta)
+
+
 @pytest.mark.parametrize("name", ["clip_sq_cv_values", "flow_iter_identity"])
 def test_theory_kernels_allocate_one_block_of_scratch(name):
     # the clip kernel's output, then float scratch blocks (one for the clip,

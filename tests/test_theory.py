@@ -248,7 +248,8 @@ class TestStreaming:
     def test_blocks_concatenate_to_one_draw(self, kind, sigma, sizes):
         p = problem(kind=kind, sigma=sigma)
         rng, ref = SeededRng(5), SeededRng(5)
-        blocks = list(p.draw_blocks(rng, sizes))
+        # a block is a view of buffers the next block overwrites
+        blocks = [(u.copy(), eta.copy()) for u, eta in p.draw_blocks(rng, sizes)]
         assert [len(u) for u, _ in blocks] == [len(e) for _, e in blocks] == sizes
         u, eta = p.draw(ref, sum(sizes))
         assert np.concatenate([b[0] for b in blocks]).tobytes() == u.tobytes()
@@ -290,6 +291,27 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 10**6
+
+    @pytest.mark.parametrize("estimate, scratch", [
+        (lambda n: clip_error_mc(problem(), 0.75, SeededRng(1), n), True),
+        (lambda n: clip_error_mc(problem(sigma=1.0, kind="cauchy"), 0.75, SeededRng(1), n),
+         False),
+        (lambda n: weight_decay_error_mc(1.0, 0.5, 0.25, SeededRng(1), n), False),
+    ], ids=["clip-uniform", "clip-cauchy", "weight-decay"])
+    def test_estimates_reuse_their_blocks(self, estimate, scratch):
+        # the u, eta and value blocks, allocated once and drawn and written
+        # into block after block, plus the control-variate kernel's float
+        # and boolean scratch block and 64 KiB; per-block draws and
+        # temporaries peaked at 2.0-3.5 MB
+        estimate(1000)  # the first draw imports numpy.random
+        tracemalloc.start()
+        try:
+            estimate(2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        blocks = 3 * 8 + (8 + 1 if scratch else 0)
+        assert peak < blocks * _kernels._BLOCK + 64 * 1024
 
     # value and stderr as float.hex over two segments, recorded with the
     # whole-array estimators; no benchmark digest reaches n > _MC_CHUNK
