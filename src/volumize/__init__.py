@@ -33,7 +33,7 @@ from .training import (MetricTrajectory, TrainingRun, evaluate, new_run,
                        run_epochs, train_model)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .volumization import (VolumizationConfig, apply_volumization,
-                           derive_layer_volumes, volumize_step)
+                           derive_layer_volumes)
 
 __version__ = "0.1.0"
 
@@ -62,6 +62,6 @@ __all__ = [
     "train_model",
     "load_checkpoint", "save_checkpoint",
     "VolumizationConfig", "apply_volumization",
-    "derive_layer_volumes", "volumize_step",
+    "derive_layer_volumes",
     "__version__",
 ]

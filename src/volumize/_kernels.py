@@ -18,22 +18,26 @@ loop, which took twice as long as the same product on contiguous operands.
 Staging only copies values; the products, the k order and the carried sums
 are the same, so it changes no bit.
 The elementwise theory kernels work in place one block of ``_BLOCK``
-elements at a time, through scratch allocated once per call; each element
-sees the same operations in the same order as a whole-array expression, no
-sum crosses a block, and the max over block maxima keeps a nan as one max
-would, so blocking changes no bit. The clip kernels select without a masked
-copy, which branches on every run of its mask (at mask density 0.5 one took
-10-50x a plain ufunc pass, numpy 2.4 on a 2-vCPU Xeon): the wall distance
-is ``clip(u+eta, +-vol) - u``, and ``clip_sq_cv_values`` zeroes the lanes
-off the walls by ANDing their bits with ``-int64(crossed)``, built in its
-float scratch. They write into a block the caller passes (``out=``), so an
-MC estimate draws into and computes in the same few blocks from its first
-sample to its last. Walls at V = +0.0 are weight decay: with alpha +0.0 or
-positive and finite, ``flow_iter_identity`` takes its wall step as the one
-multiply ``alpha*w``, which gives the general wall expression's bits (the
-reason is at the branch); V = -0.0, alpha = -0.0 and alpha = inf do not,
-and keep the general path. The flow's walls never clamp; only training's
-``volumize`` takes an overshoot clamp.
+elements at a time, through scratch allocated once per call (the flow keeps
+one block, the old values); each element sees the same operations in the
+same order as a whole-array expression, no sum crosses a block, and the max
+over block maxima keeps a nan as one max would, so blocking changes no bit.
+The clip kernels select without a masked copy, which branches on every run
+of its mask (at mask density 0.5 one took 10-50x a plain ufunc pass, numpy
+2.4 on a 2-vCPU Xeon): the wall distance is ``clip(u+eta, +-vol) - u``, and
+``clip_sq_cv_values`` zeroes the lanes off the walls by ANDing their bits
+with ``-int64(crossed)``, built in its float scratch. They write into a
+block the caller passes (``out=``), so an MC estimate draws into and
+computes in the same few blocks from its first sample to its last.
+``volumize`` is the one kernel that evaluates the wall expression: training
+calls it with the optimizer's momentum, and ``flow_iter_identity`` calls it
+on each block with no momentum and no clamp. Walls at V = +0.0 are weight
+decay: with alpha +0.0 or positive and finite, the flow takes its wall step
+as the one multiply ``alpha*w``, which gives the general wall expression's
+bits (the reason is at the branch); V = -0.0, alpha = -0.0 and alpha = inf
+do not, and go through ``volumize``. ``_is_identity`` is the test, shared
+with ``VolumizationConfig.enabled``, for walls that leave every value as it
+is.
 Callers look kernels up at call time as ``_kernels.<name>``, so one can be
 swapped or wrapped in one place. Inputs are float64; callers validate.
 """
@@ -122,8 +126,15 @@ def colsum(m):
     return np.add.reduce(np.ascontiguousarray(m), axis=0, initial=0.0)
 
 
+def _is_identity(vol, alpha):
+    """True when the wall transform leaves every value as it is: alpha = 1,
+    or no finite wall."""
+    return alpha == 1.0 or not np.isfinite(vol)
+
+
 def volumize(w, mom, vol, alpha, clamp):
-    """In-place wall transform on flat views ``w`` and ``mom``.
+    """In-place wall transform on a flat view ``w`` and, unless it is None,
+    its momentum ``mom``.
 
     Elements with |w| > vol move to alpha*w + (1-alpha)*vol*sgn(w) and get
     their momentum scaled by alpha; everything else is untouched. This form
@@ -131,17 +142,21 @@ def volumize(w, mom, vol, alpha, clamp):
     for the special cases the contract pins down bitwise: vol=0 gives
     alpha*w, alpha=0 gives a hard clip, alpha=1 is the identity.
     """
-    if alpha == 1.0 or not np.isfinite(vol):
+    if _is_identity(vol, alpha):
         return
     crossed = np.abs(w) > vol
     if not crossed.any():
         return
+    # alpha*w + ((1-alpha)*vol)*sgn(w), formed in the sign block
     s = np.sign(w)
-    w_new = alpha * w + (1.0 - alpha) * vol * s
+    np.multiply((1.0 - alpha) * vol, s, out=s)
+    np.add(np.multiply(alpha, w), s, out=s)
     if clamp:
-        np.clip(w_new, -vol, vol, out=w_new)
-    np.copyto(w, w_new, where=crossed)
-    np.copyto(mom, alpha * mom, where=crossed)
+        np.clip(s, -vol, vol, out=s)
+    np.copyto(w, s, where=crossed)
+    if mom is not None:
+        np.multiply(alpha, mom, out=s)
+        np.copyto(mom, s, where=crossed)
 
 
 def sgd_update(w, g, m, lr, mu):
@@ -228,16 +243,15 @@ def clip_sq_cv_values(u, eta, vol, out=None):
 def flow_iter_identity(w, u_prime, step, vol, alpha):
     """One explicit-Euler step of the whitened-input residual flow,
     w - step*(w - u'), followed by the wall transform (momentum-free, no
-    clamp). In-place on ``w``, one block at a time; returns max |change|,
-    nan if any change is nan.
+    clamp), which is ``volumize``'s. In-place on ``w``, one block at a time,
+    keeping the block's old values to measure the change; returns max
+    |change|, nan if any change is nan.
 
     At vol = +0.0 (sign bit clear) and alpha +0.0 or positive and finite,
     the wall transform is weight decay and runs as ``w *= alpha``, bit for
     bit the general path's result.
     """
     n = len(w)
-    walls = alpha != 1.0 and np.isfinite(vol)
-    pull = (1.0 - alpha) * vol
     # V = +0.0 is weight decay, and alpha*w is exact: every nonzero w
     # crosses |w| > +0.0 and pull*sgn(w) is a zero, so alpha*w + pull*sgn(w)
     # is alpha*w unless alpha*w is itself a zero. That takes alpha < 1, where
@@ -245,32 +259,22 @@ def flow_iter_identity(w, u_prime, step, vol, alpha):
     # non-crossing +-0.0 or nan times alpha is itself. V = -0.0 (at alpha 0 a
     # negative w gives +0.0 there), alpha = -0.0 (flips the sign of zeros)
     # and alpha = inf (pull is nan) break this, so signs and finiteness count.
-    decay = (walls and vol == 0.0 and not np.signbit(vol)
+    decay = (not _is_identity(vol, alpha) and vol == 0.0 and not np.signbit(vol)
              and 0.0 <= alpha < np.inf and not np.signbit(alpha))
-    old, t, t2 = np.empty((3, min(n, _BLOCK)))
-    crossed = np.empty(len(old), dtype=bool)
+    old = np.empty(min(n, _BLOCK))
     dmax = 0.0
     for i in range(0, n, _BLOCK):
         wb, ub = w[i:i + _BLOCK], u_prime[i:i + _BLOCK]
-        m = len(wb)
-        o, s, s2, c = old[:m], t[:m], t2[:m], crossed[:m]
+        o = old[:len(wb)]
         np.copyto(o, wb)
-        np.subtract(wb, ub, out=s)
-        np.multiply(step, s, out=s)
-        np.subtract(wb, s, out=wb)
+        np.subtract(wb, ub, out=wb)
+        np.multiply(step, wb, out=wb)
+        np.subtract(o, wb, out=wb)
         if decay:
             np.multiply(alpha, wb, out=wb)
-        elif walls:
-            np.abs(wb, out=s)
-            np.greater(s, vol, out=c)
-            if c.any():
-                # alpha*w + ((1-alpha)*vol)*sgn(w), kept where |w| > vol
-                np.sign(wb, out=s)
-                np.multiply(pull, s, out=s)
-                np.multiply(alpha, wb, out=s2)
-                np.add(s2, s, out=s)
-                np.copyto(wb, s, where=c)
-        np.subtract(wb, o, out=s)
-        np.abs(s, out=s)
-        dmax = np.maximum(dmax, s.max())  # propagates nan, as one max would
+        else:
+            volumize(wb, None, vol, alpha, False)
+        np.subtract(wb, o, out=o)
+        np.abs(o, out=o)
+        dmax = np.maximum(dmax, o.max())  # propagates nan, as one max would
     return float(dmax)

@@ -65,9 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
         "theory", help="closed forms vs Monte-Carlo/flow oracles",
         description="Monte-Carlo grids (theorem1, fig4a, fig4b) run one process "
                     "per available CPU: the affinity mask, so taskset limits it, "
-                    "capped by a cgroup CPU quota. Each process holds up to "
-                    "96 MiB of sample arrays, so a grid needs up to 96 MiB per "
-                    "CPU. Output bytes never depend on the CPU count.")
+                    "capped by a cgroup CPU quota. Each estimate draws and "
+                    "sums its samples in blocks of at most 2**16, so a process "
+                    "holds a few MB whatever n_samples is. Output bytes never "
+                    "depend on the CPU count.")
     sp.add_argument("kind", nargs="?", choices=THEORY_KINDS, default=None,
                     help="which table to produce (or set kind= in the config)")
     sp.add_argument("--check", action="store_true",

@@ -33,7 +33,7 @@ from .optimizers import KINDS, OptimizerSpec
 from .quantizer import MODES
 from .volumization import FAN_MODES, OVERSHOOT_POLICIES, VolumizationConfig
 
-_TYPES = ("int", "u64", "float", "bool", "str", "floats", "ints")
+_TYPES = ("int", "float", "bool", "str", "floats", "ints")
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
@@ -75,11 +75,6 @@ def _coerce_scalar(key: str, value: str, ftype: str):
     try:
         if ftype == "int":
             return int(value)
-        if ftype == "u64":
-            n = int(value)
-            if not 0 <= n < 2 ** 64:
-                raise ConfigError(f"{key}: seed must fit in 64 unsigned bits, got {n}")
-            return n
         if ftype == "float":
             return float(value)
         if ftype == "bool":

@@ -34,6 +34,7 @@ _MAGIC = b"VZQW"
 _VERSION = 1
 _MODE_CODES = {"binary": 1, "ternary": 2}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+_WIDTH = {"binary": 1, "ternary": 2}  # bits per weight code
 
 
 @dataclass(frozen=True)
@@ -175,33 +176,22 @@ def quantized_training(net, data, opt_spec, vol_cfg, scheme: QuantizationScheme,
 
 def _encode_codes(values, vol: float, mode: str) -> bytes:
     q = quantize(values, vol, mode).ravel()
-    if mode == "binary":
-        bits = (q > 0).astype(np.uint8)
-        return np.packbits(bits, bitorder="little").tobytes()
-    codes = np.zeros(q.size, dtype=np.uint8)
-    codes[q > 0] = 0b01
-    codes[q < 0] = 0b10
-    n_bytes = (q.size + 3) // 4
-    packed = np.zeros(n_bytes, dtype=np.uint8)
-    idx = np.arange(q.size)
-    np.bitwise_or.at(packed, idx // 4, codes << (2 * (idx % 4)).astype(np.uint8))
-    return packed.tobytes()
+    codes = (q > 0) | (q < 0) << 1
+    # the low _WIDTH bits of each code, lowest first, as a little-endian
+    # bit stream
+    planes = codes[:, None] >> np.arange(_WIDTH[mode]) & 1
+    return np.packbits(planes.astype(np.uint8), bitorder="little").tobytes()
 
 
 def _decode_codes(raw: bytes, n: int, vol: float, mode: str) -> np.ndarray:
-    if mode == "binary":
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             bitorder="little")[:n]
-        return np.where(bits == 1, vol, -vol)
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    idx = np.arange(n)
-    codes = (packed[idx // 4] >> (2 * (idx % 4)).astype(np.uint8)) & 0b11
-    if (codes == 0b11).any():
-        raise CheckpointError("integrity: invalid ternary code 0b11")
-    out = np.zeros(n, dtype=np.float64)
-    out[codes == 0b01] = vol
-    out[codes == 0b10] = -vol
-    return out
+    width = _WIDTH[mode]
+    planes = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n * width,
+                           bitorder="little").reshape(n, width)
+    codes = (planes << np.arange(width, dtype=np.uint8)).sum(axis=1)
+    values = np.array((-vol, vol) if mode == "binary" else (0.0, vol, -vol))
+    if (codes >= len(values)).any():
+        raise CheckpointError(f"integrity: invalid {mode} code {int(codes.max()):#b}")
+    return values[codes]
 
 
 def save_quantized_weights(path, named_tensors, vols, mode: str) -> None:
@@ -259,7 +249,7 @@ def load_quantized_weights(path):
             (vol,) = struct.unpack_from("<d", body, off)
             off += 8
             n = math.prod(dims)
-            nbytes = (n + 7) // 8 if mode == "binary" else (n + 3) // 4
+            nbytes = (n * _WIDTH[mode] + 7) // 8
             raw = body[off:off + nbytes]
             if len(raw) != nbytes:
                 raise CheckpointError("integrity: truncated code payload")

@@ -247,6 +247,8 @@ def run_spectral(cfg: dict, out_dir: str, seed: int):
     """Train at alpha=0 with contractive walls, then audit the bounds.
     Returns (layers_csv_path, LipschitzReport)."""
     _require_epochs(cfg)
+    if cfg["probe_pairs"] < 1:
+        raise ConfigError(f"probe_pairs must be >= 1, got {cfg['probe_pairs']}")
     _ensure_out(out_dir)
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     net = model_from_cfg(cfg, stable_hash(seed, "init"))

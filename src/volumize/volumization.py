@@ -22,10 +22,8 @@ the opposite wall; overshoot_policy says whether to leave that as-is
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, ShapeError
 
 FAN_MODES = ("fan_in", "fan_out")
 OVERSHOOT_POLICIES = ("leave", "clamp")
@@ -55,31 +53,7 @@ class VolumizationConfig:
 
     @property
     def enabled(self) -> bool:
-        return self.alpha != 1.0 and np.isfinite(self.v)
-
-
-def volumize_step(w_hat, m_hat, vol: float, alpha: float, overshoot_policy: str = "leave"):
-    """Pure-function form of the transform: returns new (w, m) arrays.
-
-    Only elements with |w_hat| > vol move; their momentum entry is scaled
-    by alpha, everything else (including any second-moment state the caller
-    holds) is untouched.
-    """
-    if overshoot_policy not in OVERSHOOT_POLICIES:
-        raise ConfigError(f"unknown overshoot_policy {overshoot_policy!r}")
-    if not (vol >= 0.0):
-        raise DomainError(f"volume must be >= 0, got {vol}")
-    if not -1.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
-    w = np.asarray(w_hat, dtype=np.float64)
-    m = np.asarray(m_hat, dtype=np.float64)
-    if w.shape != m.shape:
-        raise ShapeError(f"weight/momentum shapes differ: {w.shape} vs {m.shape}")
-    w = np.ascontiguousarray(w).copy()
-    m = np.ascontiguousarray(m).copy()
-    _kernels.volumize(w.reshape(-1), m.reshape(-1), float(vol), float(alpha),
-                      overshoot_policy == "clamp")
-    return w, m
+        return not _kernels._is_identity(self.v, self.alpha)
 
 
 def apply_volumization(net, state, vols, alpha: float, overshoot_policy: str = "leave") -> None:

@@ -118,6 +118,14 @@ class TestExitCodes:
         assert "epochs must be >= 1" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    def test_spectral_zero_probe_pairs_exits_one_before_writing(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, "n_per_class = 25\ndim = 4\nhidden_dims = 8\n"
+                             "epochs = 3\nprobe_pairs = 0\n")
+        out = tmp_path / "o"
+        assert main(["spectral", "--config", cfg, "--out", str(out)]) == 1
+        assert "probe_pairs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "quantize"])
     @pytest.mark.parametrize("bad", ["noise_ratio = 1", "spread = 0"],
                              ids=["noise_ratio", "spread"])

@@ -85,13 +85,6 @@ class TestCoerce:
         with pytest.raises(ConfigError):
             coerce("k", "maybe", Field("bool"))
 
-    def test_u64_range(self):
-        assert coerce("k", str(2**64 - 1), Field("u64")) == 2**64 - 1
-        with pytest.raises(ConfigError):
-            coerce("k", "-1", Field("u64"))
-        with pytest.raises(ConfigError):
-            coerce("k", str(2**64), Field("u64"))
-
     def test_lists_become_tuples(self):
         assert coerce("k", "0.25, 0.5,1", Field("floats")) == (0.25, 0.5, 1.0)
         assert coerce("k", "1,2, 3", Field("ints")) == (1, 2, 3)

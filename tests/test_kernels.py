@@ -293,6 +293,23 @@ def test_wall_kernels_match_oracle_across_alpha_and_volume(clamp):
                                            (0.1, vol, alpha))
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_wall_kernel_without_momentum_moves_w_alike(clamp):
+    # the flow passes mom=None: w must keep the bits of a call that carries
+    # a momentum array, over the same grid and at every special value
+    rng = np.random.default_rng(62 + clamp)
+    for alpha in _ALPHAS:
+        for vol in _VOLS:
+            size = int(rng.integers(1, 40))
+            w = np.concatenate([rng.standard_normal(size), _EDGES,
+                                [np.inf, -np.inf, np.nan]])
+            with_mom, without = w.copy(), w.copy()
+            with np.errstate(invalid="ignore"):
+                K.volumize(with_mom, rng.standard_normal(len(w)), vol, alpha, clamp)
+                K.volumize(without, None, vol, alpha, clamp)
+            _assert_same_bits(without, with_mom)
+
+
 @pytest.mark.parametrize("vol", _VOLS)
 def test_clip_kernels_match_oracle_across_volume(vol):
     # from every sample crossing a wall (V=0) to none (V=inf)

@@ -1,5 +1,7 @@
 """Wall rounding, distribution diagnostics, and the packed weight format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,6 +265,22 @@ class TestPackedFormat:
         for (_, got), (_, orig), vol in zip(tensors, net.param_tensors(), vols):
             assert got.shape == orig.shape
             assert_array_equal(got, quantize(orig, vol, mode))
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("binary", "6709f59230c944f593dd1963481295e9cd23365bf50baeef51f3b7c8ab8d7375"),
+        ("ternary", "0651dcd384bdb5bca4d8933ed8a4b8200d8de1097bc16feafc9936ae341768fc"),
+    ])
+    def test_file_bytes_are_pinned(self, tmp_path, mode, digest):
+        # 63, 9, 36 and 4 weights, then signed zeros, nan, the ternary ties
+        # at +-V/2 and their neighbours: last bytes end at every bit offset
+        net, vols = _packed_net()
+        half = vols[0] / 2.0
+        edges = np.array([0.0, -0.0, np.nan, half, -half, np.nextafter(half, 1.0),
+                          np.nextafter(-half, -1.0), vols[0], -vols[0], 1.0, -1.0])
+        path = tmp_path / "w.vzq"
+        save_quantized_weights(path, [*net.param_tensors(), ("edges", edges)],
+                               [*vols, vols[0]], mode)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_two_bits_per_weight(self, tmp_path):
         # size should be dominated by the packed codes, not float storage

@@ -17,13 +17,21 @@ from volumize import (
     derive_layer_volumes,
     init_network,
     new_run,
-    volumize_step,
 )
+from volumize import _kernels as K
 from volumize.errors import DomainError
 
 finite_w = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+def _walls(w, m, vol, alpha, clamp=False):
+    """The training wall kernel on float64 copies of w and m; returns them."""
+    w = np.array(w, dtype=np.float64)
+    m = np.array(m, dtype=np.float64)
+    K.volumize(w, m, vol, alpha, clamp)
+    return w, m
 
 
 class TestConfig:
@@ -71,24 +79,24 @@ class TestExactSpecialCases:
         self.m = rng.standard_normal(256)
 
     def test_zero_volume_is_exact_decay(self):
-        w, m = volumize_step(self.w, self.m, 0.0, 0.37)
+        w, m = _walls(self.w, self.m, 0.0, 0.37)
         np.testing.assert_array_equal(w, 0.37 * self.w)
         np.testing.assert_array_equal(m, 0.37 * self.m)
 
     def test_alpha_zero_is_exact_clip(self):
-        w, m = volumize_step(self.w, self.m, 0.8, 0.0)
+        w, m = _walls(self.w, self.m, 0.8, 0.0)
         np.testing.assert_array_equal(w, np.clip(self.w, -0.8, 0.8))
         crossed = np.abs(self.w) > 0.8
         np.testing.assert_array_equal(m[crossed], 0.0)
         np.testing.assert_array_equal(m[~crossed], self.m[~crossed])
 
     def test_alpha_one_is_identity(self):
-        w, m = volumize_step(self.w, self.m, 0.5, 1.0)
+        w, m = _walls(self.w, self.m, 0.5, 1.0)
         np.testing.assert_array_equal(w, self.w)
         np.testing.assert_array_equal(m, self.m)
 
     def test_infinite_volume_is_identity(self):
-        w, m = volumize_step(self.w, self.m, float("inf"), 0.0)
+        w, m = _walls(self.w, self.m, float("inf"), 0.0)
         np.testing.assert_array_equal(w, self.w)
         np.testing.assert_array_equal(m, self.m)
 
@@ -97,7 +105,7 @@ class TestMovementProperties:
     @given(w=finite_w, vol=st.floats(0.0, 100.0), alpha=st.floats(0.0, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_pull_lands_between_wall_and_start(self, w, vol, alpha):
-        out, _ = volumize_step([w], [0.0], vol, alpha)
+        out, _ = _walls([w], [0.0], vol, alpha)
         if abs(w) <= vol:
             assert out[0] == w
         else:
@@ -108,7 +116,7 @@ class TestMovementProperties:
     @given(w=finite_w, m=finite_w, vol=st.floats(0.0, 100.0), alpha=st.floats(-1.0, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_momentum_scaled_by_alpha_exactly_on_crossings(self, w, m, vol, alpha):
-        _, m_out = volumize_step([w], [m], vol, alpha)
+        _, m_out = _walls([w], [m], vol, alpha)
         if abs(w) > vol and alpha != 1.0:
             assert m_out[0] == alpha * m
         else:
@@ -117,15 +125,15 @@ class TestMovementProperties:
     @given(w=finite_w, vol=st.floats(1e-3, 100.0))
     @settings(max_examples=300, deadline=None)
     def test_clip_is_idempotent(self, w, vol):
-        once, _ = volumize_step([w], [0.0], vol, 0.0)
-        twice, _ = volumize_step(once, [0.0], vol, 0.0)
+        once, _ = _walls([w], [0.0], vol, 0.0)
+        twice, _ = _walls(once, [0.0], vol, 0.0)
         assert once[0] == twice[0]
 
     @given(w=finite_w, vol=st.floats(0.0, 100.0), alpha=st.floats(-1.0, 1.0))
     @settings(max_examples=300, deadline=None)
     def test_odd_in_w(self, w, vol, alpha):
-        out_pos, _ = volumize_step([w], [0.0], vol, alpha)
-        out_neg, _ = volumize_step([-w], [0.0], vol, alpha)
+        out_pos, _ = _walls([w], [0.0], vol, alpha)
+        out_neg, _ = _walls([-w], [0.0], vol, alpha)
         assert out_neg[0] == -out_pos[0]
 
     @given(
@@ -140,33 +148,15 @@ class TestMovementProperties:
         w = vol + frac * vol
         if not w > vol:  # frac*vol can underflow to w == vol
             return
-        out, _ = volumize_step([w], [0.0], vol, -1.0)
+        out, _ = _walls([w], [0.0], vol, -1.0)
         assert vol - out[0] == w - vol
 
     def test_reflection_can_overshoot_and_clamp_cuts_it(self):
         w = [5.0]
-        left, _ = volumize_step(w, [0.0], 1.0, -1.0, "leave")
+        left, _ = _walls(w, [0.0], 1.0, -1.0)
         assert left[0] == -3.0  # past the far wall
-        clamped, _ = volumize_step(w, [0.0], 1.0, -1.0, "clamp")
+        clamped, _ = _walls(w, [0.0], 1.0, -1.0, clamp=True)
         assert clamped[0] == -1.0
-
-
-class TestValidation:
-    def test_negative_volume(self):
-        with pytest.raises(DomainError):
-            volumize_step([1.0], [0.0], -1.0, 0.5)
-
-    def test_alpha_out_of_range(self):
-        with pytest.raises(DomainError):
-            volumize_step([1.0], [0.0], 1.0, 1.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            volumize_step([1.0, 2.0], [0.0], 1.0, 0.5)
-
-    def test_bad_policy(self):
-        with pytest.raises(ConfigError):
-            volumize_step([1.0], [0.0], 1.0, 0.5, "wrap")
 
 
 def _tensor_slices(net):
