@@ -17,6 +17,19 @@ output built transposed) would otherwise stride through memory in its inner
 loop, which took twice as long as the same product on contiguous operands.
 Staging only copies values; the products, the k order and the carried sums
 are the same, so it changes no bit.
+Each product shape is planned once (``_plan``): whether the output is built
+transposed, the row tile, the chunk length and the views of the staged
+operands, the product slots and the carry slot. Every plan carves its views
+from one module-level block, ``_scratch``, so a call allocates only its
+output (and, for an output built transposed, the buffer it is copied out
+of), and a run's many shapes keep one block resident. A tile's first chunk
+is reduced straight into the output with ``initial=0.0`` (one k-slice adds
+0.0), the sum from a +0.0 carry, so the output starts ``np.empty`` and that
+chunk needs no carry copy. ``matmul_tn`` and ``colsum`` write into the
+caller's ``out=`` array, as the backward pass does into its gradient views.
+None of this moves a bit: plans and views fix only where values sit, never
+which products are formed or the order they are added in, and p + 0.0 is
+0.0 + p, signed zeros included.
 The elementwise theory kernels work in place one block of ``_BLOCK``
 elements at a time, through scratch allocated once per call (the flow keeps
 one block, the old values); each element sees the same operations in the
@@ -50,59 +63,140 @@ def backend() -> str:
     return "numpy"
 
 
-# float64 elements in a chunk's product temporary and staged operands
-# (512 KiB); a 256x256 k-slice of products fills it, so the widest training
-# products need no row tiles. Also the block length of the elementwise
-# theory kernels.
+# float64 elements in a chunk's product slots and staged operands (512 KiB);
+# a 256x256 k-slice of products fills it, so the widest training products
+# need no row tiles. Also the block length of the elementwise theory kernels.
 _BLOCK = 1 << 16
 _NARROW = 16  # narrower outputs are built transposed, for long inner loops
 
+# The one scratch block that every product plan carves its views from, and
+# the plans by (k, n, m, _BLOCK). A call is never re-entered while it runs:
+# sweep and theory workers are forked processes, each with its own copy.
+_scratch = np.empty(0)
+_plans = {}
 
-def _sum_of_products(at, bt):
-    """out[i, j] = ((+0.0 + at[0, i]*bt[0, j]) + at[1, i]*bt[1, j]) + ..."""
-    k, n = at.shape
-    m = bt.shape[1]
-    if n * m == 0:
-        return np.zeros((n, m))
-    if n * m == 1:  # a one-element reduction is 1-D, which numpy sums pairwise
-        return np.add.accumulate(np.append(0.0, at * bt))[-1:].reshape(1, 1)
-    swap = m < _NARROW <= n
-    rows, cols = (m, n) if swap else (n, m)
-    out = np.zeros((rows, cols))
-    # whole-row tiles (never of one element), each summed over all of k in turn
-    tile = min(rows, max(1, _BLOCK // cols))
+
+def _chunk(k, tile, cols):
     # k-slices per chunk, at least one: the carry slot, c product slots and
     # the c staged k-slices of both operands fit one block
-    c = max(1, min(k, (_BLOCK - tile * cols) // (tile * cols + tile + cols)))
-    t = np.empty((c + 1 if c > 1 else 1, tile, cols))
-    spec = "ki,kj->kji" if swap else "ki,kj->kij"
+    return max(1, min(k, (_BLOCK - tile * cols) // (tile * cols + tile + cols)))
+
+
+def _plan(k, n, m):
+    """The plan of an (n, m) product over k: (swap, spec, c, tile, tiles).
+
+    The output (built transposed when ``swap``) is cut into whole-row tiles
+    (never of one element), each summed over k in chunks of c slices. A tile
+    is (r0, r1, chunks) and a chunk (k0, k1, xs, ys, p, head, red): staging
+    views for its slices of both operands, its product slots, and either the
+    carry slot ``head`` followed by the product slots as ``red`` (c > 1), or
+    the one product slot ``head`` and no ``red`` (c = 1).
+    """
+    global _scratch
+    swap = m < _NARROW <= n
+    rows, cols = (m, n) if swap else (n, m)
+    tile = min(rows, max(1, _BLOCK // cols))
+    c = _chunk(k, tile, cols)
+    # halved tiles (of 64 rows or more) are worth their extra einsum calls
+    # only when they put all of k in one chunk, which saves every carry. At
+    # one slice per chunk there is no carry to save: one reduce over k slots
+    # took longer than k in-place adds (800x8 @ 8x64 at 1.07x, 2000x8 @ 8x64
+    # at 1.13x)
+    half = tile
+    while 1 < c < k and (half + 1) // 2 >= 64:
+        half = (half + 1) // 2
+        if _chunk(k, half, cols) == k:
+            tile, c = half, k
+    slots = (c + 1 if c > 1 else 1) * tile * cols
+    yo = slots + c * (cols if swap else tile)  # the staged x, then the staged y
+    need = yo + c * (tile if swap else cols)
+    if len(_scratch) < need:
+        _plans.clear()  # their views hold the old block
+        _scratch = np.empty(0)
+        _scratch = np.empty(max(need, _BLOCK))
+    s = _scratch
+    chunks = {}  # by tile height; only the last tile can be shorter
+    tiles = []
     for r0 in range(0, rows, tile):
-        o = out[r0:r0 + tile]
-        r = len(o)
-        x = at if swap else at[:, r0:r0 + r]
-        y = bt[:, r0:r0 + r] if swap else bt
-        q = t[1:, :r] if c > 1 else t[:, :r]  # product slots
-        for k0 in range(0, k, c):
-            p = q[:min(c, k - k0)]
-            # staged C-contiguous (a no-op where they are), so no strided
-            # operand sits in the einsum's inner loop
-            np.einsum(spec, np.ascontiguousarray(x[k0:k0 + c]),
-                      np.ascontiguousarray(y[k0:k0 + c]), out=p)
-            if c > 1:
-                t[0, :r] = o
-                np.add.reduce(t[:len(p) + 1, :r], axis=0, out=o)
+        r = min(tile, rows - r0)
+        if r not in chunks:
+            xw, yw = (cols, r) if swap else (r, cols)
+            views = {}  # by chunk length; only the last chunk can be shorter
+            for ln in {c, k - (k - 1) // c * c}:
+                red = s[:(ln + (c > 1)) * r * cols].reshape(-1, r, cols)
+                views[ln] = (s[slots:slots + ln * xw].reshape(ln, xw),
+                             s[yo:yo + ln * yw].reshape(ln, yw),
+                             *((red[1:], red[0], red) if c > 1 else (red, red[0], None)))
+            chunks[r] = [(k0, min(k0 + c, k), *views[min(c, k - k0)])
+                         for k0 in range(0, k, c)]
+        tiles.append((r0, r0 + r, chunks[r]))
+    plan = _plans[k, n, m, _BLOCK] = (swap, "ki,kj->kji" if swap else "ki,kj->kij",
+                                      c, tile, tiles)
+    return plan
+
+
+def _sum_of_products(at, bt, out=None):
+    """out[i, j] = ((+0.0 + at[0, i]*bt[0, j]) + at[1, i]*bt[1, j]) + ...,
+    written into ``out`` (a new array when None), which is returned."""
+    k, n = at.shape
+    m = bt.shape[1]
+    if k == 0 or n * m == 0:
+        return np.zeros((n, m)) if out is None else _fill(out, 0.0)
+    if n * m == 1:  # a one-element reduction is 1-D, which numpy sums pairwise
+        s = np.add.accumulate(np.append(0.0, at * bt))[-1:].reshape(1, 1)
+        return s if out is None else _fill(out, s)
+    swap, spec, c, tile, tiles = _plans.get((k, n, m, _BLOCK)) or _plan(k, n, m)
+    if swap:
+        res = np.empty((m, n))
+    else:
+        res = np.empty((n, m)) if out is None else out
+    # an operand whose chunks are C-contiguous already goes to einsum as it
+    # is; the row-tiled one only with one tile or one k-slice per chunk, as
+    # then its shorter last tile is C-contiguous too
+    tiled, whole = (bt, at) if swap else (at, bt)
+    stage_t = not ((len(tiles) == 1 or c == 1) and tiled[:c, :tile].flags.c_contiguous)
+    stage_w = not whole[:c].flags.c_contiguous
+    sx, sy = (stage_w, stage_t) if swap else (stage_t, stage_w)
+    for r0, r1, chunks in tiles:
+        o = res[r0:r1]
+        x = at if swap else at[:, r0:r1]
+        y = bt[:, r0:r1] if swap else bt
+        for k0, k1, xs, ys, p, head, red in chunks:
+            xc, yc = x[k0:k1], y[k0:k1]
+            if sx:
+                np.copyto(xs, xc)
+                xc = xs
+            if sy:
+                np.copyto(ys, yc)
+                yc = ys
+            np.einsum(spec, xc, yc, out=p)
+            if not k0:  # the first chunk starts from +0.0, straight into o
+                if red is None:
+                    np.add(head, 0.0, out=o)
+                else:
+                    np.add.reduce(p, axis=0, out=o, initial=0.0)
+            elif red is None:
+                np.add(o, head, out=o)
             else:
-                o += p[0]
-    return np.ascontiguousarray(out.T) if swap else out
+                np.copyto(head, o)
+                np.add.reduce(red, axis=0, out=o)
+    if not swap:
+        return res
+    return np.ascontiguousarray(res.T) if out is None else _fill(out, res.T)
+
+
+def _fill(out, values):
+    np.copyto(out, values)
+    return out
 
 
 def matmul_nn(a, b):
     return _sum_of_products(a.T, b)
 
 
-def matmul_tn(a, b):
+def matmul_tn(a, b, out=None):
     # a.T @ b with the shared leading axis as the inner index
-    return _sum_of_products(a, b)
+    return _sum_of_products(a, b, out)
 
 
 def matmul_nt(a, b):
@@ -119,11 +213,12 @@ def matvec_t(a, x):
     return _sum_of_products(a, x[:, None])[:, 0]
 
 
-def colsum(m):
+def colsum(m, out=None):
     if m.shape[1] == 1:
-        return np.add.accumulate(np.append(0.0, m))[-1:]
+        s = np.add.accumulate(np.append(0.0, m))[-1:]
+        return s if out is None else _fill(out, s)
     # C order keeps the reduced axis outermost
-    return np.add.reduce(np.ascontiguousarray(m), axis=0, initial=0.0)
+    return np.add.reduce(np.ascontiguousarray(m), axis=0, out=out, initial=0.0)
 
 
 def _is_identity(vol, alpha):

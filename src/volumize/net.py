@@ -209,6 +209,18 @@ def _loss_and_output_grad(y, target, loss: str, n: int):
     return value, (ez / denom - p) / n
 
 
+def _relu_backward(z, delta):
+    """delta where z > 0, else +0.0 (the subgradient at the kink, and for a
+    nan z), in place: delta's bits ANDed with -int64(z > 0), all ones or
+    zero, which gives np.where(z > 0.0, delta, 0.0) bit for bit without
+    its masked select."""
+    keep = np.empty(z.shape, np.int64)
+    np.greater(z, 0.0, out=keep)
+    np.negative(keep, out=keep)
+    bits = delta.view(np.int64)
+    np.bitwise_and(bits, keep, out=bits)
+
+
 def loss_and_grad(net: Network, x, target, loss: str = "mse") -> GradientBundle:
     """Loss and exact backprop gradient, one array laid out like net.params.
 
@@ -238,12 +250,12 @@ def loss_and_grad(net: Network, x, target, loss: str = "mse") -> GradientBundle:
         h_in, z, act = cache[i]
         kind = layer.spec.activation
         if kind == "relu":
-            delta = np.where(z > 0.0, delta, 0.0)  # subgradient 0 at the kink
+            _relu_backward(z, delta)
         elif kind == "tanh":
             delta = delta * (1.0 - act * act)
-        gw[...] = _kernels.matmul_tn(h_in, delta)
+        _kernels.matmul_tn(h_in, delta, out=gw)
         if gb is not None:
-            gb[...] = _kernels.colsum(delta)
+            _kernels.colsum(delta, out=gb)
         if i > 0:
             delta = _kernels.matmul_nt(delta, layer.w)
     if not np.isfinite(grad).all():

@@ -543,6 +543,66 @@ def test_product_kernels_allocate_at_most_one_block(name, shapes):
     assert peak < out.nbytes + 8 * K._BLOCK + 2 * 8 * np.getbufsize() + 64 * 1024
 
 
+# a value no product or sum of the cases above comes near
+_SENTINEL = -7.25e300
+
+
+@pytest.mark.parametrize("block", [256, 1 << 16], ids=["small-block", "real-block"])
+def test_gradient_kernels_write_into_out(monkeypatch, block):
+    # loss_and_grad passes its gradient views as out=: the kernels return
+    # out itself holding the returned path's bits, write every element of
+    # it and nothing of the arena around it
+    monkeypatch.setattr(K, "_BLOCK", block)
+    cases = [case for case in _summation_cases(82) if case[0] in ("matmul_tn", "colsum")]
+    cases += [_mm("matmul_tn", 3, 0, 4, 83), ("colsum", (np.zeros((0, 5)),))]
+    # k = 0 and the one-element output (k = 1000) are among them
+    assert {args[0].shape[0] for name, args in cases if name == "matmul_tn"} >= {0, 1000}
+    calls = 0
+    with np.errstate(all="ignore"):
+        for name, args in cases:
+            for variant in zip(*(_layouts(x) for x in args)):
+                want = getattr(K, name)(*variant)
+                arena = np.full(want.size + 6, _SENTINEL)
+                out = arena[3:3 + want.size].reshape(want.shape)
+                got = getattr(K, name)(*variant, out=out)
+                assert got is out
+                _assert_same_bits(out, want)
+                assert (arena[:3] == _SENTINEL).all() and (arena[3 + want.size:] == _SENTINEL).all()
+                calls += 1
+    assert calls
+
+
+def _arrays(obj):
+    """Every array inside nested tuples and lists."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for x in obj for a in _arrays(x)]
+    return []
+
+
+def test_product_plans_share_one_scratch_block():
+    # a plan per shape, all carving their views from one block: the shapes
+    # of a training run keep one block resident, not one each. The last
+    # shape needs more than _BLOCK (a 256-wide k-slice fills it before its
+    # staged operands), so the block grows and the plans made before are
+    # dropped with the old one
+    shapes = [("matmul_nn", (128, 8), (8, 64)), ("matmul_nn", (128, 64), (64, 4)),
+              ("matmul_tn", (128, 64), (128, 4)), ("matmul_tn", (128, 8), (128, 64)),
+              ("matmul_nt", (128, 4), (64, 4)), ("matmul_nn", (800, 8), (8, 64)),
+              ("matmul_nn", (800, 64), (64, 4)), ("matmul_nn", (2000, 8), (8, 64)),
+              ("matmul_nt", (128, 256), (256, 256)), ("matmul_tn", (128, 32), (128, 256)),
+              ("matmul_nn", (300, 7), (7, 9)), ("matmul_nn", (1000, 256), (256, 256))]
+    for i, (name, sa, sb) in enumerate(shapes):
+        getattr(K, name)(_rand(sa, 160 + i), _rand(sb, 180 + i))
+    for i, (name, sa, sb) in enumerate(shapes[:-1]):
+        getattr(K, name)(_rand(sa, 160 + i), _rand(sb, 180 + i))
+    assert len([key for key in K._plans if key[3] == K._BLOCK]) >= 10
+    views = _arrays(list(K._plans.values()))
+    assert views and all(v.base is K._scratch for v in views)
+    assert K._scratch.size >= K._BLOCK
+
+
 # ---------------------------------------------------------------------------
 # the block-wise theory kernels: every block boundary, quiet and busy blocks
 # ---------------------------------------------------------------------------

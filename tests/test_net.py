@@ -1,7 +1,11 @@
 """MLP forward/backward: manual oracles and finite-difference gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+import volumize.net as vnet
 
 from volumize import (
     ConfigError,
@@ -22,7 +26,7 @@ from volumize import (
     save_checkpoint,
 )
 from volumize import _kernels
-from volumize.net import _forward_cached, _loss_and_output_grad
+from volumize.net import _forward_cached, _loss_and_output_grad, _relu_backward
 
 
 def _flat_params(net):
@@ -173,6 +177,75 @@ class TestArena:
         _assert_views_into_arena(got.net)
         np.testing.assert_array_equal(got.net.params, net.params)
         assert got.opt_state.m.shape == got.opt_state.n.shape == net.params.shape
+
+
+class TestReluBackward:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5, 5e-324, -5e-324]
+
+    def test_matches_where_bit_for_bit(self):
+        # every pairing of special z and delta values: +0.0 off the mask, a
+        # nan z included, and delta's own bits (signed zeros, nans) on it
+        z, delta = np.meshgrid(self.SPECIAL, self.SPECIAL)
+        want = np.where(z > 0.0, delta, 0.0)
+        got = delta.copy()
+        _relu_backward(z, got)
+        assert got.tobytes() == want.tobytes()
+
+    def test_loss_and_grad_makes_no_masked_select(self, monkeypatch):
+        # a masked select branches on every run of its mask; the gradient
+        # pass, kernels included, selects with a bitwise keep-mask instead
+        calls = []
+
+        class Spy:
+            def __init__(self, fn, name):
+                self.fn, self.name = fn, name
+
+            def __call__(self, *args, **kwargs):
+                calls.append((self.name, set(kwargs)))
+                return self.fn(*args, **kwargs)
+
+            def __getattr__(self, attr):  # np.add.reduce and the like
+                return Spy(getattr(self.fn, attr), f"{self.name}.{attr}")
+
+        class Numpy:
+            def __getattr__(self, attr):
+                fn = getattr(np, attr)
+                return fn if isinstance(fn, type) or not callable(fn) else Spy(fn, attr)
+
+        monkeypatch.setattr(vnet, "np", Numpy())
+        monkeypatch.setattr(_kernels, "np", Numpy())
+        net = init_network([LayerSpec(3, 5, activation="relu"), LayerSpec(5, 4, activation="relu"),
+                            LayerSpec(4, 2)], SeededRng(27))
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((6, 3))
+        loss_and_grad(net, x, rng.integers(0, 2, 6), "softmax_xent")
+        loss_and_grad(net, x, rng.standard_normal((6, 2)), "mse")
+        names = {name for name, _ in calls}
+        assert {"bitwise_and", "einsum"} <= names  # the proxies saw both modules
+        assert not {"where", "putmask", "place"} & names
+        assert all("where" not in kwargs for _, kwargs in calls)
+
+
+def test_loss_and_grad_allocates_no_product_scratch():
+    # README shapes (8 -> 64 relu -> 4, batch 128). Once a warm-up call has
+    # planned its products, a call allocates the gradient arena, the forward
+    # cache, one delta and one relu mask of the widest layer, and small
+    # temporaries: no product scratch, staged operands or gradient copies
+    # (the scratch block of one product is 458 KiB)
+    net = init_network([LayerSpec(8, 64, activation="relu"), LayerSpec(64, 4)], SeededRng(29))
+    rng = np.random.default_rng(30)
+    x, y = rng.standard_normal((128, 8)), rng.integers(0, 4, 128)
+    loss_and_grad(net, x, y, "softmax_xent")
+    _, cache = _forward_cached(net, x)
+    cached = sum(z.nbytes + (a is not z) * a.nbytes for _, z, a in cache)
+    widest = max(z.nbytes for _, z, _ in cache)
+    tracemalloc.start()
+    try:
+        loss_and_grad(net, x, y, "softmax_xent")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < net.params.nbytes + cached + 2 * widest + 64 * 1024
 
 
 class TestForward:
