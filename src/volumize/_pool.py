@@ -2,13 +2,18 @@
 
 Sweep cells and theory grid points are independent tasks, each seeded from
 its own stable_hash-derived stream, so where a task runs changes no bit of
-its result. map_ordered returns results in input order whatever the worker
-count, which is all the callers need to keep their output bytes fixed.
-Workers are forked: they start with the caller's modules already imported,
-in milliseconds, where a spawned worker would import numpy and volumize
-again for each grid.
+its result. started_map starts the tasks on N forked workers and hands back
+their results, in input order, when the caller asks; in between the caller
+may do its own work (theorem3 runs its flows while the workers run its
+estimates). With no workers the tasks run in-process when the results are
+asked for, so the caller's own work comes first, and its errors win, at
+every worker count. map_ordered is started_map with the caller waiting.
+Each theory table starts at most one pool. Workers are forked: they start
+with the caller's modules already imported, in milliseconds, where a
+spawned worker would import numpy and volumize again for each grid.
 """
 
+import contextlib
 import math
 import multiprocessing
 import os
@@ -48,21 +53,45 @@ def available_cpus() -> int:
     return n if quota is None else min(n, quota)
 
 
+@contextlib.contextmanager
+def started_map(fn, items, workers: int):
+    """Starts [fn(*item) for item in items] on `workers` forked processes;
+    the value of the block is a function that returns the results, in input
+    order, once they are done.
+
+    workers == 0, no items, or a daemonic caller (a multiprocessing.Pool
+    worker may not have children) means in-process: the items run when the
+    results are asked for. Otherwise min(workers, len(items)) workers are
+    forked on entry and take one item at a time. fn must be a module-level
+    function. An exception raised by a task reaches the caller as the same
+    class when the results are asked for. On leaving the block, by any
+    path, the items not yet started are cancelled and every worker has
+    exited.
+    """
+    items = list(items)
+    if workers == 0 or not items or multiprocessing.current_process().daemon:
+        yield lambda: [fn(*item) for item in items]
+        return
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(fn, *item) for item in items]
+        yield lambda: [f.result() for f in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def map_ordered(fn, items, workers: int) -> list:
     """[fn(*item) for item in items], spread over up to `workers` processes.
 
-    Runs in-process when workers == 1, there is at most one item, or the
-    caller is itself a daemonic worker (a multiprocessing.Pool worker may
-    not have children); otherwise forks min(workers, len(items)) workers
-    and hands them one item at a time. fn must be a module-level function.
+    Runs in-process when workers == 1 or there is at most one item, and
+    otherwise as started_map does, the caller waiting for the results.
     An exception raised by a task reaches the caller as the same class,
     after the pool has shut down.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     items = list(items)
-    if workers == 1 or len(items) <= 1 or multiprocessing.current_process().daemon:
-        return [fn(*item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)),
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, *zip(*items)))
+    forked = workers if workers > 1 and len(items) > 1 else 0
+    with started_map(fn, items, forked) as results:
+        return results()

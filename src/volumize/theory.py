@@ -30,9 +30,12 @@ feasible at sane sample counts.
 Every point of an MC grid draws from its own stable_hash-derived Philox
 stream, so the points are independent tasks: clip_error_points runs them
 through _pool.map_ordered, the package's one parallel path, on one process
-per available CPU (the affinity mask, capped by a cgroup CPU quota). The
-results, and so the CSV bytes, never depend on that count. flow_curve and
-the theorem3 flows run in the calling process.
+per available CPU (the affinity mask, capped by a cgroup CPU quota), and
+mc_curves maps the points of all its curves through one such call.
+started_weight_decay_points starts theorem3's estimates on every CPU but
+one, which the caller keeps for its flows. The results, and so the CSV
+bytes, never depend on that count. flow_curve and every gradient flow run
+in the calling process.
 
 The estimators stream: they draw, transform and sum one block of at most
 _kernels._BLOCK samples at a time, so an estimate holds a few blocks
@@ -322,6 +325,21 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
     return _moments_to_estimate(s1, s2, n_samples, 0.0)
 
 
+def _weight_decay_task(a: float, sigma: float, lam: float, seed: int,
+                       n_samples: int) -> McEstimate:
+    return weight_decay_error_mc(a, sigma, lam, SeededRng(seed), n_samples)
+
+
+def started_weight_decay_points(points):
+    """Starts weight_decay_error_mc at each (a, sigma, lam, seed, n_samples)
+    point, in _pool.started_map, on every available CPU but the caller's.
+
+    A context manager: its value returns the estimates in order. Point i
+    draws from SeededRng(seed_i) alone, so the estimates are the same at
+    any CPU count, and on one CPU they run when they are asked for."""
+    return _pool.started_map(_weight_decay_task, points, _pool.available_cpus() - 1)
+
+
 @dataclass(eq=False)
 class FlowResult:
     error: float
@@ -407,18 +425,33 @@ def closed_form_curve(a: float, sigma: float, vols) -> ErrorCurve:
     return ErrorCurve("closed_form", a, sigma, vols, errs, np.zeros_like(errs), 0, 0)
 
 
+def mc_curves(a: float, sigmas, vols, seeds, n_samples: int,
+              kind: str = "uniform") -> list:
+    """mc_curve for each (sigma, seed) pair, in order; the points of every
+    curve go through one clip_error_points call."""
+    vols = np.asarray(vols, dtype=np.float64)
+    points = []
+    for sigma, seed in zip(sigmas, seeds, strict=True):
+        problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec(kind, sigma))
+        base = SeededRng(seed)
+        # point i's stream is base.spawn("mc-curve", i), named by its seed
+        points += [(problem, float(v), stable_hash(base.seed, "mc-curve", i), n_samples)
+                   for i, v in enumerate(vols)]
+    ests = clip_error_points(points)
+    curves = []
+    for k, (sigma, seed) in enumerate(zip(sigmas, seeds)):
+        part = ests[k * len(vols):(k + 1) * len(vols)]
+        errs = np.array([est.value for est in part], dtype=np.float64)
+        ses = np.array([est.stderr for est in part], dtype=np.float64)
+        curves.append(ErrorCurve("monte_carlo", a, sigma, vols, errs, ses,
+                                 n_samples, seed))
+    return curves
+
+
 def mc_curve(a: float, sigma: float, vols, seed: int, n_samples: int,
              kind: str = "uniform") -> ErrorCurve:
     """MC error across a V grid; each point gets a seed-derived substream."""
-    vols = np.asarray(vols, dtype=np.float64)
-    problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec(kind, sigma))
-    base = SeededRng(seed)
-    # point i's stream is base.spawn("mc-curve", i), named by its seed
-    ests = clip_error_points([(problem, float(v), stable_hash(base.seed, "mc-curve", i),
-                               n_samples) for i, v in enumerate(vols)])
-    errs = np.array([est.value for est in ests], dtype=np.float64)
-    ses = np.array([est.stderr for est in ests], dtype=np.float64)
-    return ErrorCurve("monte_carlo", a, sigma, vols, errs, ses, n_samples, seed)
+    return mc_curves(a, [sigma], vols, [seed], n_samples, kind)[0]
 
 
 def flow_curve(a: float, sigma: float, vols, seed: int, dim: int,

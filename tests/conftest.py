@@ -1,5 +1,7 @@
 """Shared fixtures: tiny nets, datasets, and rngs used across the suite."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,19 @@ from volumize import (
     init_network,
     stable_hash,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a live child process behind, as the
+    benchmark fails a run that does; the children are then ended, so the
+    next test starts clean."""
+    yield
+    left = multiprocessing.active_children()
+    for p in left:
+        p.terminate()
+        p.join(timeout=10)
+    assert left == [], f"child processes left running: {left}"
 
 
 @pytest.fixture

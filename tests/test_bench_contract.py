@@ -4,8 +4,9 @@
 functions (the tracer, the step clock, the quantized-weight capture), then
 compares every output with ``perfbench/digests.json``. One train-small
 pass at seed 0, untraced and traced, catches a renamed hook, a changed
-signature or a moved output byte; one untraced theory-mc pass catches a
-moved byte of the theorem1, fig4a, fig4b or theorem3 tables.
+signature or a moved output byte; one theory-mc pass catches a moved byte
+of the theorem1, fig4a, fig4b or theorem3 tables, and its traced pass runs
+the tracer's worker spool on the spans of the theory pools' workers.
 """
 
 import json
@@ -36,3 +37,7 @@ def test_train_small_is_correct(trace):
 
 def test_theory_mc_is_correct():
     _assert_one_pass_is_correct("theory-mc", 0)
+
+
+def test_theory_mc_traced_is_correct():
+    _assert_one_pass_is_correct("theory-mc", 1)

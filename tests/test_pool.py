@@ -5,16 +5,17 @@ patch it to 1, 2 and 3, so the pool runs (3 workers with uneven shares of
 the items) whatever the CPU count of the machine running them.
 """
 
+import math
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from volumize import _pool, config, runs
+from volumize import _kernels, _pool, config, runs
 from volumize.cli import main
 from volumize.errors import ConfigError, DomainError
-from volumize.theory import cauchy_comparison, flow_curve, mc_curve
+from volumize.theory import cauchy_comparison, flow_curve, mc_curve, mc_curves
 
 CPU_COUNTS = (1, 2, 3)
 
@@ -34,9 +35,13 @@ def _fail_on_negative(x):
     return x
 
 
+def _curve_hex(c):
+    return [float(x).hex() for x in (*c.errors, *c.stderrs)]
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """Records the max_workers of every pool map_ordered starts."""
+    """Records the max_workers of every pool _pool starts."""
     sizes = []
     real = _pool.ProcessPoolExecutor
 
@@ -46,6 +51,20 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", spy)
     return sizes
+
+
+@pytest.fixture
+def futures(monkeypatch):
+    """Records the future of every task submitted to a pool."""
+    made = []
+
+    class Recording(_pool.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            made.append(super().submit(*args, **kwargs))
+            return made[-1]
+
+    monkeypatch.setattr(_pool, "ProcessPoolExecutor", Recording)
+    return made
 
 
 def _with_cpus(monkeypatch, n):
@@ -113,6 +132,32 @@ class TestMapOrdered:
         assert pools == [2]
 
 
+class TestStartedMap:
+    def test_no_workers_runs_in_process_when_asked(self, pools):
+        calls = []
+
+        def record(x):
+            calls.append(x)
+            return x
+
+        with _pool.started_map(record, [(1,), (2,)], 0) as results:
+            assert calls == []  # nothing runs before the results are asked for
+            assert results() == [1, 2]
+        assert calls == [1, 2]
+        assert pools == []
+
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_workers_run_beside_the_caller(self, pools, workers):
+        items = [(i,) for i in range(7)]
+        with _pool.started_map(_pid_of, items, workers) as results:
+            assert len(multiprocessing.active_children()) == workers
+            got = results()
+        assert [x for x, _ in got] == list(range(7))
+        assert os.getpid() not in {pid for _, pid in got}
+        assert pools == [workers]
+        assert multiprocessing.active_children() == []
+
+
 def _theory_bytes(tmp_path, kind, tag, **raw):
     cfg = config.apply_schema({"kind": kind, **raw}, config.THEORY_SCHEMA)
     out = tmp_path / tag
@@ -127,14 +172,20 @@ class TestWorkerCountIndependence:
         ("fig4a", {"n_samples": "2000", "sigma_grid": "0.3, 0.7",
                    "v_grid_points": "25"}),
         ("fig4b", {"n_samples": "10000"}),
+        ("theorem3", {"n_samples": "4000", "flow_dim": "500"}),
     ])
     def test_theory_csv_bytes(self, tmp_path, monkeypatch, pools, kind, raw):
-        got = {}
+        got, started = {}, {}
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
+            before = len(pools)
             got[n] = _theory_bytes(tmp_path, kind, f"{kind}-{n}", **raw)
+            started[n] = pools[before:]
         assert got[1] == got[2] == got[3]
-        assert 2 in pools and 3 in pools  # the pool really ran
+        # at most one pool per table: theorem3's leaves a CPU to its flows,
+        # the other tables wait for theirs
+        mine = 1 if kind == "theorem3" else 0
+        assert started == {1: [], 2: [2 - mine], 3: [3 - mine]}
 
     def test_mc_curve_values(self, monkeypatch, pools):
         vols = np.linspace(0.0, 2.0, 26)
@@ -145,6 +196,17 @@ class TestWorkerCountIndependence:
             curves[n] = [float(x).hex() for x in (*c.errors, *c.stderrs)]
         assert curves[1] == curves[2] == curves[3]
         assert pools == [2, 3]
+
+    def test_mc_curves_is_mc_curve_per_sigma_in_one_pool(self, monkeypatch, pools):
+        _with_cpus(monkeypatch, 3)
+        vols = np.linspace(0.0, 2.0, 9)
+        one = [_curve_hex(mc_curve(1.0, s, vols, seed=k, n_samples=3000))
+               for k, s in enumerate((0.3, 0.7))]
+        del pools[:]
+        both = mc_curves(1.0, (0.3, 0.7), vols, (0, 1), n_samples=3000)
+        assert [_curve_hex(c) for c in both] == one
+        assert [(c.sigma, c.seed) for c in both] == [(0.3, 0), (0.7, 1)]
+        assert pools == [3]
 
     def test_cauchy_comparison_values(self, monkeypatch, pools):
         tables = {}
@@ -183,15 +245,35 @@ class TestWorkerErrors:
         # the runner's own config check (which refuses it first) is bypassed
         monkeypatch.setattr(runs, "check_theory_cfg", lambda cfg: None)
         cfg = tmp_path / "t.txt"
-        cfg.write_text("n_samples = 1\nsigma_grid = 0.3, 0.7\n")
+        cfg.write_text("n_samples = 1\nsigma_grid = 0.3, 0.7\nflow_dim = 200\n")
         seen = set()
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
-            for kind in ("theorem1", "fig4a"):
+            for kind in ("theorem1", "fig4a", "theorem3"):
                 code = main(["theory", kind, "--config", str(cfg),
                              "--out", str(tmp_path / f"{kind}-{n}")])
                 seen.add((kind, code, capsys.readouterr().err))
         assert seen == {
             ("theorem1", 2, "error: need n_samples > 1, got 1\n"),
             ("fig4a", 2, "error: need n_samples > 1, got 1\n"),
+            ("theorem3", 2, "error: need n_samples > 1, got 1\n"),
         }
+
+    def test_flow_error_cancels_pending_estimates(self, tmp_path, monkeypatch,
+                                                  capsys, futures):
+        # theorem3's flows run in the caller while its estimates run in
+        # workers; a flow that diverges ends the table with estimates pending
+        monkeypatch.setattr(_kernels, "flow_iter_identity", lambda *args: math.nan)
+        cfg = tmp_path / "t.txt"
+        cfg.write_text("n_samples = 1000000\nflow_dim = 200\n")
+        seen = set()
+        for n in CPU_COUNTS:
+            _with_cpus(monkeypatch, n)
+            del futures[:]
+            code = main(["theory", "theorem3", "--config", str(cfg),
+                         "--out", str(tmp_path / f"theorem3-{n}")])
+            seen.add((code, capsys.readouterr().err))
+            assert multiprocessing.active_children() == []
+            assert all(f.done() for f in futures)
+            assert (n > 1) == any(f.cancelled() for f in futures)
+        assert seen == {(2, "error: flow diverged at iteration 1: max step nan\n")}
