@@ -87,16 +87,11 @@ def _coerce_scalar(key: str, value: str, ftype: str):
 
 
 def coerce(key: str, value: str, field: Field):
-    if field.type == "floats":
+    if field.type in ("floats", "ints"):
         parts = [p.strip() for p in value.split(",") if p.strip()]
         if not parts:
             raise ConfigError(f"{key}: expected at least one value")
-        return tuple(_coerce_scalar(key, p, "float") for p in parts)
-    if field.type == "ints":
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        if not parts:
-            raise ConfigError(f"{key}: expected at least one value")
-        return tuple(_coerce_scalar(key, p, "int") for p in parts)
+        return tuple(_coerce_scalar(key, p, field.type.removesuffix("s")) for p in parts)
     out = _coerce_scalar(key, value, field.type)
     if field.choices and out not in field.choices:
         raise ConfigError(f"{key}: must be one of {field.choices}, got {out!r}")
@@ -214,8 +209,8 @@ THEORY_SCHEMA = {
 def check_dataset_cfg(cfg: dict) -> None:
     """Refuse, as config errors, the dataset values that data.py refuses as
     domain errors, so a bad config file exits 1 from every subcommand."""
-    if not cfg["spread"] > 0:
-        raise ConfigError(f"spread must be positive, got {cfg['spread']}")
+    if not 0 < cfg["spread"] < math.inf:
+        raise ConfigError(f"spread must be positive and finite, got {cfg['spread']}")
     if not 0.0 <= cfg["noise_ratio"] < 1.0:
         raise ConfigError(f"noise_ratio must be in [0, 1), got {cfg['noise_ratio']}")
 
@@ -237,8 +232,9 @@ def check_theory_cfg(cfg: dict) -> None:
             raise ConfigError(f"v_grid_points must be >= 2, got {cfg['v_grid_points']}")
         if not 0 < cfg["v_max"] < math.inf:
             raise ConfigError(f"v_max must be positive and finite, got {cfg['v_max']}")
-    if kind == "fig4b" and not cfg["sigma"] > 0:
-        raise ConfigError(f"sigma (the cauchy scale) must be positive, got {cfg['sigma']}")
+    if kind == "fig4b" and not 0 < cfg["sigma"] < math.inf:
+        raise ConfigError("sigma (the cauchy scale) must be positive and finite, "
+                          f"got {cfg['sigma']}")
     if kind == "theorem3":
         if not 0 <= cfg["sigma"] <= a:
             raise ConfigError(f"sigma must lie in [0, a={a}], got {cfg['sigma']}")

@@ -7,6 +7,7 @@ noise is injected as an exact count (floor(ratio * N) training labels, never
 test labels), which keeps repeat-to-repeat variance down at small N.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,8 @@ def gen_blobs(rng: SeededRng, n_classes: int = 4, n_per_class: int = 250,
         raise ConfigError(f"n_per_class must be >= 5, got {n_per_class}")
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
-    if not spread > 0:
-        raise DomainError(f"spread must be positive, got {spread}")
+    if not 0 < spread < math.inf:
+        raise DomainError(f"spread must be positive and finite, got {spread}")
 
     centers = rng.spawn("centers").normal((n_classes, dim))
     points_rng = rng.spawn("points")

@@ -28,27 +28,26 @@ error by orders of magnitude and is what makes three-sigma interval checks
 feasible at sane sample counts.
 
 Every point of an MC grid draws from its own stable_hash-derived Philox
-stream, so the points are independent tasks: clip_error_points runs them
-through _pool.map_ordered, the package's one parallel path, on one process
-per available CPU (the affinity mask, capped by a cgroup CPU quota), and
-mc_curves maps the points of all its curves through one such call.
-started_weight_decay_points starts theorem3's estimates on every CPU but
-one, which the caller keeps for its flows. The results, and so the CSV
-bytes, never depend on that count. flow_curve and every gradient flow run
-in the calling process.
+stream, so the points are independent tasks. clip_error_points maps them
+through _pool.map_ordered, on one process per available CPU (the affinity
+mask, capped by a cgroup CPU quota), and mc_curves maps the points of all
+its curves through one such call. started_weight_decay_points starts
+theorem3's estimates in _pool.started_map on every CPU but one, which the
+caller keeps for its flows. The results, and so the CSV bytes, never depend
+on that count. flow_curve and every gradient flow run in the calling
+process.
 
-The estimators stream: they draw, transform and sum one block of at most
-_kernels._BLOCK samples at a time, so an estimate holds a few blocks
-whatever its n. Those blocks (u, eta and the per-sample values) are
-allocated once per segment and reused: every block is drawn into them and
-the kernels write into them (out=). The bits are those of whole-array draws
-and sums. clip_error_mc
-takes its samples in segments of _MC_CHUNK, weight_decay_error_mc in one
-segment of n; a segment draws its teacher values and then its noise, so a
-block reads u from the rng and eta from a cursor placed the segment's
-length ahead (SeededRng.ahead). The blocks are the leaves of numpy's own
-pairwise-sum tree over the segment, so np.sum of each block, added up that
-tree, gives np.sum of the whole segment; the segment sums add in order.
+Both estimators stream through one core, _estimate: it draws, transforms
+and sums one block of at most _kernels._BLOCK samples at a time, into u,
+eta and value blocks allocated once per estimate, so an estimate holds a
+few blocks whatever its n. The bits are those of whole-array draws and
+sums. clip_error_mc takes its samples in segments of _MC_CHUNK,
+weight_decay_error_mc in one segment of n. A segment draws its teacher
+values and then its noise, so a block reads u from the rng and eta from a
+cursor placed the segment's length ahead (SeededRng.ahead). The blocks are
+the leaves of numpy's own pairwise-sum tree over the segment
+(_tree_moments), so np.sum of each block, added up that tree, gives np.sum
+of the whole segment; the segment sums add in order.
 """
 
 import math
@@ -75,10 +74,10 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.kind == "uniform" and not self.sigma >= 0:
-            raise DomainError(f"uniform noise needs sigma >= 0, got {self.sigma}")
-        if self.kind == "cauchy" and not self.sigma > 0:
-            raise DomainError(f"cauchy noise needs scale > 0, got {self.sigma}")
+        if self.kind == "uniform" and not 0 <= self.sigma < math.inf:
+            raise DomainError(f"uniform noise needs a finite sigma >= 0, got {self.sigma}")
+        if self.kind == "cauchy" and not 0 < self.sigma < math.inf:
+            raise DomainError(f"cauchy noise needs a finite scale > 0, got {self.sigma}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,36 +95,19 @@ class TeacherStudentProblem:
     def draw(self, rng: SeededRng, n: int):
         """n draws of (u, eta): the teacher u ~ Unif(-a, a) first, then the
         noise (zeros when uniform with sigma 0)."""
-        ((u, eta),) = self.draw_blocks(rng, (n,))
-        return u, eta
+        u = sample_uniform(rng, -self.a, self.a, n)
+        return u, self._draw_noise(rng, n, np.empty(n))
 
-    def draw_blocks(self, rng: SeededRng, sizes):
-        """draw(rng, sum(sizes)) cut into (u, eta) blocks of the given sizes.
-
-        The blocks concatenate to that draw bit for bit, and once they are
-        all taken rng is where the draw leaves it. u is read from rng and
-        eta from a cursor sum(sizes) draws ahead, so only one block of each
-        is held at a time. Each block is drawn into two buffers allocated
-        once per call: a yielded block is overwritten by the next one, so a
-        caller that keeps blocks copies them."""
-        sizes = list(sizes)
+    def _draw_noise(self, rng: SeededRng, n: int, out):
+        """n noise draws from rng, written into out and returned: zeros,
+        drawing nothing, when sigma is 0 (which only uniform noise allows)."""
         sigma = self.noise.sigma
-        noise_free = self.noise.kind == "uniform" and sigma == 0.0
-        noise = None if noise_free else rng.ahead(sum(sizes))
-        width = max(sizes, default=0)
-        u_buf, eta_buf = np.empty(width), np.empty(width)
-        for m in sizes:
-            u = sample_uniform(rng, -self.a, self.a, m, out=u_buf[:m])
-            eta = eta_buf[:m]
-            if noise is None:
-                eta.fill(0.0)  # refilled, as every block is drawn afresh
-            elif self.noise.kind == "cauchy":
-                sample_cauchy(noise, sigma, m, out=eta)
-            else:
-                sample_uniform(noise, -sigma, sigma, m, out=eta)
-            yield u, eta
-        if noise is not None:
-            rng.set_state(noise.get_state())
+        if sigma == 0.0:
+            out.fill(0.0)
+            return out
+        if self.noise.kind == "cauchy":
+            return sample_cauchy(rng, sigma, n, out=out)
+        return sample_uniform(rng, -sigma, sigma, n, out=out)
 
     def sample_teacher(self, rng: SeededRng):
         """Draws (u, u') = (teacher, noise-shifted target)."""
@@ -197,59 +179,65 @@ class McEstimate:
     n_samples: int
 
 
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum of n > 128 values splits them: about
-    half, rounded down to a multiple of its unroll width 8."""
+def _tree_moments(n: int, leaf) -> tuple:
+    """(sum z, sum z*z) over the next n values, with the bits of np.sum.
+
+    leaf(m) gives (np.sum of z, np.sum of z*z) over the next m values, for
+    each subtree of at most _kernels._BLOCK values in order. Larger n are
+    split as numpy's pairwise sum splits them: about half, rounded down to
+    a multiple of its unroll width 8."""
+    if n <= _kernels._BLOCK:
+        return leaf(n)
     half = n // 2
-    return half - half % 8
+    half -= half % 8
+    l1, l2 = _tree_moments(half, leaf)
+    r1, r2 = _tree_moments(n - half, leaf)
+    return l1 + r1, l2 + r2
 
 
-def _leaf_sizes(n: int) -> list:
-    """Lengths of the largest subtrees of at most _kernels._BLOCK values in
-    numpy's pairwise-sum tree over n values, in order; they add up to n."""
-    if n <= _kernels._BLOCK:
-        return [n]
-    half = _pairwise_split(n)
-    return _leaf_sizes(half) + _leaf_sizes(n - half)
+def _estimate(problem: TeacherStudentProblem, rng: SeededRng, n: int, segment: int,
+              values, offset: float) -> McEstimate:
+    """offset + the mean of z = values(u, eta, out) over n samples of
+    problem, with its stderr.
 
+    values writes z into out, a block as long as u, and returns it. The
+    samples come in segments of `segment`, each drawn as problem.draw draws
+    it and summed with the bits of np.sum; the segment sums add in order."""
+    if n <= 1:
+        raise DomainError(f"need n_samples > 1, got {n}")
+    width = min(n, segment, _kernels._BLOCK)
+    u_buf, eta_buf, z_buf = np.empty(width), np.empty(width), np.empty(width)
+    s1 = 0.0
+    s2 = 0.0
+    for start in range(0, n, segment):
+        k = min(segment, n - start)
+        # eta is read from a cursor k draws ahead; noise-free draws take
+        # nothing from the stream, so they need none
+        noise = rng.ahead(k) if problem.noise.sigma != 0.0 else None
 
-def _pairwise_combine(n: int, leaf_sums):
-    """Adds the leaf sums of _leaf_sizes(n) up numpy's pairwise tree.
+        def leaf(m):
+            u = sample_uniform(rng, -problem.a, problem.a, m, out=u_buf[:m])
+            eta = problem._draw_noise(noise, m, eta_buf[:m])
+            z = values(u, eta, z_buf[:m])
+            t1 = float(z.sum())
+            z *= z
+            return t1, float(z.sum())
 
-    leaf_sums yields one tuple of partial sums per leaf, in order (np.sum of
-    each leaf's values: a subtree of the whole array's tree). The result
-    has the bits of np.sum over the whole array, for each tuple entry."""
-    if n <= _kernels._BLOCK:
-        return next(leaf_sums)
-    half = _pairwise_split(n)
-    left = _pairwise_combine(half, leaf_sums)
-    right = _pairwise_combine(n - half, leaf_sums)
-    return tuple(x + y for x, y in zip(left, right))
-
-
-def _streamed_moments(problem: TeacherStudentProblem, rng: SeededRng, n: int,
-                      values) -> tuple:
-    """(sum z, sum z*z) of z = values(u, eta, out) over problem.draw(rng, n),
-    with the bits of np.sum over whole arrays, one leaf block in memory at a
-    time.
-
-    values writes z into out, a block as long as u allocated once per call,
-    and returns it."""
-    sizes = _leaf_sizes(n)
-    block = np.empty(max(sizes))
-    sums = []
-    for u, eta in problem.draw_blocks(rng, sizes):
-        z = values(u, eta, block[:len(u)])
-        s1 = float(z.sum())
-        z *= z
-        sums.append((s1, float(z.sum())))
-    return _pairwise_combine(n, iter(sums))
-
-
-def _moments_to_estimate(s1: float, s2: float, n: int, offset: float) -> McEstimate:
+        t1, t2 = _tree_moments(k, leaf)
+        s1 += t1
+        s2 += t2
+        if noise is not None:
+            rng.set_state(noise.get_state())
     mean = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1) if n > 1 else 0.0
+    var = max(s2 - s1 * s1 / n, 0.0) / (n - 1)
     return McEstimate(value=offset + mean, stderr=math.sqrt(var / n), n_samples=n)
+
+
+def _seeded(estimator, *point) -> McEstimate:
+    """estimator(*head, SeededRng(seed), n_samples) for point = (*head,
+    seed, n_samples): a grid point as one task of a process map."""
+    *head, seed, n_samples = point
+    return estimator(*head, SeededRng(seed), n_samples)
 
 
 def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
@@ -261,37 +249,20 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
     estimator."""
     if not vol >= 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
-    if n_samples <= 1:
-        raise DomainError(f"need n_samples > 1, got {n_samples}")
     control_variate = problem.noise.kind == "uniform"
     vol = float(vol)
 
     def values(u, eta, out):
         # the kernels are elementwise on purpose: the sums are taken in one
-        # place, _streamed_moments, on numpy's own pairwise tree
+        # place, _estimate, on numpy's own pairwise tree
         if control_variate:
             return _kernels.clip_sq_cv_values(u, eta, vol, out=out)
         return _kernels.clip_sq_values(u, eta, vol, out=out)
 
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
-    # segments of _MC_CHUNK samples, summed in order, fix the bits for n
-    # beyond one segment: each segment draws its u and then its eta
-    while done < n_samples:
-        k = min(_MC_CHUNK, n_samples - done)
-        t1, t2 = _streamed_moments(problem, rng, k, values)
-        s1 += t1
-        s2 += t2
-        done += k
     sigma = problem.noise.sigma
     offset = sigma * sigma / 3.0 if control_variate else 0.0
-    return _moments_to_estimate(s1, s2, n_samples, offset)
-
-
-def _clip_error_task(problem: TeacherStudentProblem, vol: float, seed: int,
-                     n_samples: int) -> McEstimate:
-    return clip_error_mc(problem, vol, SeededRng(seed), n_samples)
+    # segments of _MC_CHUNK samples fix the bits for n beyond one segment
+    return _estimate(problem, rng, n_samples, _MC_CHUNK, values, offset)
 
 
 def clip_error_points(points) -> list:
@@ -299,7 +270,8 @@ def clip_error_points(points) -> list:
 
     Point i draws from SeededRng(seed_i) alone, so the points run on every
     available CPU and the estimates are the same at any CPU count."""
-    return _pool.map_ordered(_clip_error_task, points, _pool.available_cpus())
+    return _pool.map_ordered(_seeded, [(clip_error_mc, *p) for p in points],
+                             _pool.available_cpus())
 
 
 def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
@@ -308,8 +280,6 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
     _check_uniform_domain(a, sigma)
     if not lam >= 0:
         raise DomainError(f"lam must be >= 0, got {lam}")
-    if n_samples <= 1:
-        raise DomainError(f"need n_samples > 1, got {n_samples}")
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
 
     def values(u, eta, out):
@@ -321,13 +291,7 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
         return e
 
     # one segment of n_samples: u for all of them, then eta
-    s1, s2 = _streamed_moments(problem, rng, n_samples, values)
-    return _moments_to_estimate(s1, s2, n_samples, 0.0)
-
-
-def _weight_decay_task(a: float, sigma: float, lam: float, seed: int,
-                       n_samples: int) -> McEstimate:
-    return weight_decay_error_mc(a, sigma, lam, SeededRng(seed), n_samples)
+    return _estimate(problem, rng, n_samples, n_samples, values, 0.0)
 
 
 def started_weight_decay_points(points):
@@ -337,7 +301,8 @@ def started_weight_decay_points(points):
     A context manager: its value returns the estimates in order. Point i
     draws from SeededRng(seed_i) alone, so the estimates are the same at
     any CPU count, and on one CPU they run when they are asked for."""
-    return _pool.started_map(_weight_decay_task, points, _pool.available_cpus() - 1)
+    return _pool.started_map(_seeded, [(weight_decay_error_mc, *p) for p in points],
+                             _pool.available_cpus() - 1)
 
 
 @dataclass(eq=False)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import volumize
 from volumize.cli import main
 from volumize.csvio import read_csv
 
@@ -89,8 +90,9 @@ class TestExitCodes:
         assert code == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0", "spread = 0"],
-                             ids=["n_classes", "batch_size", "spread"])
+    @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0", "spread = 0",
+                                     "spread = inf"],
+                             ids=["n_classes", "batch_size", "spread", "spread-inf"])
     def test_bad_sweep_config_exits_one(self, tmp_path, capsys, workers, bad):
         cfg = _cfg(tmp_path, (
             "n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
@@ -127,8 +129,8 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "quantize"])
-    @pytest.mark.parametrize("bad", ["noise_ratio = 1", "spread = 0"],
-                             ids=["noise_ratio", "spread"])
+    @pytest.mark.parametrize("bad", ["noise_ratio = 1", "spread = 0", "spread = inf"],
+                             ids=["noise_ratio", "spread", "spread-inf"])
     def test_bad_dataset_value_exits_one(self, tmp_path, capsys, command, bad):
         cfg = _cfg(tmp_path, TRAIN_CFG.format(epochs=2).replace("spread = 0.6\n", "")
                    + bad + "\n")
@@ -144,6 +146,7 @@ class TestExitCodes:
         ("theorem1", "n_samples = 1"),
         ("theorem1", "sigma_grid = 1.5"),
         ("fig4b", "sigma = 0"),
+        pytest.param("fig4b", "sigma = inf", id="fig4b-sigma-inf"),
         ("fig4a", "a = 0"),
     ], ids=lambda v: v.split()[0])
     def test_bad_theory_value_exits_one_before_writing(self, tmp_path, capsys, kind, bad):
@@ -263,6 +266,14 @@ class TestOutputs:
         assert summary["ok"] == "true"
 
 
+def _module_env():
+    # a `python -m` child imports the package this suite imports, as pytest's
+    # pythonpath setting makes it, with no install and no PYTHONPATH set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(volumize.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 class TestConsoleScript:
     @pytest.mark.skipif(shutil.which("volumize") is None,
                         reason="volumize is not installed on PATH")
@@ -286,13 +297,13 @@ class TestConsoleScript:
 
     def test_package_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "volumize", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=_module_env())
         assert proc.returncode == 0
         assert "spectral" in proc.stdout
 
     def test_module_invocation_error_path(self):
         proc = subprocess.run(
             [sys.executable, "-m", "volumize.cli", "theory"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=_module_env())
         assert proc.returncode == 1
         assert "config error" in proc.stderr

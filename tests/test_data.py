@@ -72,6 +72,8 @@ class TestGenBlobs:
     def test_spread_validation(self):
         with pytest.raises(DomainError):
             _data(spread=0.0)
+        with pytest.raises(DomainError, match="finite"):
+            _data(spread=float("inf"))
 
 
 class TestInjectLabelNoise:

@@ -92,6 +92,11 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             clip_error_closed_form(1.0, 0.5, -0.1)
 
+    @pytest.mark.parametrize("kind", ["uniform", "cauchy"])
+    def test_noise_scale_must_be_finite(self, kind):
+        with pytest.raises(DomainError, match="finite"):
+            NoiseSpec(kind, math.inf)
+
 
 class TestClipMc:
     def test_matches_closed_form_within_stderr(self):
@@ -234,27 +239,44 @@ class TestStreaming:
         # fails by name if numpy changes how its pairwise sum splits
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-        sizes = theory._leaf_sizes(n)
-        assert sum(sizes) == n and max(sizes) <= _kernels._BLOCK
-        ends = np.cumsum(sizes)
-        leaves = iter([(float(x[e - m:e].sum()),) for m, e in zip(sizes, ends)])
-        (total,) = theory._pairwise_combine(n, leaves)
-        assert total.hex() == float(x.sum()).hex()
-        assert next(leaves, None) is None
+        done = 0
+
+        def leaf(m):
+            # the leaves are blocks that take the values in order
+            nonlocal done
+            assert 0 < m <= _kernels._BLOCK and done + m <= n
+            z = x[done:done + m]
+            done += m
+            return float(z.sum()), float((z * z).sum())
+
+        s1, s2 = theory._tree_moments(n, leaf)
+        assert done == n
+        assert (s1.hex(), s2.hex()) == (float(x.sum()).hex(), float((x * x).sum()).hex())
 
     @pytest.mark.parametrize("kind, sigma", [("uniform", 0.5), ("uniform", 0.0),
                                              ("cauchy", 2.0)])
-    @pytest.mark.parametrize("sizes", [[5], [3, 1, 8, 2], theory._leaf_sizes(200003)])
-    def test_blocks_concatenate_to_one_draw(self, kind, sigma, sizes):
+    @pytest.mark.parametrize("n", [5, 2**16 + 1, 200003])
+    def test_estimates_have_the_bits_of_whole_array_sums(self, kind, sigma, n):
+        # the formula the streamed estimators replace: one whole draw, the
+        # values kernel over it, then np.sum of z and of z*z
+        def whole(p, rng, kernel, offset):
+            z = kernel(*p.draw(rng, n))
+            s1, s2 = float(np.sum(z)), float(np.sum(z * z))
+            var = max(s2 - s1 * s1 / n, 0.0) / (n - 1)
+            return (offset + s1 / n).hex(), math.sqrt(var / n).hex()
+
         p = problem(kind=kind, sigma=sigma)
-        rng, ref = SeededRng(5), SeededRng(5)
-        # a block is a view of buffers the next block overwrites
-        blocks = [(u.copy(), eta.copy()) for u, eta in p.draw_blocks(rng, sizes)]
-        assert [len(u) for u, _ in blocks] == [len(e) for _, e in blocks] == sizes
-        u, eta = p.draw(ref, sum(sizes))
-        assert np.concatenate([b[0] for b in blocks]).tobytes() == u.tobytes()
-        assert np.concatenate([b[1] for b in blocks]).tobytes() == eta.tobytes()
-        assert rng.get_state() == ref.get_state()
+        if kind == "uniform":
+            kernel, offset = _kernels.clip_sq_cv_values, sigma * sigma / 3.0
+        else:
+            kernel, offset = _kernels.clip_sq_values, 0.0
+        est = clip_error_mc(p, 0.6, SeededRng(5), n)
+        want = whole(p, SeededRng(5), lambda u, eta: kernel(u, eta, 0.6), offset)
+        assert (est.value.hex(), est.stderr.hex()) == want
+        if kind == "uniform":  # weight decay's noise is uniform
+            est = weight_decay_error_mc(1.0, sigma, 0.25, SeededRng(6), n)
+            want = whole(p, SeededRng(6), lambda u, eta: ((u + eta) / 1.25 - u) ** 2, 0.0)
+            assert (est.value.hex(), est.stderr.hex()) == want
 
     @pytest.mark.parametrize("n", [1000, TWO_SEGMENTS])
     @pytest.mark.parametrize("kind, sigma, draws", [("uniform", 0.5, 2), ("uniform", 0.0, 1),
