@@ -264,22 +264,19 @@ def loss_and_grad(net: Network, x, target, loss: str = "mse") -> GradientBundle:
     return GradientBundle(loss=value, grad=grad)
 
 
-def empirical_lipschitz(net: Network, rng: SeededRng, n_pairs: int = 10000,
-                        radius: float = 1e-3) -> float:
+def empirical_lipschitz(net: Network, rng: SeededRng, n_pairs: int = 10000) -> float:
     """Max output/input perturbation ratio over random probe pairs.
 
     A lower bound on the true Lipschitz constant; probes are gaussian base
-    points with radius-length gaussian directions.
+    points with gaussian directions scaled to length 1e-3.
     """
     if n_pairs <= 0:
         raise ConfigError(f"n_pairs must be positive, got {n_pairs}")
-    if radius <= 0:
-        raise ConfigError(f"radius must be positive, got {radius}")
     x = rng.normal((n_pairs, net.in_dim))
     d = rng.normal((n_pairs, net.in_dim))
     norms = np.sqrt((d * d).sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
-    d = d * (radius / norms)
+    d = d * (1e-3 / norms)
     y1 = forward(net, x)
     y2 = forward(net, x + d)
     num = np.sqrt(((y2 - y1) ** 2).sum(axis=1))

@@ -84,7 +84,7 @@ class WeightHistogram:
     """Per-layer weight distribution with the walls statistic.
 
     mass_near_walls is the fraction of the layer's parameters within
-    delta*V of either wall (|abs(w) - V| <= delta*V); NaN when no walls
+    0.05*V of either wall (|abs(w) - V| <= 0.05*V); NaN when no walls
     were supplied.
     """
 
@@ -106,7 +106,7 @@ def mass_near_walls(values, vol: float, delta: float = 0.05) -> float:
     return float((np.abs(np.abs(v) - vol) <= delta * vol).mean())
 
 
-def weight_histogram(net, vols=None, bins: int = 64, delta: float = 0.05):
+def weight_histogram(net, vols=None, bins: int = 64):
     """One histogram per layer over [-max|w|, max|w|], weights and biases
     pooled (they share the layer's walls, one per layer in ``vols``)."""
     if bins < 3:
@@ -122,7 +122,7 @@ def weight_histogram(net, vols=None, bins: int = 64, delta: float = 0.05):
         counts, edges = np.histogram(vals, bins=bins, range=(-m, m))
         vol = float("nan") if vols is None else float(vols[i])
         if np.isfinite(vol) and vol > 0:
-            mass = mass_near_walls(vals, vol, delta)
+            mass = mass_near_walls(vals, vol)
         else:
             mass = float("nan")
         out.append(WeightHistogram(layer=i, bin_edges=edges, counts=counts,

@@ -182,7 +182,6 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
     """Returns (metrics_path, trajectory). --resume continues a run from
     <out>/checkpoint.bin toward the configured total epoch count."""
     _require_epochs(cfg)
-    _ensure_out(out_dir)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     if resume and os.path.exists(ckpt_path):
@@ -192,6 +191,8 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
                       optimizer_from_cfg(cfg), walls_from_cfg(cfg),
                       SeededRng(stable_hash(seed, "train")),
                       batch_size=cfg["batch_size"])
+    # every config error is raised above, so a refused config leaves no --out
+    _ensure_out(out_dir)
     every = cfg["checkpoint_every"]
 
     def hook(net_, state_, epoch: int) -> None:
@@ -217,7 +218,6 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
 def run_quantize(cfg: dict, out_dir: str, seed: int):
     """Returns (metrics_path, float accuracy, quantized accuracy)."""
     _require_epochs(cfg)
-    _ensure_out(out_dir)
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     net = model_from_cfg(cfg, stable_hash(seed, "init"))
     vol_cfg = walls_from_cfg(cfg)
@@ -225,6 +225,8 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
     result = quantized_training(net, data, optimizer_from_cfg(cfg), vol_cfg, scheme,
                                 SeededRng(stable_hash(seed, "train")),
                                 epochs=cfg["epochs"], batch_size=cfg["batch_size"])
+    # quantized_training refuses inactive walls, so --out is made only now
+    _ensure_out(out_dir)
     path = _write_trajectory(out_dir, result.trajectory)
 
     _, float_acc = evaluate(result.float_net, data.x_test, data.y_test)
@@ -256,13 +258,13 @@ def run_spectral(cfg: dict, out_dir: str, seed: int):
     _require_epochs(cfg)
     if cfg["probe_pairs"] < 1:
         raise ConfigError(f"probe_pairs must be >= 1, got {cfg['probe_pairs']}")
-    _ensure_out(out_dir)
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     net = model_from_cfg(cfg, stable_hash(seed, "init"))
     vol_cfg = VolumizationConfig(v=1.0, alpha=0.0, fan_mode=cfg["fan_mode"])
     run = new_run(net, optimizer_from_cfg(cfg), vol_cfg,
                   SeededRng(stable_hash(seed, "train")),
                   batch_size=cfg["batch_size"], vols=contractive_volumes(net))
+    _ensure_out(out_dir)
     run_epochs(run, data, cfg["epochs"])
     report = check_network_lipschitz(net, seed=stable_hash(seed, "probes"),
                                      n_pairs=cfg["probe_pairs"])

@@ -109,11 +109,6 @@ class TeacherStudentProblem:
             return sample_cauchy(rng, sigma, n, out=out)
         return sample_uniform(rng, -sigma, sigma, n, out=out)
 
-    def sample_teacher(self, rng: SeededRng):
-        """Draws (u, u') = (teacher, noise-shifted target)."""
-        u, eta = self.draw(rng, self.dim)
-        return u, u + eta
-
 
 def _check_uniform_domain(a: float, sigma: float):
     if not a > 0:
@@ -308,13 +303,9 @@ def started_weight_decay_points(points):
 @dataclass(eq=False)
 class FlowResult:
     error: float
-    vol: float
-    alpha: float
     iterations: int
     converged: bool
-    last_delta: float
     w: np.ndarray
-    u: np.ndarray
     u_prime: np.ndarray
 
 
@@ -333,7 +324,10 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
         raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
     if not 0 < step < 2.0:
         raise DomainError(f"explicit Euler needs 0 < step < 2, got {step}")
-    u, u_prime = problem.sample_teacher(rng)
+    # the noise block becomes u' = u + eta in place, so no third array lives
+    # as long as the flow
+    u, u_prime = problem.draw(rng, problem.dim)
+    u_prime += u
     w = np.zeros(problem.dim)
 
     converged = False
@@ -346,9 +340,8 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
             break
 
     err = float(((w - u) ** 2).mean())
-    return FlowResult(error=err, vol=float(vol), alpha=float(alpha), iterations=it,
-                      converged=converged, last_delta=float(delta),
-                      w=w, u=u, u_prime=u_prime)
+    return FlowResult(error=err, iterations=it, converged=converged,
+                      w=w, u_prime=u_prime)
 
 
 @dataclass(eq=False)
@@ -390,14 +383,13 @@ def closed_form_curve(a: float, sigma: float, vols) -> ErrorCurve:
     return ErrorCurve("closed_form", a, sigma, vols, errs, np.zeros_like(errs), 0, 0)
 
 
-def mc_curves(a: float, sigmas, vols, seeds, n_samples: int,
-              kind: str = "uniform") -> list:
+def mc_curves(a: float, sigmas, vols, seeds, n_samples: int) -> list:
     """mc_curve for each (sigma, seed) pair, in order; the points of every
-    curve go through one clip_error_points call."""
+    curve go through one clip_error_points call. The noise is uniform."""
     vols = np.asarray(vols, dtype=np.float64)
     points = []
     for sigma, seed in zip(sigmas, seeds, strict=True):
-        problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec(kind, sigma))
+        problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
         base = SeededRng(seed)
         # point i's stream is base.spawn("mc-curve", i), named by its seed
         points += [(problem, float(v), stable_hash(base.seed, "mc-curve", i), n_samples)
@@ -413,26 +405,26 @@ def mc_curves(a: float, sigmas, vols, seeds, n_samples: int,
     return curves
 
 
-def mc_curve(a: float, sigma: float, vols, seed: int, n_samples: int,
-             kind: str = "uniform") -> ErrorCurve:
-    """MC error across a V grid; each point gets a seed-derived substream."""
-    return mc_curves(a, [sigma], vols, [seed], n_samples, kind)[0]
+def mc_curve(a: float, sigma: float, vols, seed: int, n_samples: int) -> ErrorCurve:
+    """MC error across a V grid, uniform noise; each point gets a
+    seed-derived substream."""
+    return mc_curves(a, [sigma], vols, [seed], n_samples)[0]
 
 
-def flow_curve(a: float, sigma: float, vols, seed: int, dim: int,
-               alpha: float = 0.0, kind: str = "uniform") -> ErrorCurve:
+def flow_curve(a: float, sigma: float, vols, seed: int, dim: int) -> ErrorCurve:
     """Gradient-flow error across a V grid with common random numbers.
 
-    Every V point replays the same teacher draw (same spawned stream), so
-    the curve's shape, and in particular its argmin, is not washed out by
-    independent sampling noise between neighboring grid points.
+    The flow is the hard clip (alpha 0) under uniform noise. Every V point
+    replays the same teacher draw (same spawned stream), so the curve's
+    shape, and in particular its argmin, is not washed out by independent
+    sampling noise between neighboring grid points.
     """
     vols = np.asarray(vols, dtype=np.float64)
-    problem = TeacherStudentProblem(dim=dim, a=a, noise=NoiseSpec(kind, sigma))
+    problem = TeacherStudentProblem(dim=dim, a=a, noise=NoiseSpec("uniform", sigma))
     base = SeededRng(seed)
     errs = np.empty_like(vols)
     for i, v in enumerate(vols):
-        res = gradient_flow_sim(problem, float(v), alpha, base.spawn("flow-curve"))
+        res = gradient_flow_sim(problem, float(v), 0.0, base.spawn("flow-curve"))
         errs[i] = res.error
     se = np.zeros_like(errs)
     return ErrorCurve("gradient_flow", a, sigma, vols, errs, se, dim, seed)
@@ -445,7 +437,6 @@ class ComparisonRow:
     error: float
     stderr: float
     n_samples: int
-    note: str = ""
 
 
 @dataclass(eq=False)
@@ -498,20 +489,19 @@ def unregularized_prefix_errors(rng: SeededRng, scale: float, prefix_ns):
     return [float(csum_at[n] / n) for n in prefix_ns]
 
 
-def cauchy_comparison(a: float = 1.0, scale: float = 1.0, vol_grid=None,
+def cauchy_comparison(a: float = 1.0, scale: float = 1.0,
                       n_samples: int = 10**6, seed: int = 0) -> ComparisonTable:
     """Heavy-tail showdown: no regularization vs shrinkage vs walls.
 
     Unregularized rows report the (divergent) truncated-sample estimate at
     several prefix sizes of one stream. Weight decay has no finite optimum
     when the noise variance does not exist; its row reports the constant
-    -model limit a^2/3 exactly. Volumization rows are clip-MC estimates per
-    grid V; all remain bounded.
+    -model limit a^2/3 exactly. Volumization rows are clip-MC estimates at
+    each V of fig4b's grid, 0.05 to 2.0 in steps of 0.05; all remain
+    bounded.
     """
     if not a > 0:
         raise DomainError(f"a must be positive, got {a}")
-    if vol_grid is None:
-        vol_grid = np.round(np.arange(0.05, 2.0001, 0.05), 10)
     base = SeededRng(seed)
     rows = []
 
@@ -519,17 +509,14 @@ def cauchy_comparison(a: float = 1.0, scale: float = 1.0, vol_grid=None,
     prefix_ns = [n for n in prefix_ns if n <= n_samples]
     for n, est in zip(prefix_ns,
                       unregularized_prefix_errors(base.spawn("unreg"), scale, prefix_ns)):
-        rows.append(ComparisonRow("unregularized", math.inf, est, math.nan, n,
-                                  "heavy-tail: truncated-sample estimate, grows with n"))
+        rows.append(ComparisonRow("unregularized", math.inf, est, math.nan, n))
 
-    rows.append(ComparisonRow("weight_decay", 0.0, a * a / 3.0, 0.0, 0,
-                              "constant-model limit: noise variance undefined"))
+    rows.append(ComparisonRow("weight_decay", 0.0, a * a / 3.0, 0.0, 0))
 
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("cauchy", scale))
-    vols = [float(v) for v in vol_grid]
+    vols = [float(v) for v in np.round(np.arange(0.05, 2.0001, 0.05), 10)]
     ests = clip_error_points([(problem, v, stable_hash(base.seed, "vol", i), n_samples)
                               for i, v in enumerate(vols)])
     for v, est in zip(vols, ests):
-        rows.append(ComparisonRow("volumization", v, est.value, est.stderr,
-                                  n_samples, ""))
+        rows.append(ComparisonRow("volumization", v, est.value, est.stderr, n_samples))
     return ComparisonTable(a=a, scale=scale, seed=seed, rows=rows)

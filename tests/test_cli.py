@@ -28,6 +28,18 @@ checkpoint_every = 0
 """
 
 
+def _run_cfg(command, bad):
+    """TRAIN_CFG at 2 epochs for command, with bad in place of its key's
+    line; spectral sets its own walls and saves no checkpoints, so its
+    config has no wall or checkpoint keys."""
+    drop = {bad.split()[0]}
+    if command == "spectral":
+        drop |= {"v", "alpha", "checkpoint_every"}
+    lines = [line for line in TRAIN_CFG.format(epochs=2).splitlines()
+             if line.split()[0] not in drop]
+    return "\n".join([*lines, bad]) + "\n"
+
+
 def _cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -109,7 +121,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert "epochs must be >= 1" in capsys.readouterr().err
-        assert not out.exists() or not os.listdir(out)
+        assert not out.exists()
 
     def test_spectral_zero_epochs_exits_one_before_writing(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, "n_per_class = 25\ndim = 4\nhidden_dims = 8\n"
@@ -128,16 +140,32 @@ class TestExitCodes:
         assert "probe_pairs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["train", "quantize"])
+    @pytest.mark.parametrize("command", ["train", "quantize", "spectral"])
     @pytest.mark.parametrize("bad", ["noise_ratio = 1", "spread = 0", "spread = inf"],
                              ids=["noise_ratio", "spread", "spread-inf"])
     def test_bad_dataset_value_exits_one(self, tmp_path, capsys, command, bad):
-        cfg = _cfg(tmp_path, TRAIN_CFG.format(epochs=2).replace("spread = 0.6\n", "")
-                   + bad + "\n")
+        cfg = _cfg(tmp_path, _run_cfg(command, bad))
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert bad.split()[0] in capsys.readouterr().err
-        assert not out.exists() or not os.listdir(out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, bad, message", [
+        *[pytest.param(command, bad, message, id=f"{command}-{bad.split()[0]}")
+          for command in ("train", "quantize", "spectral")
+          for bad, message in (("batch_size = 0", "batch_size must be >= 1"),
+                               ("lr = 0", "lr must be positive"),
+                               ("hidden_dims = 0", "layer dims must be positive"))],
+        pytest.param("quantize", "v = inf", "requires active walls", id="quantize-v-inf"),
+    ])
+    def test_bad_run_value_exits_one_before_making_out(self, tmp_path, capsys,
+                                                       command, bad, message):
+        # the run is built, and quantize's walls checked, before --out is made
+        cfg = _cfg(tmp_path, _run_cfg(command, bad))
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind, bad", [
         ("theorem3", "lambda_grid = -1"),

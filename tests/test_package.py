@@ -1,9 +1,70 @@
 """The package's public surface."""
 
+import ast
+import pathlib
+
 import volumize
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _defaulted_params(tree, module):
+    """(name, parameter, position) for every defaulted parameter of a public
+    function or method; position counts the call's positional arguments
+    (self excluded) and is None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef)):
+            continue
+        for fn in node.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            args = fn.args.posonlyargs + fn.args.args
+            bound = isinstance(node, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            first = len(args) - len(fn.args.defaults)
+            for i, arg in enumerate(args[first:], first):
+                yield f"{module}.{fn.name}", arg.arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{module}.{fn.name}", arg.arg, None
+
+
+def _passes(call, param, position):
+    if any(kw.arg in (param, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(a, ast.Starred) for a in call.args))
 
 
 def test_every_exported_name_resolves_once():
     names = volumize.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(volumize, n)] == []
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a setting that no call in the repository passes is a constant: make it one
+    calls = {}
+    for _, tree in _trees("src", "tests", "perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = [
+        f"{name}({param})"
+        for path, tree in _trees("src/volumize")
+        for name, param, position in _defaulted_params(tree, path.stem)
+        if not any(_passes(c, param, position)
+                   for c in calls.get(name.split(".")[-1], []))
+    ]
+    assert unset == [], "no call passes " + ", ".join(unset)

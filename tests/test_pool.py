@@ -5,17 +5,20 @@ patch it to 1, 2 and 3, so the pool runs (3 workers with uneven shares of
 the items) whatever the CPU count of the machine running them.
 """
 
+import functools
 import math
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
-from volumize import _kernels, _pool, config, runs
+from volumize import _kernels, _pool, config, runs, theory
 from volumize.cli import main
 from volumize.errors import ConfigError, DomainError
-from volumize.theory import cauchy_comparison, flow_curve, mc_curve, mc_curves
+from volumize.theory import (cauchy_comparison, flow_curve, mc_curve, mc_curves,
+                             weight_decay_error_mc)
 
 CPU_COUNTS = (1, 2, 3)
 
@@ -33,6 +36,18 @@ def _fail_on_negative(x):
     if x < 0:
         raise DomainError(f"negative item {x}")
     return x
+
+
+def _estimate_once_released(marker, *args):
+    """weight_decay_error_mc(*args) once the file marker (a Path) exists;
+    after 10 s without it, the estimate makes it, so the ones after it do
+    not wait."""
+    deadline = time.monotonic() + 10.0
+    while not marker.exists():
+        if time.monotonic() > deadline:
+            marker.touch()
+        time.sleep(0.001)
+    return weight_decay_error_mc(*args)
 
 
 def _curve_hex(c):
@@ -262,14 +277,30 @@ class TestWorkerErrors:
     def test_flow_error_cancels_pending_estimates(self, tmp_path, monkeypatch,
                                                   capsys, futures):
         # theorem3's flows run in the caller while its estimates run in
-        # workers; a flow that diverges ends the table with estimates pending
+        # workers; a flow that diverges ends the table with estimates pending.
+        # No estimate finishes before the first pending one is cancelled, and
+        # until one finishes at most 2 * workers + 1 of the 6 items start
+        # (one per worker, workers + 1 queued), so some are always pending.
         monkeypatch.setattr(_kernels, "flow_iter_identity", lambda *args: math.nan)
+        marker = tmp_path / "cancelled"
+
+        class Releasing(_pool.ProcessPoolExecutor):  # the futures fixture's class
+            def submit(self, *args, **kwargs):
+                f = super().submit(*args, **kwargs)
+                f.add_done_callback(lambda f: f.cancelled() and marker.touch())
+                return f
+
+        monkeypatch.setattr(_pool, "ProcessPoolExecutor", Releasing)
+        monkeypatch.setattr(theory, "weight_decay_error_mc",
+                            functools.partial(_estimate_once_released, marker))
         cfg = tmp_path / "t.txt"
-        cfg.write_text("n_samples = 1000000\nflow_dim = 200\n")
+        cfg.write_text("n_samples = 1000000\nflow_dim = 200\n"
+                       "lambda_grid = 0.25, 0.5, 1, 2, 4, 8\n")
         seen = set()
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
             del futures[:]
+            marker.unlink(missing_ok=True)
             code = main(["theory", "theorem3", "--config", str(cfg),
                          "--out", str(tmp_path / f"theorem3-{n}")])
             seen.add((code, capsys.readouterr().err))

@@ -129,6 +129,14 @@ class TestNetworkLipschitz:
         # one report per weight matrix; biases do not enter operator norms
         assert len(rep.layer_reports) == 3
 
+    def test_audit_allows_1e_6_past_the_wall_and_a_single_check_1e_8(self):
+        net = self._projected_net()
+        vol = contractive_volumes(net)[0]
+        net.layers[0].w[0, 0] = vol + 5e-7
+        rep = check_network_lipschitz(net, n_pairs=100)
+        assert rep.layer_reports[0].entries_in_volume
+        assert not check_entrywise_bound(net.layers[0].w, vol).entries_in_volume
+
     def test_unconstrained_net_can_fail(self):
         rng = SeededRng(32)
         net = init_network([LayerSpec(30, 40), LayerSpec(40, 30)], rng)
