@@ -15,8 +15,8 @@ from .linalg import SeededRng, stable_hash
 from .net import (GradientBundle, LayerSpec, Network, empirical_lipschitz,
                   forward, init_network, loss_and_grad)
 from .optimizers import OptimizerSpec, OptimizerState, step
-from .quantizer import (QuantizationScheme, QuantizedTrainingResult,
-                        WeightHistogram, load_quantized_weights,
+from .quantizer import (QuantizationScheme, WeightHistogram,
+                        load_quantized_weights,
                         mass_near_walls, quantize, quantize_network,
                         quantized_training, save_quantized_weights,
                         weight_histogram)
@@ -46,7 +46,7 @@ __all__ = [
     "GradientBundle", "LayerSpec", "Network", "empirical_lipschitz",
     "forward", "init_network", "loss_and_grad",
     "OptimizerSpec", "OptimizerState", "step",
-    "QuantizationScheme", "QuantizedTrainingResult", "WeightHistogram",
+    "QuantizationScheme", "WeightHistogram",
     "load_quantized_weights", "mass_near_walls", "quantize",
     "quantize_network", "quantized_training", "save_quantized_weights",
     "weight_histogram",

@@ -17,6 +17,9 @@ MetricTrajectory (volumize._container), so every float that must survive
 the round trip exactly (hyperparameters, metrics, init scales) is stored as
 a C99 hex literal, load(save(run)) reproduces the run bit for bit and a
 resumed run's trajectory is indistinguishable from an uninterrupted one.
+The volumization section also carries the key fan_mode, copied from the
+network's fan_mode (the walls follow the net's init scales); a header whose
+two fan_mode keys disagree is refused.
 
 Load failures raise CheckpointError with a message starting "version:" for
 format-version mismatches and "integrity:" for everything else (bad magic,
@@ -33,7 +36,7 @@ import numpy as np
 from ._container import from_record, read_framed, to_record, write_framed
 from .errors import CheckpointError, ConfigError, VolumizeError
 from .linalg import SeededRng
-from .net import LOSSES, Layer, LayerSpec, Network
+from .net import FAN_MODES, LOSSES, Layer, LayerSpec, Network
 from .optimizers import OptimizerSpec, OptimizerState
 from .training import MetricTrajectory, TrainingRun
 from .volumization import VolumizationConfig, derive_layer_volumes
@@ -56,7 +59,7 @@ def _header_for(run: TrainingRun) -> dict:
         ],
         "optimizer": to_record(run.opt_spec, t=run.opt_state.t,
                                has_n=run.opt_state.n is not None),
-        "vol": to_record(run.vol_cfg),
+        "vol": to_record(run.vol_cfg, fan_mode=run.net.fan_mode),
         "run": {
             "epoch": run.epoch,
             "batch_size": run.batch_size,
@@ -81,9 +84,7 @@ def save_checkpoint(path, run: TrainingRun) -> None:
     refuse (custom walls, or trajectory lengths that disagree
     with the epoch counter, as after train_metrics=False) is refused here,
     before anything is written."""
-    derived = (derive_layer_volumes(run.net, run.vol_cfg)
-               if run.vol_cfg.enabled else None)
-    if run.vols != derived:
+    if run.vols != derive_layer_volumes(run.net, run.vol_cfg):
         # the header stores only vol_cfg; walls that don't derive from it
         # would come back wrong, so refuse rather than misload later
         raise ConfigError("runs with custom walls cannot be checkpointed")
@@ -116,8 +117,10 @@ def load_checkpoint(path) -> TrainingRun:
     try:
         model, o, r = header["model"], header["optimizer"], header["run"]
         if (r["batch_size"] < 1 or o["t"] < 0 or r["loss"] not in LOSSES
-                or o["has_n"] != (o["kind"] != "sgd")):
-            raise CheckpointError("integrity: bad batch size, step, loss or moments")
+                or o["has_n"] != (o["kind"] != "sgd")
+                or model["fan_mode"] not in FAN_MODES
+                or header["vol"]["fan_mode"] != model["fan_mode"]):
+            raise CheckpointError("integrity: bad batch size, step, loss, moments or fan mode")
         # the parameter arena, then m, then n when present; the length is
         # checked before the network is allocated
         specs = [from_record(LayerSpec, ls) for ls in model["layers"]]
@@ -141,7 +144,7 @@ def load_checkpoint(path) -> TrainingRun:
         return TrainingRun(
             net=net, opt_spec=opt_spec, opt_state=opt_state,
             vol_cfg=vol_cfg,
-            vols=derive_layer_volumes(net, vol_cfg) if vol_cfg.enabled else None,
+            vols=derive_layer_volumes(net, vol_cfg),
             shuffle_rng=SeededRng.from_state(header["shuffle_rng"]),
             batch_size=r["batch_size"], loss=r["loss"],
             epoch=r["epoch"], trajectory=trajectory,

@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .linalg import SeededRng
 from .optimizers import KINDS, OptimizerSpec
 from .quantizer import MODES
-from .volumization import FAN_MODES, OVERSHOOT_POLICIES, VolumizationConfig
+from .volumization import OVERSHOOT_POLICIES, VolumizationConfig
 
 _TYPES = ("int", "float", "bool", "str", "floats", "ints")
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -52,22 +52,26 @@ class Field:
 
 def parse_kv_file(path) -> dict:
     """Raw key -> string-value mapping; no typing yet."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     out = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, value = text.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError(f"{path}:{lineno}: empty key")
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = value
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, value = text.split("=", 1)
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"{path}:{lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value
     return out
 
 
@@ -146,7 +150,7 @@ _DATASET_FIELDS = {
 _MODEL_FIELDS = {
     "hidden_dims": Field("ints", (32,)),
     "activation": Field("str", "relu", choices=net.ACTIVATIONS),
-    "fan_mode": Field("str", "fan_in", choices=FAN_MODES),
+    "fan_mode": Field("str", "fan_in", choices=net.FAN_MODES),
 }
 
 _OPT_FIELDS = {
@@ -181,6 +185,9 @@ SWEEP_SCHEMA = {
 
 QUANTIZE_SCHEMA = {
     **TRAIN_SCHEMA,
+    # active walls by default, at criterion 11's ternary setting
+    "v": Field("float", 0.5),
+    "alpha": Field("float", 0.0),
     "mode": Field("str", "ternary", choices=MODES),
     "period_epochs": Field("int", 2),
 }
@@ -276,5 +283,4 @@ def optimizer_from_cfg(cfg: dict) -> OptimizerSpec:
 
 def walls_from_cfg(cfg: dict) -> VolumizationConfig:
     return VolumizationConfig(v=cfg["v"], alpha=cfg["alpha"],
-                              fan_mode=cfg["fan_mode"],
                               overshoot_policy=cfg["overshoot_policy"])

@@ -15,9 +15,9 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, NumericError, ShapeError
 from .linalg import SeededRng, as_matrix, he_uniform_init
-from .volumization import FAN_MODES
 
 ACTIVATIONS = ("identity", "relu", "tanh")
+FAN_MODES = ("fan_in", "fan_out")
 LOSSES = ("mse", "softmax_xent")
 
 

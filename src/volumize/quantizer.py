@@ -3,9 +3,10 @@ diagnostics and a packed on-disk format.
 
 Training with walls at +-V piles weight mass onto the walls, which is what
 makes post-hoc rounding to {-V, V} (binary) or {-V, 0, V} (ternary) cheap in
-accuracy. quantized_training() applies the rounding every period_epochs
-during training and keeps going from the rounded network; optimizer state is
-carried across rounding events unchanged.
+accuracy. quantized_training() advances a TrainingRun (see training.py),
+applies the rounding onto the run's walls every period_epochs and keeps
+going from the rounded network; optimizer state is carried across rounding
+events unchanged.
 
 Packed files are framed by volumize._container under magic b"VZQW",
 version 1; the body (little-endian throughout) is
@@ -21,12 +22,13 @@ Binary packs 1 bit/weight (1 -> +V, 0 -> -V); ternary packs 2 bits/weight
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._container import read_framed, write_framed
 from .errors import CheckpointError, ConfigError, DomainError
+from .training import run_epochs
 
 MODES = ("binary", "ternary")
 
@@ -130,46 +132,30 @@ def weight_histogram(net, vols=None, bins: int = 64):
     return out
 
 
-@dataclass(eq=False)
-class QuantizedTrainingResult:
-    trajectory: "object"
-    float_net: "object"
-    quantized_net: "object"
-    quantize_epochs: list = field(default_factory=list)
-
-
-def quantized_training(net, data, opt_spec, vol_cfg, scheme: QuantizationScheme,
-                       rng, epochs: int = 100, batch_size: int = 128):
-    """Volumized training with periodic in-place rounding onto the walls.
+def quantized_training(run, data, scheme: QuantizationScheme, epochs: int):
+    """Advance a TrainingRun by epochs with periodic in-place rounding onto
+    its walls; returns (quantized_net, rounding_epochs).
 
     Every scheme.period_epochs, at the end of an epoch that still has
     training ahead of it, all parameters are rounded in place and training
     simply continues (optimizer moments are kept). The final epoch never
-    rounds: the returned float_net is the net as trained, quantized_net is
-    its rounded copy.
+    rounds: run.net is left as trained, quantized_net is its rounded copy.
     """
-    from .training import train_model
-    from .volumization import derive_layer_volumes
-
-    if not vol_cfg.enabled or not vol_cfg.v > 0:
+    if run.vols is None or not min(run.vols) > 0:
         raise ConfigError("quantized training requires active walls "
                           "(0 < v < inf and alpha < 1)")
-    vols = derive_layer_volumes(net, vol_cfg)
-    events = []
+    end = run.epoch + epochs
+    rounding_epochs = []
 
-    def hook(net_, state_, epoch: int) -> None:
-        if epoch % scheme.period_epochs == 0 and epoch < epochs:
-            quantize_network(net_, vols, scheme.mode)
-            events.append(epoch)
+    def hook(net, state, epoch: int) -> None:
+        if epoch % scheme.period_epochs == 0 and epoch < end:
+            quantize_network(net, run.vols, scheme.mode)
+            rounding_epochs.append(epoch)
 
-    traj = train_model(net, data, opt_spec, vol_cfg, rng, epochs=epochs,
-                       batch_size=batch_size, epoch_hook=hook)
-    float_net = net.clone()
-    quantized = net.clone()
-    quantize_network(quantized, vols, scheme.mode)
-    return QuantizedTrainingResult(trajectory=traj, float_net=float_net,
-                                   quantized_net=quantized,
-                                   quantize_epochs=events)
+    run_epochs(run, data, epochs, epoch_hook=hook)
+    quantized = run.net.clone()
+    quantize_network(quantized, run.vols, scheme.mode)
+    return quantized, rounding_epochs
 
 
 # --- packed on-disk format ---------------------------------------------

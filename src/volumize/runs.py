@@ -28,7 +28,7 @@ from .quantizer import (QuantizationScheme, quantized_training,
 from .spectral import SpectralReport, check_network_lipschitz, contractive_volumes
 from .sweep import SweepSpec, run_sweep
 from .training import evaluate, new_run, run_epochs
-from .volumization import VolumizationConfig, derive_layer_volumes
+from .volumization import VolumizationConfig
 
 
 def _write_effective_config(out_dir: str, cfg: dict, extra: dict) -> None:
@@ -219,24 +219,23 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
     """Returns (metrics_path, float accuracy, quantized accuracy)."""
     _require_epochs(cfg)
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
-    net = model_from_cfg(cfg, stable_hash(seed, "init"))
-    vol_cfg = walls_from_cfg(cfg)
+    run = new_run(model_from_cfg(cfg, stable_hash(seed, "init")),
+                  optimizer_from_cfg(cfg), walls_from_cfg(cfg),
+                  SeededRng(stable_hash(seed, "train")),
+                  batch_size=cfg["batch_size"])
     scheme = QuantizationScheme(mode=cfg["mode"], period_epochs=cfg["period_epochs"])
-    result = quantized_training(net, data, optimizer_from_cfg(cfg), vol_cfg, scheme,
-                                SeededRng(stable_hash(seed, "train")),
-                                epochs=cfg["epochs"], batch_size=cfg["batch_size"])
+    quantized, rounding_epochs = quantized_training(run, data, scheme, cfg["epochs"])
     # quantized_training refuses inactive walls, so --out is made only now
     _ensure_out(out_dir)
-    path = _write_trajectory(out_dir, result.trajectory)
+    path = _write_trajectory(out_dir, run.trajectory)
 
-    _, float_acc = evaluate(result.float_net, data.x_test, data.y_test)
-    _, quant_acc = evaluate(result.quantized_net, data.x_test, data.y_test)
-    net = result.quantized_net
-    vols = derive_layer_volumes(net, vol_cfg)
-    save_quantized_weights(os.path.join(out_dir, "weights.vzqw"), net.param_tensors(),
-                           [vols[i] for i, _, _ in net.layer_tensors()], scheme.mode)
+    _, float_acc = evaluate(run.net, data.x_test, data.y_test)
+    _, quant_acc = evaluate(quantized, data.x_test, data.y_test)
+    save_quantized_weights(os.path.join(out_dir, "weights.vzqw"), quantized.param_tensors(),
+                           [run.vols[i] for i, _, _ in quantized.layer_tensors()],
+                           scheme.mode)
 
-    hists = weight_histogram(result.float_net, vols)
+    hists = weight_histogram(run.net, run.vols)
     write_csv(os.path.join(out_dir, "walls.csv"),
               ("layer", "vol", "mass_near_walls"),
               [{"layer": h.layer, "vol": h.vol,
@@ -244,9 +243,9 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
     _write_summary(out_dir, [
         ("float_test_acc", float_acc), ("quantized_test_acc", quant_acc),
         ("accuracy_ratio", quant_acc / float_acc if float_acc > 0 else float("nan")),
-        ("quantize_events", len(result.quantize_epochs)),
-        ("best", result.trajectory.best), ("last", result.trajectory.last),
-        ("gap", result.trajectory.gap),
+        ("quantize_events", len(rounding_epochs)),
+        ("best", run.trajectory.best), ("last", run.trajectory.last),
+        ("gap", run.trajectory.gap),
     ])
     _write_effective_config(out_dir, cfg, {"seed": seed})
     return path, float_acc, quant_acc
@@ -260,8 +259,7 @@ def run_spectral(cfg: dict, out_dir: str, seed: int):
         raise ConfigError(f"probe_pairs must be >= 1, got {cfg['probe_pairs']}")
     data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
     net = model_from_cfg(cfg, stable_hash(seed, "init"))
-    vol_cfg = VolumizationConfig(v=1.0, alpha=0.0, fan_mode=cfg["fan_mode"])
-    run = new_run(net, optimizer_from_cfg(cfg), vol_cfg,
+    run = new_run(net, optimizer_from_cfg(cfg), VolumizationConfig(v=1.0, alpha=0.0),
                   SeededRng(stable_hash(seed, "train")),
                   batch_size=cfg["batch_size"], vols=contractive_volumes(net))
     _ensure_out(out_dir)

@@ -102,7 +102,7 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
     if loss not in LOSSES:
         raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
     if vols is None:
-        vols = derive_layer_volumes(net, vol_cfg) if vol_cfg.enabled else None
+        vols = derive_layer_volumes(net, vol_cfg)
     else:
         vols = tuple(float(v) for v in vols)
         for i, v in enumerate(vols):
@@ -156,12 +156,12 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
 
 def train_model(net, data, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
                 rng: SeededRng, epochs: int = 100, batch_size: int = 128,
-                epoch_hook=None, train_metrics: bool = True) -> MetricTrajectory:
+                train_metrics: bool = True) -> MetricTrajectory:
     """One-call training: build a fresh run, advance it, hand back the
     trajectory. The net and optimizer state are mutated in place; keep the
     TrainingRun API instead when you need checkpoints. train_metrics=False
     leaves the trajectory's train lists empty (see run_epochs) for a caller
     that reads only test metrics."""
     run = new_run(net, opt_spec, vol_cfg, rng, batch_size=batch_size)
-    run_epochs(run, data, epochs, epoch_hook=epoch_hook, train_metrics=train_metrics)
+    run_epochs(run, data, epochs, train_metrics=train_metrics)
     return run.trajectory

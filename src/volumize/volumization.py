@@ -18,6 +18,10 @@ a clip, with alpha = 1 bitwise the identity.
 A strongly negative alpha with a small V can reflect a far-out weight past
 the opposite wall; overshoot_policy says whether to leave that as-is
 ("leave", default) or clamp the result into [-V, V] ("clamp").
+
+The walls follow the fan convention the network was initialized under
+(each layer's a already carries it), so VolumizationConfig has no fan
+setting of its own.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import ConfigError, ShapeError
 
-FAN_MODES = ("fan_in", "fan_out")
 OVERSHOOT_POLICIES = ("leave", "clamp")
 
 
@@ -35,7 +38,6 @@ class VolumizationConfig:
 
     v: float = float("inf")
     alpha: float = 1.0
-    fan_mode: str = "fan_in"
     overshoot_policy: str = "leave"
 
     def __post_init__(self):
@@ -43,8 +45,6 @@ class VolumizationConfig:
             raise ConfigError(f"v must be >= 0 (inf = off), got {self.v}")
         if not -1.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [-1, 1], got {self.alpha}")
-        if self.fan_mode not in FAN_MODES:
-            raise ConfigError(f"fan_mode must be one of {FAN_MODES}, got {self.fan_mode!r}")
         if self.overshoot_policy not in OVERSHOOT_POLICIES:
             raise ConfigError(
                 f"overshoot_policy must be one of {OVERSHOOT_POLICIES}, "
@@ -73,15 +73,8 @@ def apply_volumization(net, state, vols, alpha: float, overshoot_policy: str = "
 
 def derive_layer_volumes(net, cfg: VolumizationConfig):
     """One absolute wall per layer, V = cfg.v * a(layer), for its weight and
-    bias alike.
-
-    The network records which fan convention its init scales were computed
-    under; asking for volumes under the other convention is a config error
-    rather than a silent rescale.
-    """
-    if cfg.fan_mode != net.fan_mode:
-        raise ConfigError(
-            f"config fan_mode {cfg.fan_mode!r} does not match network "
-            f"init fan_mode {net.fan_mode!r}"
-        )
+    bias alike, with a under the net's own fan convention; None when the
+    transform is inactive."""
+    if not cfg.enabled:
+        return None
     return tuple(cfg.v * layer.init_scale_a for layer in net.layers)

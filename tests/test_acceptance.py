@@ -367,12 +367,12 @@ def test_11_ternary_training_keeps_float_accuracy(report):
                      spread=0.4)
     net = init_network([LayerSpec(8, 64, activation="relu"), LayerSpec(64, 4)],
                        rng.spawn("init"))
-    res = quantized_training(net, data, OptimizerSpec(kind="sgd", lr=0.2, mu=0.9),
-                             VolumizationConfig(v=0.5, alpha=0.0),
-                             QuantizationScheme(mode="ternary", period_epochs=2),
-                             rng, epochs=100)
-    _, acc_float = evaluate(res.float_net, data.x_test, data.y_test)
-    _, acc_quant = evaluate(res.quantized_net, data.x_test, data.y_test)
+    run = new_run(net, OptimizerSpec(kind="sgd", lr=0.2, mu=0.9),
+                  VolumizationConfig(v=0.5, alpha=0.0), rng)
+    quantized, _ = quantized_training(
+        run, data, QuantizationScheme(mode="ternary", period_epochs=2), 100)
+    _, acc_float = evaluate(run.net, data.x_test, data.y_test)
+    _, acc_quant = evaluate(quantized, data.x_test, data.y_test)
     ratio = acc_quant / acc_float
 
     draws = np.random.default_rng(1111).uniform(-3.0, 3.0, 10**6)

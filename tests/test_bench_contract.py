@@ -4,9 +4,11 @@
 functions (the tracer, the step clock, the quantized-weight capture), then
 compares every output with ``perfbench/digests.json``. One train-small
 pass at seed 0, untraced and traced, catches a renamed hook, a changed
-signature or a moved output byte; one theory-mc pass catches a moved byte
-of the theorem1, fig4a, fig4b or theorem3 tables, and its traced pass runs
-the tracer's worker spool on the spans of the theory pools' workers.
+signature or a moved output byte; one sweep-wide pass checks the step
+clock's wrapper of ``sweep.train_model``, the sweep workers' step spool and
+the sweep's cell digests; one theory-mc pass catches a moved byte of the
+theorem1, fig4a, fig4b or theorem3 tables, and its traced pass runs the
+tracer's worker spool on the spans of the theory pools' workers.
 """
 
 import json
@@ -33,6 +35,10 @@ def _assert_one_pass_is_correct(workload, trace):
 @pytest.mark.parametrize("trace", [0, 1])
 def test_train_small_is_correct(trace):
     _assert_one_pass_is_correct("train-small", trace)
+
+
+def test_sweep_wide_is_correct():
+    _assert_one_pass_is_correct("sweep-wide", 0)
 
 
 def test_theory_mc_is_correct():

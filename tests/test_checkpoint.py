@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from volumize._container import read_framed, write_framed
 from volumize.checkpoint import load_checkpoint, save_checkpoint
 from volumize.cli import main
 from volumize.errors import CheckpointError, ConfigError
@@ -34,20 +35,19 @@ def _fix_crc(blob: bytearray) -> bytes:
 
 
 def _resign(path, edit, sets_kept=None) -> None:
-    """Rewrite a checkpoint's JSON header with edit(header) and a valid crc,
+    """Rewrite a checkpoint's JSON header with edit(header) and re-frame it,
     so only the header values are wrong. sets_kept keeps that many of the
     payload's equal-sized tensor sets (parameters, m, n)."""
-    blob = path.read_bytes()
-    (hlen,) = struct.unpack_from("<I", blob, 5)
-    header = json.loads(blob[9:9 + hlen])
+    body = read_framed(path, b"VZCK", 1, "checkpoint")
+    hlen = int.from_bytes(body[:4], "little")
+    header = json.loads(body[4:4 + hlen])
     sets = 3 if header["optimizer"]["has_n"] else 2
     edit(header)
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    payload = blob[9 + hlen:-4]
+    payload = body[4 + hlen:]
     if sets_kept is not None:
         payload = payload[:len(payload) // sets * sets_kept]
-    body = blob[4:5] + struct.pack("<I", len(text)) + text + payload
-    path.write_bytes(_fix_crc(bytearray(blob[:4] + body + b"\0" * 4)))
+    write_framed(path, b"VZCK", 1, len(text).to_bytes(4, "little") + text + payload)
 
 
 # one header value the crc cannot catch, per case; the payload stays intact
@@ -55,6 +55,10 @@ BAD_HEADER_VALUES = {
     "in_dim 0": lambda h: h["model"]["layers"][0].update(in_dim=0),
     "unknown optimizer": lambda h: h["optimizer"].update(kind="rmsprop"),
     "alpha 5": lambda h: h["vol"].update(alpha=(5.0).hex()),
+    # the walls follow model.fan_mode, which save_checkpoint copies to vol
+    "vol fan_mode unlike the model's": lambda h: h["vol"].update(fan_mode="fan_out"),
+    "unknown fan_mode": lambda h: (h["model"].update(fan_mode="fan_avg"),
+                                   h["vol"].update(fan_mode="fan_avg")),
     "negative shuffle seed": lambda h: h["shuffle_rng"].update(seed=-1),
     "batch size 0": lambda h: h["run"].update(batch_size=0),
     "transposed weight shape": lambda h: h["tensors"][0].update(

@@ -75,6 +75,15 @@ class TestExitCodes:
         assert main(["train", "--config", str(tmp_path / "nope.cfg"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"v = 0.5\n\xff\xfe = 1\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert not out.exists()
+
     def test_theory_without_kind(self, capsys):
         assert main(["theory", "--out", "unused"]) == 1
         assert "kind" in capsys.readouterr().err
@@ -280,6 +289,15 @@ class TestOutputs:
         assert "quantized_test_acc=" in capsys.readouterr().out
         for name in ("metrics.csv", "weights.vzqw", "walls.csv", "summary.csv"):
             assert (out / name).exists(), name
+
+    def test_quantize_default_walls_are_active(self, tmp_path, capsys):
+        # quantize's own defaults, v = 0.5 and alpha = 0, need no wall keys
+        out = tmp_path / "o"
+        assert main(["quantize", "--config", _cfg(tmp_path, "epochs = 2\n"),
+                     "--out", str(out)]) == 0
+        assert (out / "weights.vzqw").exists()
+        echo = (out / "effective_config.txt").read_text(encoding="utf-8")
+        assert "\nv = 0.5\n" in echo and "\nalpha = 0" in echo
 
     def test_spectral_outputs(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, (

@@ -210,7 +210,7 @@ _SMALL = {"n_classes": "3", "n_per_class": "25", "dim": "4", "spread": "0.6",
           "noise_ratio": "0.2", "hidden_dims": "8, 5", "activation": "tanh",
           "fan_mode": "fan_out", "optimizer": "sgd", "lr": "0.05",
           "epochs": "2", "batch_size": "16"}
-_WALLS = VolumizationConfig(v=0.5, alpha=0.5, fan_mode="fan_out")
+_WALLS = VolumizationConfig(v=0.5, alpha=0.5)
 
 
 def _blobs_by_hand(seed):

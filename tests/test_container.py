@@ -184,8 +184,7 @@ RECORDS = [
     LayerSpec(3, 4, activation="tanh", has_bias=False),
     OptimizerSpec(kind="laprop", lr=5e-324, mu=-0.0, nu=0, eps=3,
                   bias_correction=False),
-    VolumizationConfig(v=math.inf, alpha=-0.0, fan_mode="fan_out",
-                       overshoot_policy="clamp"),
+    VolumizationConfig(v=math.inf, alpha=-0.0, overshoot_policy="clamp"),
     VolumizationConfig(v=5e-324, alpha=-1),
     MetricTrajectory(*(list(_SPECIALS) for _ in range(4))),
     CellResult(v_idx=1, alpha_idx=0, repeat=2, v=3, alpha=-0.0,

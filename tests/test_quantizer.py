@@ -23,7 +23,7 @@ from volumize.quantizer import (
     save_quantized_weights,
     weight_histogram,
 )
-from volumize.training import train_model
+from volumize.training import new_run, train_model
 from volumize.volumization import VolumizationConfig, derive_layer_volumes
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -182,48 +182,49 @@ def _toy_data():
                      n_per_class=30, dim=5, spread=0.5)
 
 
+def _toy_run(seed, sgd_spec, cfg, batch_size=16):
+    net = init_network([LayerSpec(5, 12, activation="relu"), LayerSpec(12, 3)],
+                       SeededRng(seed))
+    return new_run(net, sgd_spec, cfg, SeededRng(seed).spawn("train"),
+                   batch_size=batch_size)
+
+
 class TestQuantizedTraining:
     def test_period_beyond_horizon_matches_plain_training(self, sgd_spec):
         data = _toy_data()
         cfg = VolumizationConfig(v=0.5, alpha=0.5)
         seed = stable_hash("quant-plain")
         net_a = init_network([LayerSpec(5, 12, activation="relu"), LayerSpec(12, 3)], SeededRng(seed))
-        net_b = init_network([LayerSpec(5, 12, activation="relu"), LayerSpec(12, 3)], SeededRng(seed))
         plain = train_model(net_a, data, sgd_spec, cfg,
                             SeededRng(seed).spawn("train"), epochs=6, batch_size=16)
-        res = quantized_training(net_b, data, sgd_spec, cfg,
-                                 QuantizationScheme("ternary", period_epochs=100),
-                                 SeededRng(seed).spawn("train"), epochs=6, batch_size=16)
-        assert res.quantize_epochs == []
-        assert res.trajectory.train_loss == plain.train_loss
-        assert_array_equal(res.float_net.layers[0].w, net_a.layers[0].w)
+        run = _toy_run(seed, sgd_spec, cfg)
+        _, rounding_epochs = quantized_training(
+            run, data, QuantizationScheme("ternary", period_epochs=100), 6)
+        assert rounding_epochs == []
+        assert run.trajectory.train_loss == plain.train_loss
+        assert_array_equal(run.net.layers[0].w, net_a.layers[0].w)
 
     def test_rounding_epochs_and_final_epoch_exempt(self, sgd_spec):
-        data = _toy_data()
-        cfg = VolumizationConfig(v=0.5, alpha=0.0)
-        net = init_network([LayerSpec(5, 12, activation="relu"), LayerSpec(12, 3)], SeededRng(3))
-        res = quantized_training(net, data, sgd_spec, cfg,
-                                 QuantizationScheme("ternary", period_epochs=2),
-                                 SeededRng(3).spawn("train"), epochs=9, batch_size=16)
-        assert res.quantize_epochs == [2, 4, 6, 8]
+        run = _toy_run(3, sgd_spec, VolumizationConfig(v=0.5, alpha=0.0))
+        _, rounding_epochs = quantized_training(
+            run, _toy_data(), QuantizationScheme("ternary", period_epochs=2), 9)
+        assert rounding_epochs == [2, 4, 6, 8]
 
     def test_quantized_net_is_rounded_copy_of_float_net(self, sgd_spec):
-        data = _toy_data()
         cfg = VolumizationConfig(v=0.5, alpha=0.0)
-        net = init_network([LayerSpec(5, 12, activation="relu"), LayerSpec(12, 3)], SeededRng(5))
-        res = quantized_training(net, data, sgd_spec, cfg,
-                                 QuantizationScheme("binary", period_epochs=3),
-                                 SeededRng(5).spawn("train"), epochs=7, batch_size=16)
-        vols = derive_layer_volumes(res.float_net, cfg)
-        want = res.float_net.clone()
+        run = _toy_run(5, sgd_spec, cfg)
+        quantized, _ = quantized_training(
+            run, _toy_data(), QuantizationScheme("binary", period_epochs=3), 7)
+        vols = derive_layer_volumes(run.net, cfg)
+        assert run.vols == vols
+        want = run.net.clone()
         quantize_network(want, vols, "binary")
-        for (_, a), (_, b) in zip(res.quantized_net.param_tensors(),
-                                  want.param_tensors()):
+        for (_, a), (_, b) in zip(quantized.param_tensors(), want.param_tensors()):
             assert_array_equal(a, b)
-        # float_net stayed un-rounded
+        # the run's net stayed un-rounded
         assert any(
             set(np.unique(t)) - {-vols[i], 0.0, vols[i]}
-            for i, _, t in res.float_net.layer_tensors()
+            for i, _, t in run.net.layer_tensors()
         )
 
     @pytest.mark.parametrize("cfg", [
@@ -232,10 +233,10 @@ class TestQuantizedTraining:
         VolumizationConfig(v=0.0, alpha=0.5),
     ])
     def test_requires_active_walls(self, sgd_spec, cfg):
-        net = init_network([LayerSpec(5, 12, activation="relu"), LayerSpec(12, 3)], SeededRng(1))
+        run = _toy_run(1, sgd_spec, cfg, batch_size=128)
         with pytest.raises(ConfigError):
-            quantized_training(net, _toy_data(), sgd_spec, cfg,
-                               QuantizationScheme(), SeededRng(1).spawn("train"), epochs=4)
+            quantized_training(run, _toy_data(), QuantizationScheme(), 4)
+        assert run.epoch == 0
 
     def test_scheme_validation(self):
         with pytest.raises(ConfigError):

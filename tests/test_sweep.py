@@ -20,7 +20,7 @@ from volumize.config import (
 from volumize.errors import ConfigError, NumericError
 from volumize.linalg import SeededRng, stable_hash
 from volumize.quantizer import QuantizationScheme, quantized_training
-from volumize.training import train_model
+from volumize.training import new_run, train_model
 from volumize.volumization import VolumizationConfig
 from volumize.sweep import (
     SWEEP_CSV_HEADER,
@@ -380,9 +380,8 @@ class TestTrainingSplit:
         spec = _spec()
         data = _repeat_dataset(spec, 0)
         seen = _spy_evaluate(monkeypatch)
-        result = quantized_training(
-            model_from_cfg(spec.cfg, 3), data, optimizer_from_cfg(spec.cfg),
-            VolumizationConfig(v=0.5, alpha=0.0), QuantizationScheme(),
-            SeededRng(3), epochs=2, batch_size=16)
+        run = new_run(model_from_cfg(spec.cfg, 3), optimizer_from_cfg(spec.cfg),
+                      VolumizationConfig(v=0.5, alpha=0.0), SeededRng(3), batch_size=16)
+        quantized_training(run, data, QuantizationScheme(), 2)
         assert seen == [data.x_train.shape[0], data.x_test.shape[0]] * 2
-        assert len(result.trajectory.train_acc) == 2
+        assert len(run.trajectory.train_acc) == 2

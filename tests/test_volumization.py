@@ -53,7 +53,7 @@ class TestConfig:
             {"v": float("nan")},
             {"alpha": 1.5},
             {"alpha": -1.01},
-            {"fan_mode": "fanin"},
+            {"alpha": float("nan")},
             {"overshoot_policy": "bounce"},
         ],
     )
@@ -185,15 +185,16 @@ class TestNetworkApplication:
         assert vols[0] == pytest.approx(0.5 * a1)
         assert vols[1] == pytest.approx(0.5 * a2)
 
-    def test_inf_v_gives_inf_walls(self):
+    def test_inactive_walls_derive_to_none(self):
         net = self._net()
-        vols = derive_layer_volumes(net, VolumizationConfig())
-        assert all(np.isinf(v) for v in vols)
+        assert derive_layer_volumes(net, VolumizationConfig()) is None  # v = inf
+        assert derive_layer_volumes(net, VolumizationConfig(v=0.5, alpha=1.0)) is None
 
-    def test_fan_mode_mismatch_rejected(self):
-        net = self._net()  # built fan_in
-        with pytest.raises(ConfigError):
-            derive_layer_volumes(net, VolumizationConfig(v=1.0, fan_mode="fan_out"))
+    def test_walls_follow_the_net_fan_mode(self):
+        specs = [LayerSpec(6, 10, activation="relu"), LayerSpec(10, 3)]
+        net = init_network(specs, SeededRng(3), fan_mode="fan_out")
+        vols = derive_layer_volumes(net, VolumizationConfig(v=0.5, alpha=0.0))
+        assert vols == (0.5 * np.sqrt(6.0 / 10), 0.5 * np.sqrt(6.0 / 3))
 
     def test_apply_scales_first_moment_only(self):
         net = self._net()
