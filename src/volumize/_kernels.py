@@ -11,15 +11,19 @@ both stay off these paths. The products come from ``np.einsum`` with no
 summed index, which writes 0.0 + x*y: that is x*y but for the sign of a zero
 product, which a sum starting from +0.0 cannot see. (A broadcasting
 ``np.multiply`` gives the same sums but copies its inputs through buffers.)
-Each chunk's k-slices of both operands are staged C-contiguous before the
-einsum: a transposed operand (``matmul_nt``'s ``b.T``, the ``a.T`` of an
-output built transposed) would otherwise stride through memory in its inner
-loop, which took twice as long as the same product on contiguous operands.
-Staging only copies values; the products, the k order and the carried sums
-are the same, so it changes no bit.
+One operand is staged: einsum's inner loop runs along the untiled one (the
+second, or the first of an output built transposed), so each chunk's
+k-slices of it are copied C-contiguous before the einsum unless they are
+already. A transposed operand there (``matmul_nt``'s ``b.T``, the ``a.T`` of
+an output built transposed) would otherwise stride through memory in the
+inner loop, which took twice as long as the same product on contiguous
+operands. The row-tiled operand gives each inner loop one element, so a
+copy of it would shorten no loop. Staging only copies values; the
+products, the k order and the carried sums are the same, so it changes no
+bit.
 Each product shape is planned once (``_plan``): whether the output is built
 transposed, the row tile, the chunk length and the views of the staged
-operands, the product slots and the carry slot. Every plan carves its views
+operand, the product slots and the carry slot. Every plan carves its views
 from one module-level block, ``_scratch``, so a call allocates only its
 output (and, for an output built transposed, the buffer it is copied out
 of), and a run's many shapes keep one block resident. A tile's first chunk
@@ -63,7 +67,7 @@ def backend() -> str:
     return "numpy"
 
 
-# float64 elements in a chunk's product slots and staged operands (512 KiB);
+# float64 elements in a chunk's product slots and staged operand (512 KiB);
 # a 256x256 k-slice of products fills it, so the widest training products
 # need no row tiles. Also the block length of the elementwise theory kernels.
 _BLOCK = 1 << 16
@@ -78,8 +82,8 @@ _plans = {}
 
 def _chunk(k, tile, cols):
     # k-slices per chunk, at least one: the carry slot, c product slots and
-    # the c staged k-slices of both operands fit one block
-    return max(1, min(k, (_BLOCK - tile * cols) // (tile * cols + tile + cols)))
+    # the c staged k-slices of the untiled operand fit one block
+    return max(1, min(k, (_BLOCK - tile * cols) // (tile * cols + cols)))
 
 
 def _plan(k, n, m):
@@ -87,10 +91,10 @@ def _plan(k, n, m):
 
     The output (built transposed when ``swap``) is cut into whole-row tiles
     (never of one element), each summed over k in chunks of c slices. A tile
-    is (r0, r1, chunks) and a chunk (k0, k1, xs, ys, p, head, red): staging
-    views for its slices of both operands, its product slots, and either the
-    carry slot ``head`` followed by the product slots as ``red`` (c > 1), or
-    the one product slot ``head`` and no ``red`` (c = 1).
+    is (r0, r1, chunks) and a chunk (k0, k1, ws, p, head, red): the staging
+    view for its slices of the untiled operand, its product slots, and either
+    the carry slot ``head`` followed by the product slots as ``red`` (c > 1),
+    or the one product slot ``head`` and no ``red`` (c = 1).
     """
     global _scratch
     swap = m < _NARROW <= n
@@ -108,8 +112,7 @@ def _plan(k, n, m):
         if _chunk(k, half, cols) == k:
             tile, c = half, k
     slots = (c + 1 if c > 1 else 1) * tile * cols
-    yo = slots + c * (cols if swap else tile)  # the staged x, then the staged y
-    need = yo + c * (tile if swap else cols)
+    need = slots + c * cols  # the slots, then the staged untiled operand
     if len(_scratch) < need:
         _plans.clear()  # their views hold the old block
         _scratch = np.empty(0)
@@ -120,12 +123,10 @@ def _plan(k, n, m):
     for r0 in range(0, rows, tile):
         r = min(tile, rows - r0)
         if r not in chunks:
-            xw, yw = (cols, r) if swap else (r, cols)
             views = {}  # by chunk length; only the last chunk can be shorter
             for ln in {c, k - (k - 1) // c * c}:
                 red = s[:(ln + (c > 1)) * r * cols].reshape(-1, r, cols)
-                views[ln] = (s[slots:slots + ln * xw].reshape(ln, xw),
-                             s[yo:yo + ln * yw].reshape(ln, yw),
+                views[ln] = (s[slots:slots + ln * cols].reshape(ln, cols),
                              *((red[1:], red[0], red) if c > 1 else (red, red[0], None)))
             chunks[r] = [(k0, min(k0 + c, k), *views[min(c, k - k0)])
                          for k0 in range(0, k, c)]
@@ -150,25 +151,18 @@ def _sum_of_products(at, bt, out=None):
         res = np.empty((m, n))
     else:
         res = np.empty((n, m)) if out is None else out
-    # an operand whose chunks are C-contiguous already goes to einsum as it
-    # is; the row-tiled one only with one tile or one k-slice per chunk, as
-    # then its shorter last tile is C-contiguous too
-    tiled, whole = (bt, at) if swap else (at, bt)
-    stage_t = not ((len(tiles) == 1 or c == 1) and tiled[:c, :tile].flags.c_contiguous)
-    stage_w = not whole[:c].flags.c_contiguous
-    sx, sy = (stage_w, stage_t) if swap else (stage_t, stage_w)
+    # only the untiled operand is staged, and only if its chunks are not
+    # C-contiguous already
+    stage = not (at if swap else bt)[:c].flags.c_contiguous
     for r0, r1, chunks in tiles:
         o = res[r0:r1]
         x = at if swap else at[:, r0:r1]
         y = bt[:, r0:r1] if swap else bt
-        for k0, k1, xs, ys, p, head, red in chunks:
+        for k0, k1, ws, p, head, red in chunks:
             xc, yc = x[k0:k1], y[k0:k1]
-            if sx:
-                np.copyto(xs, xc)
-                xc = xs
-            if sy:
-                np.copyto(ys, yc)
-                yc = ys
+            if stage:
+                np.copyto(ws, xc if swap else yc)
+                xc, yc = (ws, yc) if swap else (xc, ws)
             np.einsum(spec, xc, yc, out=p)
             if not k0:  # the first chunk starts from +0.0, straight into o
                 if red is None:

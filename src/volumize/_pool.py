@@ -18,8 +18,9 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
-from .errors import ConfigError
+from .errors import ConfigError, VolumizeError
 
 # cgroup v2, then v1: "<quota> <period>" in microseconds, quota "max" or -1 if none
 _CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
@@ -64,7 +65,9 @@ def started_map(fn, items, workers: int):
     results are asked for. Otherwise min(workers, len(items)) workers are
     forked on entry and take one item at a time. fn must be a module-level
     function. An exception raised by a task reaches the caller as the same
-    class when the results are asked for. On leaving the block, by any
+    class when the results are asked for; a worker that dies (killed, say)
+    loses the items the pool held, and asking for the results then raises
+    VolumizeError naming the first lost item. On leaving the block, by any
     path, the items not yet started are cancelled and every worker has
     exited.
     """
@@ -74,11 +77,33 @@ def started_map(fn, items, workers: int):
         return
     pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
                                mp_context=multiprocessing.get_context("fork"))
+    futures = []
     try:
-        futures = [pool.submit(fn, *item) for item in items]
-        yield lambda: [f.result() for f in futures]
+        with contextlib.suppress(BrokenProcessPool):  # the results name the lost item
+            for item in items:
+                futures.append(pool.submit(fn, *item))
+        yield lambda: _results(futures, len(items))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _results(futures, n):
+    """The futures' results in order, for n items; an item whose worker
+    died, or that a broken pool refused, raises VolumizeError."""
+    results = []
+    with contextlib.suppress(BrokenProcessPool):
+        for f in futures:
+            results.append(f.result())
+    if len(results) < n:
+        raise VolumizeError(f"a worker process died: the item at index {len(results)} "
+                            f"of {n} returned no result")
+    return results
+
+
+def require_workers(workers: int) -> None:
+    """Raises ConfigError unless workers >= 1."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 def map_ordered(fn, items, workers: int) -> list:
@@ -89,8 +114,7 @@ def map_ordered(fn, items, workers: int) -> list:
     An exception raised by a task reaches the caller as the same class,
     after the pool has shut down.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    require_workers(workers)
     items = list(items)
     forked = workers if workers > 1 and len(items) > 1 else 0
     with started_map(fn, items, forked) as results:

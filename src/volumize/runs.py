@@ -229,7 +229,8 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
     _ensure_out(out_dir)
     path = _write_trajectory(out_dir, run.trajectory)
 
-    _, float_acc = evaluate(run.net, data.x_test, data.y_test)
+    # the final epoch never rounds, so its test accuracy is run.net's
+    float_acc = run.trajectory.test_acc[-1]
     _, quant_acc = evaluate(quantized, data.x_test, data.y_test)
     save_quantized_weights(os.path.join(out_dir, "weights.vzqw"), quantized.param_tensors(),
                            [run.vols[i] for i, _, _ in quantized.layer_tensors()],
@@ -283,7 +284,6 @@ def run_spectral(cfg: dict, out_dir: str, seed: int):
 def run_sweep_cmd(cfg: dict, out_dir: str, seed: int, workers: int = 1,
                   resume: bool = False):
     spec = SweepSpec(cfg, base_seed=seed)
-    _ensure_out(out_dir)
     csv_path = run_sweep(spec, out_dir, workers=workers, resume=resume)
     _write_effective_config(out_dir, cfg, {"seed": seed, "workers": workers})
     return csv_path

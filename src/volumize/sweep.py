@@ -30,7 +30,7 @@ import os
 from dataclasses import dataclass
 
 from ._container import from_record, to_record, write_atomic
-from ._pool import map_ordered
+from ._pool import map_ordered, require_workers
 from .config import (SWEEP_SCHEMA, check_dataset_cfg, dataset_from_cfg,
                      model_from_cfg, optimizer_from_cfg, walls_from_cfg)
 from .csvio import write_csv
@@ -171,8 +171,10 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
     or seed differs from this spec's raises ConfigError, and a damaged one
     CheckpointError, before any cell runs. The CSV is always rebuilt from
     the cell files in canonical order, so its bytes depend only on the spec,
-    never on scheduling. workers < 1 raises ConfigError.
+    never on scheduling. workers < 1 raises ConfigError before anything
+    is created.
     """
+    require_workers(workers)
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
     pending = []
     for vi, ai, r in spec.cells():

@@ -1,14 +1,17 @@
 """End-to-end CLI behavior: exit codes, outputs, resume."""
 
 import importlib
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 
 import pytest
 
 import volumize
+from volumize import _pool, theory
 from volumize.cli import main
 from volumize.csvio import read_csv
 
@@ -38,6 +41,13 @@ def _run_cfg(command, bad):
     lines = [line for line in TRAIN_CFG.format(epochs=2).splitlines()
              if line.split()[0] not in drop]
     return "\n".join([*lines, bad]) + "\n"
+
+
+def _killed(*args):
+    """A theory task whose worker process kills itself, as the OOM killer
+    would."""
+    assert multiprocessing.parent_process() is not None, "not in a worker"
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _cfg(tmp_path, text, name="run.cfg"):
@@ -123,6 +133,25 @@ class TestExitCodes:
                      "--workers", workers]) == 1
         assert bad.split()[0] in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_without_workers_exits_one_before_making_out(self, tmp_path, capsys,
+                                                               workers):
+        cfg = _cfg(tmp_path, "n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 1
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lost_theory_worker_exits_two(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(_pool, "available_cpus", lambda: 2)
+        monkeypatch.setattr(theory, "_seeded", _killed)
+        cfg = _cfg(tmp_path, "kind = theorem1\nn_samples = 500\n")
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "quantize"])
     def test_zero_epochs_exits_one_before_writing(self, tmp_path, capsys, command):
@@ -289,6 +318,16 @@ class TestOutputs:
         assert "quantized_test_acc=" in capsys.readouterr().out
         for name in ("metrics.csv", "weights.vzqw", "walls.csv", "summary.csv"):
             assert (out / name).exists(), name
+
+    def test_quantize_float_accuracy_is_the_last_epochs(self, tmp_path, capsys):
+        # the final epoch never rounds, so the float net's test accuracy is
+        # the one metrics.csv records for it; 5 epochs round at 2 and 4 only
+        cfg = _cfg(tmp_path, "epochs = 5\nperiod_epochs = 2\n")
+        out = tmp_path / "o"
+        assert main(["quantize", "--config", cfg, "--out", str(out)]) == 0
+        summary = {r["key"]: r["value"] for r in read_csv(out / "summary.csv")[1]}
+        assert summary["quantize_events"] == "2"
+        assert summary["float_test_acc"] == read_csv(out / "metrics.csv")[1][-1]["test_acc"]
 
     def test_quantize_default_walls_are_active(self, tmp_path, capsys):
         # quantize's own defaults, v = 0.5 and alpha = 0, need no wall keys

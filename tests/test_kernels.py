@@ -442,15 +442,16 @@ def test_summation_kernels_match_oracle_across_shapes_and_layouts(monkeypatch, b
 
 @pytest.mark.parametrize("block", [256, 1 << 16], ids=["small-block", "real-block"])
 def test_product_operands_reach_einsum_c_contiguous(monkeypatch, block):
-    # every chunk of both operands is staged C-contiguous whatever the
-    # caller's layout, so no einsum inner loop strides; the bits stay the
-    # oracle's
+    # every chunk of the untiled operand, the one einsum's inner loop runs
+    # along, reaches einsum C-contiguous whatever the caller's layout: the
+    # second operand, or the first when the output is built transposed. The
+    # bits stay the oracle's
     monkeypatch.setattr(K, "_BLOCK", block)
     real = np.einsum
-    strided = []
+    seen = []
 
     def einsum(spec, *operands, **kw):
-        strided.extend(op.strides for op in operands if not op.flags.c_contiguous)
+        seen.append(operands)
         return real(spec, *operands, **kw)
 
     monkeypatch.setattr(np, "einsum", einsum)
@@ -460,8 +461,13 @@ def test_product_operands_reach_einsum_c_contiguous(monkeypatch, block):
             if name == "colsum":
                 continue
             want = _ORACLES[name](*args)
+            n, m = (*want.shape, 1)[:2]  # a matvec output is one column
+            inner = 0 if m < K._NARROW <= n else 1
             for i, variant in enumerate(zip(*(_layouts(x) for x in args))):
+                seen.clear()
                 got = getattr(K, name)(*variant)
+                strided = [ops[inner].strides for ops in seen
+                           if not ops[inner].flags.c_contiguous]
                 assert not strided, (name, [x.shape for x in args], i, strided)
                 _assert_same_bits(got, want)
                 calls += 1
@@ -523,14 +529,14 @@ def test_summation_cases_are_order_sensitive():
     ("matmul_nn", ((800, 64), (64, 4))),
     # one output row tile at a time: a whole k-slice would be 2 MB
     ("matmul_nn", ((1000, 256), (256, 256))),
-    # strided operands, staged: the backward product's b.T, and the a.T of
-    # a narrow output built transposed
+    # strided untiled operands, staged: the backward product's b.T, and the
+    # a.T of a narrow output built transposed
     ("matmul_nt", ((128, 256), (256, 256))),
     ("matmul_nn", ((800, 256), (256, 4))),
 ])
 def test_product_kernels_allocate_at_most_one_block(name, shapes):
     # the output, one block of _BLOCK float64s for a chunk's products and
-    # staged operands, the buffers numpy gives a broadcasting ufunc (one
+    # staged untiled operand, the buffers numpy gives a broadcasting ufunc (one
     # bufsize of float64s per input) and 64 KiB; building the whole k x n x m
     # product would take 64 MiB, 1.6 MB, 512 MiB, 64 MiB and 6.6 MB here
     a, b = _rand(shapes[0], 95), _rand(shapes[1], 96)
@@ -585,7 +591,7 @@ def test_product_plans_share_one_scratch_block():
     # a plan per shape, all carving their views from one block: the shapes
     # of a training run keep one block resident, not one each. The last
     # shape needs more than _BLOCK (a 256-wide k-slice fills it before its
-    # staged operands), so the block grows and the plans made before are
+    # staged operand), so the block grows and the plans made before are
     # dropped with the old one
     shapes = [("matmul_nn", (128, 8), (8, 64)), ("matmul_nn", (128, 64), (64, 4)),
               ("matmul_tn", (128, 64), (128, 4)), ("matmul_tn", (128, 8), (128, 64)),

@@ -9,6 +9,7 @@ import functools
 import math
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 
 from volumize import _kernels, _pool, config, runs, theory
 from volumize.cli import main
-from volumize.errors import ConfigError, DomainError
+from volumize.errors import ConfigError, DomainError, VolumizeError
 from volumize.theory import (cauchy_comparison, flow_curve, mc_curve, mc_curves,
                              weight_decay_error_mc)
 
@@ -35,6 +36,15 @@ def _mc_curve_hex(a, sigma, vols, seed, n_samples):
 def _fail_on_negative(x):
     if x < 0:
         raise DomainError(f"negative item {x}")
+    return x
+
+
+def _killed_on_negative(x):
+    """x, unless x < 0: then the worker process kills itself, as the OOM
+    killer would."""
+    if x < 0:
+        assert multiprocessing.parent_process() is not None, "not in a worker"
+        os.kill(os.getpid(), signal.SIGKILL)
     return x
 
 
@@ -144,6 +154,14 @@ class TestMapOrdered:
     def test_task_error_keeps_its_class(self, pools):
         with pytest.raises(DomainError, match="negative item -3"):
             _pool.map_ordered(_fail_on_negative, [(1,), (-3,), (4,), (-5,)], 2)
+        assert pools == [2]
+
+    def test_lost_worker_is_volumize_error(self, pools):
+        # the first item kills its worker, so it is the first item lost
+        with pytest.raises(VolumizeError) as info:
+            _pool.map_ordered(_killed_on_negative, [(-1,), (2,), (3,), (4,)], 2)
+        assert type(info.value) is VolumizeError  # not a ConfigError: exit 2
+        assert "worker process died: the item at index 0 of 4" in str(info.value)
         assert pools == [2]
 
 
