@@ -6,13 +6,25 @@ stream, and everything a run needs to continue (parameters, optimizer
 moments, shuffle-stream position, epoch counter, metric history) lives on
 the TrainingRun object. Saving that object and resuming later reproduces the
 uninterrupted run bit for bit.
+
+Each epoch's metrics come from evaluate on both splits (the test split
+alone with train_metrics=False). When a CPU is spare, a forked evaluator
+(_pool.served) computes them from a copy of the epoch's weights while the
+caller trains the next epoch; the evaluator runs the same code on the same
+bytes, so every metric has the same bits as in-process evaluation, and no
+output depends on whether a CPU was spare. Reading run.trajectory waits for
+the metrics still being computed, so a hook, or a checkpoint written from
+one, sees every completed epoch's metrics.
 """
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .errors import ConfigError, DomainError
 from .linalg import SeededRng
 from .net import LOSSES, _loss_and_output_grad, forward, loss_and_grad
@@ -75,9 +87,31 @@ def evaluate(net, x, y, loss: str = "softmax_xent"):
     return value, acc
 
 
+def _metrics(net, data, loss: str, train_metrics: bool) -> bytes:
+    """One epoch's metrics as float64 bytes: the training split's loss and
+    accuracy (only with train_metrics), then the test split's."""
+    splits = [(data.x_test, data.y_test)]
+    if train_metrics:
+        splits.insert(0, (data.x_train, data.y_train))
+    return np.array([m for x, y in splits for m in evaluate(net, x, y, loss)]).tobytes()
+
+
+def _record(traj: MetricTrajectory, metrics: bytes) -> None:
+    values = np.frombuffer(metrics).tolist()
+    if len(values) == 4:
+        traj.train_loss.append(values[0])
+        traj.train_acc.append(values[1])
+    traj.test_loss.append(values[-2])
+    traj.test_acc.append(values[-1])
+
+
 @dataclass(eq=False)
 class TrainingRun:
-    """Everything needed to continue a run: mutate via run_epochs only."""
+    """Everything needed to continue a run: mutate via run_epochs only.
+
+    recorded holds the metrics received so far; read trajectory instead,
+    which first waits for an epoch whose metrics are still being computed.
+    """
 
     net: "object"
     opt_spec: OptimizerSpec
@@ -88,7 +122,21 @@ class TrainingRun:
     batch_size: int
     loss: str
     epoch: int = 0
-    trajectory: MetricTrajectory = field(default_factory=MetricTrajectory)
+    recorded: MetricTrajectory = field(default_factory=MetricTrajectory)
+    # () -> metric bytes of the epoch the evaluator holds, if any
+    _pending: object = field(default=None, init=False, repr=False)
+
+    @property
+    def trajectory(self) -> MetricTrajectory:
+        """The metrics of every completed epoch."""
+        self._receive()
+        return self.recorded
+
+    def _receive(self) -> None:
+        """Records the metrics the evaluator holds, once it sends them."""
+        if self._pending is not None:
+            receive, self._pending = self._pending, None
+            _record(self.recorded, receive())
 
 
 def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
@@ -118,9 +166,17 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
 
 def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
                train_metrics: bool = True) -> None:
-    """Advance a run by n_epochs. Metrics are recorded at each epoch's end,
-    then epoch_hook(net, opt_state, completed_epoch) fires, in that order,
-    so hooks see the recorded state and may mutate it for the next epoch.
+    """Advance a run by n_epochs. After each epoch's steps its metrics are
+    taken from the weights as they stand, then epoch_hook(net, opt_state,
+    completed_epoch) fires, in that order: a hook may mutate the state for
+    the next epoch without touching the metrics, and a hook that reads
+    run.trajectory sees the metrics of every completed epoch, its own
+    included. run_epochs returns once every metric is recorded.
+
+    The metrics are computed in a forked evaluator beside the caller when a
+    CPU is spare (_pool.spare_cpu) and there are at least two epochs, and
+    in-process otherwise; the bits are the same either way. An evaluator
+    that dies raises VolumizeError naming the epoch it held.
 
     With train_metrics=False the end-of-epoch pass over the training split
     is skipped and train_loss/train_acc get no entries; the test metrics,
@@ -132,26 +188,38 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
     n = data.x_train.shape[0]
     bs = run.batch_size
     n_batches = math.ceil(n / bs)
-    for _ in range(n_epochs):
-        perm = run.shuffle_rng.permutation(n)
-        for b in range(n_batches):
-            sel = perm[b * bs:(b + 1) * bs]
-            xb = np.ascontiguousarray(data.x_train[sel])
-            yb = data.y_train[sel]
-            grads = loss_and_grad(run.net, xb, yb, loss=run.loss)
-            step(run.net, grads, run.opt_state, run.opt_spec,
-                 vols=run.vols, alpha=run.vol_cfg.alpha,
-                 overshoot_policy=run.vol_cfg.overshoot_policy)
-        if train_metrics:
-            tr_loss, tr_acc = evaluate(run.net, data.x_train, data.y_train, run.loss)
-            run.trajectory.train_loss.append(tr_loss)
-            run.trajectory.train_acc.append(tr_acc)
-        te_loss, te_acc = evaluate(run.net, data.x_test, data.y_test, run.loss)
-        run.trajectory.test_loss.append(te_loss)
-        run.trajectory.test_acc.append(te_acc)
-        run.epoch += 1
-        if epoch_hook is not None:
-            epoch_hook(run.net, run.opt_state, run.epoch)
+
+    def answer(params: bytes) -> bytes:
+        # in the evaluator, whose run.net is its own snapshot of the caller's
+        run.net.params[...] = np.frombuffer(params)
+        return _metrics(run.net, data, run.loss, train_metrics)
+
+    forked = n_epochs >= 2 and _pool.spare_cpu()
+    evaluating = _pool.served(answer, "evaluator") if forked else contextlib.nullcontext()
+    with evaluating as evaluator:
+        try:
+            for _ in range(n_epochs):
+                perm = run.shuffle_rng.permutation(n)
+                for b in range(n_batches):
+                    sel = perm[b * bs:(b + 1) * bs]
+                    xb = np.ascontiguousarray(data.x_train[sel])
+                    yb = data.y_train[sel]
+                    grads = loss_and_grad(run.net, xb, yb, loss=run.loss)
+                    step(run.net, grads, run.opt_state, run.opt_spec,
+                         vols=run.vols, alpha=run.vol_cfg.alpha,
+                         overshoot_policy=run.vol_cfg.overshoot_policy)
+                if evaluator is None:
+                    _record(run.recorded, _metrics(run.net, data, run.loss, train_metrics))
+                else:
+                    run._receive()  # the epoch before, so one epoch is in flight
+                    evaluator.send(run.net.params)
+                    run._pending = functools.partial(
+                        evaluator.receive, f"the metrics of epoch {run.epoch + 1}")
+                run.epoch += 1
+                if epoch_hook is not None:
+                    epoch_hook(run.net, run.opt_state, run.epoch)
+        finally:
+            run._receive()  # the epoch in flight, also when a step has failed
 
 
 def train_model(net, data, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,

@@ -315,17 +315,19 @@ class TestRunSweep:
         assert open(serial, "rb").read() == open(parallel, "rb").read()
 
 
-def _spy_evaluate(monkeypatch):
-    """Record the row count of every split training.evaluate sees."""
-    seen = []
+def _spy_evaluate(monkeypatch, tmp_path):
+    """Record the row count of every split training.evaluate sees, in the
+    caller or in a forked evaluator alike; the value reads the record."""
+    log = tmp_path / "evaluated.txt"
     real = training_mod.evaluate
 
     def spy(net, x, y, loss="softmax_xent"):
-        seen.append(x.shape[0])
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{x.shape[0]}\n")
         return real(net, x, y, loss)
 
     monkeypatch.setattr(training_mod, "evaluate", spy)
-    return seen
+    return lambda: [int(n) for n in log.read_text().split()] if log.exists() else []
 
 
 class TestTrainingSplit:
@@ -358,30 +360,30 @@ class TestTrainingSplit:
         assert ([x.hex() for x in (res.best, res.last, res.gap)]
                 == [x.hex() for x in (full.best, full.last, full.gap)])
 
-    def test_cell_evaluates_only_the_test_split(self, monkeypatch):
+    def test_cell_evaluates_only_the_test_split(self, monkeypatch, tmp_path):
         spec = _spec(v_grid=(0.5,), alpha_grid=(0.0,), repeats=1)
-        seen = _spy_evaluate(monkeypatch)
+        seen = _spy_evaluate(monkeypatch, tmp_path)
         assert run_cell(spec, 0, 0, 0).status == "ok"
         data = _repeat_dataset(spec, 0)
-        assert seen == [data.x_test.shape[0]] * spec.cfg["epochs"]
+        assert seen() == [data.x_test.shape[0]] * spec.cfg["epochs"]
         assert data.x_test.shape[0] != data.x_train.shape[0]
 
     def test_run_train_evaluates_both_splits(self, tmp_path, monkeypatch):
         raw = {k: v for k, v in _SPEC_CFG.items() if k in TRAIN_SCHEMA}
         cfg = apply_schema({**raw, "epochs": "2", "v": "0.5", "alpha": "0"},
                            TRAIN_SCHEMA)
-        seen = _spy_evaluate(monkeypatch)
+        seen = _spy_evaluate(monkeypatch, tmp_path)
         _, traj = runs.run_train(cfg, str(tmp_path / "o"), 5)
         data = dataset_from_cfg(cfg, stable_hash(5, "dataset"))
-        assert seen == [data.x_train.shape[0], data.x_test.shape[0]] * 2
+        assert seen() == [data.x_train.shape[0], data.x_test.shape[0]] * 2
         assert len(traj.train_loss) == len(traj.train_acc) == 2
 
-    def test_quantized_training_evaluates_both_splits(self, monkeypatch):
+    def test_quantized_training_evaluates_both_splits(self, monkeypatch, tmp_path):
         spec = _spec()
         data = _repeat_dataset(spec, 0)
-        seen = _spy_evaluate(monkeypatch)
+        seen = _spy_evaluate(monkeypatch, tmp_path)
         run = new_run(model_from_cfg(spec.cfg, 3), optimizer_from_cfg(spec.cfg),
                       VolumizationConfig(v=0.5, alpha=0.0), SeededRng(3), batch_size=16)
         quantized_training(run, data, QuantizationScheme(), 2)
-        assert seen == [data.x_train.shape[0], data.x_test.shape[0]] * 2
+        assert seen() == [data.x_train.shape[0], data.x_test.shape[0]] * 2
         assert len(run.trajectory.train_acc) == 2
