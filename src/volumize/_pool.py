@@ -39,7 +39,8 @@ from concurrent.futures.process import BrokenProcessPool
 from .errors import ConfigError, VolumizeError
 
 _FORK = multiprocessing.get_context("fork")
-_forked = False  # True in every process _pool starts
+_SERVED = "evaluator"  # the name of the process served forks
+_forked = False  # True in started_map's workers
 
 # cgroup v2, then v1: "<quota> <period>" in microseconds, quota "max" or -1 if none
 _CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
@@ -79,8 +80,10 @@ def _mark_forked() -> None:
 
 
 def _nested() -> bool:
-    """True in a process that starts no children: one that _pool forked,
-    or a daemonic one (a multiprocessing.Pool worker may not have any)."""
+    """True in a process that starts no children: a started_map worker
+    (marked, since an executor's workers are not daemonic), or a daemonic
+    one, such as the served process or a multiprocessing.Pool worker,
+    which may not have any."""
     return _forked or multiprocessing.current_process().daemon
 
 
@@ -160,9 +163,8 @@ def map_ordered(fn, items, workers: int) -> list:
 class _Server:
     """The caller's end of the pipe to a process that served forked."""
 
-    def __init__(self, conn, name: str):
+    def __init__(self, conn):
         self._conn = conn
-        self._name = name
 
     def send(self, request) -> None:
         """Queues a request (any bytes-like object) for an answer."""
@@ -178,7 +180,7 @@ class _Server:
             reply = self._conn.recv_bytes()
         except (EOFError, OSError):
             raise VolumizeError(
-                f"the {self._name} process died before it sent {what}") from None
+                f"the {_SERVED} process died before it sent {what}") from None
         if reply[:1] == b"\0":
             return reply[1:]
         raise pickle.loads(reply[1:])
@@ -186,8 +188,8 @@ class _Server:
 
 def _serve(here, there, answer) -> None:
     """The served process: answers each request until the caller closes
-    its end. An exception raised by answer goes back in its place."""
-    _mark_forked()
+    its end. An exception raised by answer goes back in its place. It is
+    daemonic, so _nested holds in it."""
     here.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends it by closing the pipe
     while True:
@@ -206,7 +208,7 @@ def _serve(here, there, answer) -> None:
 
 
 @contextlib.contextmanager
-def served(answer, name: str):
+def served(answer):
     """Forks one process that answers requests, and makes the caller's end
     of the pipe (a _Server) the value of the block.
 
@@ -220,11 +222,11 @@ def served(answer, name: str):
     """
     here, there = _FORK.Pipe()
     proc = _FORK.Process(target=_serve, args=(here, there, answer), daemon=True,
-                         name=name)
+                         name=_SERVED)
     proc.start()
     there.close()
     try:
-        yield _Server(here, name)
+        yield _Server(here)
     finally:
         here.close()
         proc.join()

@@ -147,7 +147,7 @@ def load_checkpoint(path) -> TrainingRun:
             vols=derive_layer_volumes(net, vol_cfg),
             shuffle_rng=SeededRng.from_state(header["shuffle_rng"]),
             batch_size=r["batch_size"], loss=r["loss"],
-            epoch=r["epoch"], recorded=trajectory,
+            epoch=r["epoch"], trajectory=trajectory,
         )
     except CheckpointError:
         raise

@@ -8,11 +8,11 @@ the TrainingRun object. Saving that object and resuming later reproduces the
 uninterrupted run bit for bit.
 
 Each epoch's metrics come from evaluate on both splits (the test split
-alone with train_metrics=False). When a CPU is spare, a forked evaluator
-(_pool.served) computes them from a copy of the epoch's weights while the
-caller trains the next epoch; the evaluator runs the same code on the same
-bytes, so every metric has the same bits as in-process evaluation, and no
-output depends on whether a CPU was spare. Reading run.trajectory waits for
+alone with train_metrics=False). When both splits are evaluated and a CPU
+is spare, a forked evaluator (_pool.served) computes them from a copy of
+the epoch's weights while the caller trains the next epoch; the evaluator
+runs the same code on the same bytes, so every metric has the same bits as
+in-process evaluation, and no output depends on whether a CPU was spare. Reading run.trajectory waits for
 the metrics still being computed, so a hook, or a checkpoint written from
 one, sees every completed epoch's metrics.
 """
@@ -109,8 +109,8 @@ def _record(traj: MetricTrajectory, metrics: bytes) -> None:
 class TrainingRun:
     """Everything needed to continue a run: mutate via run_epochs only.
 
-    recorded holds the metrics received so far; read trajectory instead,
-    which first waits for an epoch whose metrics are still being computed.
+    Reading trajectory first waits for an epoch whose metrics the evaluator
+    is still computing (the property is set below the class).
     """
 
     net: "object"
@@ -122,21 +122,37 @@ class TrainingRun:
     batch_size: int
     loss: str
     epoch: int = 0
-    recorded: MetricTrajectory = field(default_factory=MetricTrajectory)
-    # () -> metric bytes of the epoch the evaluator holds, if any
+    trajectory: MetricTrajectory = field(default_factory=MetricTrajectory)
+    # (epoch, () -> its metric bytes) while the evaluator holds that epoch
     _pending: object = field(default=None, init=False, repr=False)
 
-    @property
-    def trajectory(self) -> MetricTrajectory:
-        """The metrics of every completed epoch."""
-        self._receive()
-        return self.recorded
-
     def _receive(self) -> None:
-        """Records the metrics the evaluator holds, once it sends them."""
+        """Records the metrics of the epoch the evaluator holds, if any, once
+        they arrive. If they are lost, the epoch counter goes back to the
+        last recorded epoch, where in-process evaluation would have left it."""
         if self._pending is not None:
-            receive, self._pending = self._pending, None
-            _record(self.recorded, receive())
+            (epoch, receive), self._pending = self._pending, None
+            try:
+                metrics = receive()
+            except BaseException:
+                self.epoch = epoch - 1
+                raise
+            _record(self._recorded, metrics)
+
+
+def _trajectory(run: TrainingRun) -> MetricTrajectory:
+    run._receive()
+    return run._recorded
+
+
+def _set_trajectory(run: TrainingRun, trajectory: MetricTrajectory) -> None:
+    run._recorded = trajectory
+
+
+# Set once the dataclass is built, so that trajectory stays a field
+# (TrainingRun(..., trajectory=t)) that __init__ stores through the setter.
+TrainingRun.trajectory = property(_trajectory, _set_trajectory,
+                                  doc="The metrics of every completed epoch.")
 
 
 def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
@@ -173,10 +189,14 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
     run.trajectory sees the metrics of every completed epoch, its own
     included. run_epochs returns once every metric is recorded.
 
-    The metrics are computed in a forked evaluator beside the caller when a
-    CPU is spare (_pool.spare_cpu) and there are at least two epochs, and
-    in-process otherwise; the bits are the same either way. An evaluator
-    that dies raises VolumizeError naming the epoch it held.
+    The metrics are computed in a forked evaluator beside the caller when
+    both splits are evaluated, a CPU is spare (_pool.spare_cpu) and there
+    are at least two epochs, and in process otherwise: a pass over the test
+    split alone (a sweep cell's) is too short to repay a fork. The bits are
+    the same either way. An evaluator that dies raises VolumizeError naming
+    the epoch it held. When an epoch's metrics are lost, by an error or a
+    dead evaluator, the error is raised and run.epoch counts the recorded
+    epochs only, as in process, though the weights may have moved on.
 
     With train_metrics=False the end-of-epoch pass over the training split
     is skipped and train_loss/train_acc get no entries; the test metrics,
@@ -194,8 +214,8 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
         run.net.params[...] = np.frombuffer(params)
         return _metrics(run.net, data, run.loss, train_metrics)
 
-    forked = n_epochs >= 2 and _pool.spare_cpu()
-    evaluating = _pool.served(answer, "evaluator") if forked else contextlib.nullcontext()
+    forked = train_metrics and n_epochs >= 2 and _pool.spare_cpu()
+    evaluating = _pool.served(answer) if forked else contextlib.nullcontext()
     with evaluating as evaluator:
         try:
             for _ in range(n_epochs):
@@ -209,17 +229,24 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
                          vols=run.vols, alpha=run.vol_cfg.alpha,
                          overshoot_policy=run.vol_cfg.overshoot_policy)
                 if evaluator is None:
-                    _record(run.recorded, _metrics(run.net, data, run.loss, train_metrics))
+                    _record(run._recorded, _metrics(run.net, data, run.loss, train_metrics))
                 else:
                     run._receive()  # the epoch before, so one epoch is in flight
                     evaluator.send(run.net.params)
-                    run._pending = functools.partial(
-                        evaluator.receive, f"the metrics of epoch {run.epoch + 1}")
+                    what = f"the metrics of epoch {run.epoch + 1}"
+                    run._pending = (run.epoch + 1, functools.partial(evaluator.receive, what))
                 run.epoch += 1
                 if epoch_hook is not None:
                     epoch_hook(run.net, run.opt_state, run.epoch)
-        finally:
-            run._receive()  # the epoch in flight, also when a step has failed
+        except BaseException as failed:
+            # The epoch in flight came first: in process, its error would
+            # have stopped the run before the step or hook that failed.
+            try:
+                run._receive()
+            except BaseException as lost:
+                raise lost from failed
+            raise
+        run._receive()
 
 
 def train_model(net, data, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,

@@ -59,9 +59,9 @@ def forks(monkeypatch, tmp_path):
         record(f"pool of {max_workers}")
         return real_pool(max_workers=max_workers, **kw)
 
-    def served(answer, name):
-        record(name)
-        return real_served(answer, name)
+    def served(answer):
+        record("evaluator")
+        return real_served(answer)
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(_pool, "served", served)
@@ -156,7 +156,6 @@ class TestHooks:
         assert forks() == []
 
     def test_sweep_workers_start_no_children(self, tmp_path, monkeypatch, forks):
-        # each cell trains 3 epochs, which would fork an evaluator outside a worker
         _with_cpus(monkeypatch, 2)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(_DATA + "epochs = 3\nv_grid = 0.5, inf\nalpha_grid = 0, 1\n"
@@ -164,6 +163,39 @@ class TestHooks:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--workers", "2"]) == 0
         assert forks() == [f"{os.getpid()} pool of 2"]
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_sweep_cells_evaluate_in_process(self, tmp_path, monkeypatch, forks, workers):
+        # a cell evaluates the test split alone, so even a cell run by the
+        # sweep's own process (--workers 1) forks no evaluator
+        _with_cpus(monkeypatch, 2)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(_DATA + "epochs = 3\nv_grid = 0.5\nalpha_grid = 0, 1\n"
+                       "repeats = 1\n", encoding="utf-8")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--workers", str(workers)]) == 0
+        assert not any(line.endswith("evaluator") for line in forks())
+
+    def test_pool_workers_start_nothing(self, monkeypatch):
+        _with_cpus(monkeypatch, 2)
+        assert _pool.map_ordered(_may_start_children, [()] * 2, 2) == [False, False]
+        assert _may_start_children()
+
+    def test_trajectory_is_set_as_a_field(self, tiny_data):
+        run = _run()
+        run_epochs(run, tiny_data, 2)
+        again = training.TrainingRun(
+            net=run.net, opt_spec=run.opt_spec, opt_state=run.opt_state,
+            vol_cfg=run.vol_cfg, vols=run.vols, shuffle_rng=run.shuffle_rng,
+            batch_size=run.batch_size, loss=run.loss, epoch=2,
+            trajectory=run.trajectory)
+        assert again.trajectory is run.trajectory
+        again.trajectory = training.MetricTrajectory()
+        assert again.trajectory.n_epochs == 0
+
+
+def _may_start_children():
+    return _pool.spare_cpu()
 
 
 class TestErrors:
@@ -189,13 +221,51 @@ class TestErrors:
     @pytest.mark.parametrize("cpus", (2, 1))
     def test_evaluation_error_keeps_its_class(self, tiny_data, monkeypatch, cpus):
         _with_cpus(monkeypatch, cpus)
+        real = training.evaluate
+        calls = []
 
-        def refuse(net, x, y, loss):
-            raise ShapeError("class index out of range")
+        def refuse_from_epoch_two(net, x, y, loss):
+            calls.append(1)  # in the evaluator, its own copy of the list
+            if len(calls) > 2:
+                raise ShapeError("class index out of range")
+            return real(net, x, y, loss)
 
-        monkeypatch.setattr(training, "evaluate", refuse)
+        monkeypatch.setattr(training, "evaluate", refuse_from_epoch_two)
+        run = _run()
         with pytest.raises(ShapeError, match="class index out of range"):
-            run_epochs(_run(), tiny_data, 3)
+            run_epochs(run, tiny_data, 4)
+        # epoch 2's metrics are lost; the evaluator has trained on into epoch 3
+        assert run.epoch == 1 and run.trajectory.n_epochs == 1
+        assert multiprocessing.active_children() == []
+
+    def test_lost_epoch_outranks_a_later_step_error(self, tiny_data, monkeypatch):
+        # at 2 CPUs epoch 3 trains while epoch 2 is evaluated; in process,
+        # epoch 2's error would have come first, so it is raised, caused by
+        # the step's
+        _with_cpus(monkeypatch, 2)
+        real_evaluate, real_grad = training.evaluate, training.loss_and_grad
+        evaluated, stepped = [], []
+        steps = -(-tiny_data.x_train.shape[0] // 16)
+
+        def refuse_from_epoch_two(net, x, y, loss):
+            evaluated.append(1)
+            if len(evaluated) > 2:
+                raise ShapeError("class index out of range")
+            return real_evaluate(net, x, y, loss)
+
+        def fail_in_epoch_three(*args, **kw):
+            stepped.append(1)
+            if len(stepped) > 2 * steps:
+                raise NumericError("non-finite loss")
+            return real_grad(*args, **kw)
+
+        monkeypatch.setattr(training, "evaluate", refuse_from_epoch_two)
+        monkeypatch.setattr(training, "loss_and_grad", fail_in_epoch_three)
+        run = _run()
+        with pytest.raises(ShapeError) as info:
+            run_epochs(run, tiny_data, 4)
+        assert isinstance(info.value.__cause__, NumericError)
+        assert run.epoch == 1 and run.trajectory.n_epochs == 1
 
     def test_lost_evaluator_is_volumize_error(self, tiny_data, monkeypatch):
         _with_cpus(monkeypatch, 2)
@@ -212,6 +282,7 @@ class TestErrors:
         assert str(info.value) == ("the evaluator process died before it sent "
                                    "the metrics of epoch 3")
         assert multiprocessing.active_children() == []
+        assert run.epoch == 2 and run.trajectory.n_epochs == 2
 
     def test_lost_evaluator_exits_two(self, tmp_path, monkeypatch, capsys):
         _with_cpus(monkeypatch, 2)
