@@ -191,8 +191,8 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
 
     The metrics are computed in a forked evaluator beside the caller when
     both splits are evaluated, a CPU is spare (_pool.spare_cpu) and there
-    are at least two epochs, and in process otherwise: a pass over the test
-    split alone (a sweep cell's) is too short to repay a fork. The bits are
+    are at least two epochs, and in process otherwise: a sweep cell, which
+    evaluates the test split alone, ran no faster with a fork. The bits are
     the same either way. An evaluator that dies raises VolumizeError naming
     the epoch it held. When an epoch's metrics are lost, by an error or a
     dead evaluator, the error is raised and run.epoch counts the recorded

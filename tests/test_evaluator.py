@@ -155,26 +155,17 @@ class TestHooks:
         assert run.trajectory.n_epochs == 1
         assert forks() == []
 
-    def test_sweep_workers_start_no_children(self, tmp_path, monkeypatch, forks):
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_sweep_forks_only_its_pool(self, tmp_path, monkeypatch, forks, workers):
+        # a cell evaluates the test split alone, so it forks no evaluator,
+        # also when the sweep's own process runs it (--workers 1)
         _with_cpus(monkeypatch, 2)
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(_DATA + "epochs = 3\nv_grid = 0.5, inf\nalpha_grid = 0, 1\n"
                        "repeats = 1\n", encoding="utf-8")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--workers", "2"]) == 0
-        assert forks() == [f"{os.getpid()} pool of 2"]
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_sweep_cells_evaluate_in_process(self, tmp_path, monkeypatch, forks, workers):
-        # a cell evaluates the test split alone, so even a cell run by the
-        # sweep's own process (--workers 1) forks no evaluator
-        _with_cpus(monkeypatch, 2)
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(_DATA + "epochs = 3\nv_grid = 0.5\nalpha_grid = 0, 1\n"
-                       "repeats = 1\n", encoding="utf-8")
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--workers", str(workers)]) == 0
-        assert not any(line.endswith("evaluator") for line in forks())
+        assert forks() == [f"{os.getpid()} pool of 2"] * (workers == 2)
 
     def test_pool_workers_start_nothing(self, monkeypatch):
         _with_cpus(monkeypatch, 2)
