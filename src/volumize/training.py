@@ -12,13 +12,13 @@ alone with train_metrics=False). When both splits are evaluated and a CPU
 is spare, a forked evaluator (_pool.served) computes them from a copy of
 the epoch's weights while the caller trains the next epoch; the evaluator
 runs the same code on the same bytes, so every metric has the same bits as
-in-process evaluation, and no output depends on whether a CPU was spare. Reading run.trajectory waits for
-the metrics still being computed, so a hook, or a checkpoint written from
-one, sees every completed epoch's metrics.
+in-process evaluation, and no output depends on whether a CPU was spare.
+Reading run.trajectory waits for the metrics still being computed, so a
+hook, or a checkpoint written from one, sees every completed epoch's
+metrics.
 """
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -123,7 +123,7 @@ class TrainingRun:
     loss: str
     epoch: int = 0
     trajectory: MetricTrajectory = field(default_factory=MetricTrajectory)
-    # (epoch, () -> its metric bytes) while the evaluator holds that epoch
+    # (epoch, evaluator) while the evaluator holds that epoch's metrics
     _pending: object = field(default=None, init=False, repr=False)
 
     def _receive(self) -> None:
@@ -131,9 +131,9 @@ class TrainingRun:
         they arrive. If they are lost, the epoch counter goes back to the
         last recorded epoch, where in-process evaluation would have left it."""
         if self._pending is not None:
-            (epoch, receive), self._pending = self._pending, None
+            (epoch, evaluator), self._pending = self._pending, None
             try:
-                metrics = receive()
+                metrics = evaluator.receive(f"the metrics of epoch {epoch}")
             except BaseException:
                 self.epoch = epoch - 1
                 raise
@@ -233,8 +233,7 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
                 else:
                     run._receive()  # the epoch before, so one epoch is in flight
                     evaluator.send(run.net.params)
-                    what = f"the metrics of epoch {run.epoch + 1}"
-                    run._pending = (run.epoch + 1, functools.partial(evaluator.receive, what))
+                    run._pending = (run.epoch + 1, evaluator)
                 run.epoch += 1
                 if epoch_hook is not None:
                     epoch_hook(run.net, run.opt_state, run.epoch)
