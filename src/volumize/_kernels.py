@@ -39,6 +39,9 @@ elements at a time, through scratch allocated once per call (the flow keeps
 one block, the old values); each element sees the same operations in the
 same order as a whole-array expression, no sum crosses a block, and the max
 over block maxima keeps a nan as one max would, so blocking changes no bit.
+For the same reason a flow iteration splits across processes bit for bit:
+given a flow helper, ``flow_iter_identity`` updates the lower half of the
+flow while the helper updates the upper half of the same shared buffers.
 The clip kernels select without a masked copy, which branches on every run
 of its mask (at mask density 0.5 one took 10-50x a plain ufunc pass, numpy
 2.4 on a 2-vCPU Xeon): the wall distance is ``clip(u+eta, +-vol) - u``, and
@@ -58,6 +61,8 @@ is.
 Callers look kernels up at call time as ``_kernels.<name>``, so one can be
 swapped or wrapped in one place. Inputs are float64; callers validate.
 """
+
+import struct
 
 import numpy as np
 
@@ -329,17 +334,9 @@ def clip_sq_cv_values(u, eta, vol, out=None):
     return z
 
 
-def flow_iter_identity(w, u_prime, step, vol, alpha):
-    """One explicit-Euler step of the whitened-input residual flow,
-    w - step*(w - u'), followed by the wall transform (momentum-free, no
-    clamp), which is ``volumize``'s. In-place on ``w``, one block at a time,
-    keeping the block's old values to measure the change; returns max
-    |change|, nan if any change is nan.
-
-    At vol = +0.0 (sign bit clear) and alpha +0.0 or positive and finite,
-    the wall transform is weight decay and runs as ``w *= alpha``, bit for
-    bit the general path's result.
-    """
+def _flow_part(w, u_prime, step, vol, alpha):
+    """flow_iter_identity's body on one part of a flow: in place on ``w``,
+    one block at a time; returns max |change|."""
     n = len(w)
     # V = +0.0 is weight decay, and alpha*w is exact: every nonzero w
     # crosses |w| > +0.0 and pull*sgn(w) is a zero, so alpha*w + pull*sgn(w)
@@ -366,4 +363,57 @@ def flow_iter_identity(w, u_prime, step, vol, alpha):
         np.subtract(wb, o, out=o)
         np.abs(o, out=o)
         dmax = np.maximum(dmax, o.max())  # propagates nan, as one max would
-    return float(dmax)
+    return dmax
+
+
+# a flow helper's request, (step, vol, alpha), and its answer, the largest
+# change over its part
+_FLOW_REQUEST = struct.Struct("3d")
+_FLOW_ANSWER = struct.Struct("d")
+
+
+def _half(w):
+    """Where a flow splits: its helper updates w[_half(w):]."""
+    return len(w) // 2
+
+
+def _flow_answer(w, u_prime):
+    """The answer of a flow helper (a _pool.served process) over the flow
+    buffers w and u_prime: each request updates their upper half for one
+    iteration and returns its largest change. It runs _flow_part, so a
+    wrapper on flow_iter_identity never sees the helper's share."""
+    h = _half(w)
+    wf, uf = w[h:], u_prime[h:]
+
+    def answer(request):
+        return _FLOW_ANSWER.pack(_flow_part(wf, uf, *_FLOW_REQUEST.unpack(request)))
+
+    return answer
+
+
+def flow_iter_identity(w, u_prime, step, vol, alpha, far=None, it=0):
+    """One explicit-Euler step of the whitened-input residual flow,
+    w - step*(w - u'), followed by the wall transform (momentum-free, no
+    clamp), which is ``volumize``'s. In-place on ``w``, one block at a time,
+    keeping the block's old values to measure the change; returns max
+    |change|, nan if any change is nan.
+
+    At vol = +0.0 (sign bit clear) and alpha +0.0 or positive and finite,
+    the wall transform is weight decay and runs as ``w *= alpha``, bit for
+    bit the general path's result.
+
+    ``far`` is None, or a flow helper (a _pool.served process answering
+    with _flow_answer over the same w and u_prime in shared memory).
+    Then the helper updates the upper half while this call updates the
+    lower one, and the change is the larger of the halves' changes: every
+    element sees the same operations, and a max of maxima is the max, nan
+    included, so the bits are those of one process. ``it`` numbers the
+    iteration for the VolumizeError raised when the helper has died.
+    """
+    if far is None:
+        return float(_flow_part(w, u_prime, step, vol, alpha))
+    far.send(_FLOW_REQUEST.pack(step, vol, alpha))
+    h = _half(w)
+    dmax = _flow_part(w[:h], u_prime[:h], step, vol, alpha)
+    (far_max,) = _FLOW_ANSWER.unpack(far.receive(f"its half of iteration {it}"))
+    return float(np.maximum(dmax, far_max))

@@ -3,32 +3,33 @@ one process that answers requests while the caller works.
 
 Sweep cells and theory grid points are independent tasks, each seeded from
 its own stable_hash-derived stream, so where a task runs changes no bit of
-its result. started_map starts the tasks on N forked workers and hands back
-their results, in input order, when the caller asks; in between the caller
-may do its own work (theorem3 runs its flows while the workers run its
-estimates). With no workers the tasks run in-process when the results are
-asked for, so the caller's own work comes first, and its errors win, at
-every worker count. map_ordered is started_map with the caller waiting.
-Each theory table starts at most one pool. Workers are forked: they start
-with the caller's modules already imported, in milliseconds, where a
-spawned worker would import numpy and volumize again for each grid.
+its result. map_ordered runs the tasks on N forked workers and returns
+their results in input order; each theory table starts at most one pool.
+Workers are forked: they start with the caller's modules already imported,
+in milliseconds, where a spawned worker would import numpy and volumize
+again for each grid.
 
 served forks one process that answers the caller's requests in order, raw
-bytes each way, over a duplex pipe: training's evaluator, which computes an
-epoch's metrics while the caller trains the next. It is a plain
-multiprocessing Process, not an executor, because an executor feeds its
-workers and collects their results through helper threads in the caller,
-and those threads take the GIL from the training loop between its steps.
-The pipe needs no thread: the caller writes a request, and reads the reply
-only when it needs it.
+bytes each way, over a duplex pipe. It has two users. Training's evaluator
+computes an epoch's metrics while the caller trains the next. A gradient
+flow's helper updates the upper half of the flow's weights while the
+caller updates the lower half, once per iteration; the two halves live in
+buffers from shared_zeros, anonymous shared memory allocated before the
+fork, so only the iteration's settings and its largest change cross the
+pipe. served is a plain multiprocessing Process, not an executor, because
+an executor feeds its workers and collects their results through helper
+threads in the caller, and those threads take the GIL from the caller's
+loop. The pipe needs no thread: the caller writes a request, and reads the
+reply only when it needs it.
 
 A process that _pool forks starts no children of its own: sweep cells and
-theory points already fill the CPUs, so inside one every map and every
-evaluator runs in-process.
+theory points already fill the CPUs, so inside one every map, evaluator
+and flow runs in-process.
 """
 
 import contextlib
 import math
+import mmap
 import multiprocessing
 import os
 import pickle
@@ -36,11 +37,12 @@ import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
+
 from .errors import ConfigError, VolumizeError
 
 _FORK = multiprocessing.get_context("fork")
-_SERVED = "evaluator"  # the name of the process served forks
-_forked = False  # True in started_map's workers
+_forked = False  # True in map_ordered's workers
 
 # cgroup v2, then v1: "<quota> <period>" in microseconds, quota "max" or -1 if none
 _CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
@@ -80,7 +82,7 @@ def _mark_forked() -> None:
 
 
 def _nested() -> bool:
-    """True in a process that starts no children: a started_map worker
+    """True in a process that starts no children: a map_ordered worker
     (marked, since an executor's workers are not daemonic), or a daemonic
     one, such as the served process or a multiprocessing.Pool worker,
     which may not have any."""
@@ -93,52 +95,6 @@ def spare_cpu() -> bool:
     return not _nested() and available_cpus() >= 2
 
 
-@contextlib.contextmanager
-def started_map(fn, items, workers: int):
-    """Starts [fn(*item) for item in items] on `workers` forked processes;
-    the value of the block is a function that returns the results, in input
-    order, once they are done.
-
-    workers == 0, no items, or a caller that starts no children (see
-    _nested) means in-process: the items run when the results are asked
-    for. Otherwise min(workers, len(items)) workers are forked on entry and
-    take one item at a time. fn must be a module-level function. An
-    exception raised by a task reaches the caller as the same class when
-    the results are asked for; a worker that dies (killed, say) loses the
-    items the pool held, and asking for the results then raises
-    VolumizeError naming the first lost item. On leaving the block, by any
-    path, the items not yet started are cancelled and every worker has
-    exited.
-    """
-    items = list(items)
-    if workers == 0 or not items or _nested():
-        yield lambda: [fn(*item) for item in items]
-        return
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
-                               mp_context=_FORK, initializer=_mark_forked)
-    futures = []
-    try:
-        with contextlib.suppress(BrokenProcessPool):  # the results name the lost item
-            for item in items:
-                futures.append(pool.submit(fn, *item))
-        yield lambda: _results(futures, len(items))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
-def _results(futures, n):
-    """The futures' results in order, for n items; an item whose worker
-    died, or that a broken pool refused, raises VolumizeError."""
-    results = []
-    with contextlib.suppress(BrokenProcessPool):
-        for f in futures:
-            results.append(f.result())
-    if len(results) < n:
-        raise VolumizeError(f"a worker process died: the item at index {len(results)} "
-                            f"of {n} returned no result")
-    return results
-
-
 def require_workers(workers: int) -> None:
     """Raises ConfigError unless workers >= 1."""
     if workers < 1:
@@ -148,23 +104,51 @@ def require_workers(workers: int) -> None:
 def map_ordered(fn, items, workers: int) -> list:
     """[fn(*item) for item in items], spread over up to `workers` processes.
 
-    Runs in-process when workers == 1 or there is at most one item, and
-    otherwise as started_map does, the caller waiting for the results.
-    An exception raised by a task reaches the caller as the same class,
-    after the pool has shut down.
+    Runs in-process when workers == 1, there is at most one item, or the
+    caller starts no children (see _nested). Otherwise min(workers,
+    len(items)) workers are forked and take one item at a time; fn must be
+    a module-level function. An exception raised by a task reaches the
+    caller as the same class; a worker that dies (killed, say) loses the
+    items the pool held, and VolumizeError names the first lost item.
+    Either way the items not yet started are cancelled and every worker has
+    exited before the call returns or raises.
     """
     require_workers(workers)
     items = list(items)
-    forked = workers if workers > 1 and len(items) > 1 else 0
-    with started_map(fn, items, forked) as results:
-        return results()
+    if workers == 1 or len(items) <= 1 or _nested():
+        return [fn(*item) for item in items]
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
+                               mp_context=_FORK, initializer=_mark_forked)
+    futures, results = [], []
+    try:
+        # a dead worker breaks the pool, and submit and result then raise
+        # BrokenProcessPool; the count of results names the first lost item
+        with contextlib.suppress(BrokenProcessPool):
+            for item in items:
+                futures.append(pool.submit(fn, *item))
+        with contextlib.suppress(BrokenProcessPool):
+            for f in futures:
+                results.append(f.result())
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    if len(results) < len(items):
+        raise VolumizeError(f"a worker process died: the item at index {len(results)} "
+                            f"of {len(items)} returned no result")
+    return results
+
+
+def shared_zeros(n: int) -> np.ndarray:
+    """n float64 zeros in anonymous shared memory: a process forked after
+    this call and the caller see each other's writes to it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
 
 
 class _Server:
     """The caller's end of the pipe to a process that served forked."""
 
-    def __init__(self, conn):
+    def __init__(self, conn, name):
         self._conn = conn
+        self._name = name
 
     def send(self, request) -> None:
         """Queues a request (any bytes-like object) for an answer."""
@@ -180,7 +164,7 @@ class _Server:
             reply = self._conn.recv_bytes()
         except (EOFError, OSError):
             raise VolumizeError(
-                f"the {_SERVED} process died before it sent {what}") from None
+                f"the {self._name} process died before it sent {what}") from None
         if reply[:1] == b"\0":
             return reply[1:]
         raise pickle.loads(reply[1:])
@@ -208,25 +192,26 @@ def _serve(here, there, answer) -> None:
 
 
 @contextlib.contextmanager
-def served(answer):
-    """Forks one process that answers requests, and makes the caller's end
-    of the pipe (a _Server) the value of the block.
+def served(answer, name: str):
+    """Forks one process, called name, that answers requests, and makes the
+    caller's end of the pipe (a _Server) the value of the block.
 
     Each request, sent as raw bytes, gets one answer(request), raw bytes
     too, in request order; the caller reads each answer when it needs it.
     answer runs in a snapshot of the caller taken on entry, so it reads any
-    state the caller held then. An exception raised by answer is raised by
-    receive as the same class; a process that dies makes receive raise
-    VolumizeError. On leaving the block, by any path, the process has
-    exited, after the answer it was computing, if any.
+    state the caller held then, and the buffers from shared_zeros as they
+    are written. An exception raised by answer is raised by receive as the
+    same class; a process that dies makes receive raise VolumizeError
+    naming it. On leaving the block, by any path, the process has exited,
+    after the answer it was computing, if any.
     """
     here, there = _FORK.Pipe()
     proc = _FORK.Process(target=_serve, args=(here, there, answer), daemon=True,
-                         name=_SERVED)
+                         name=name)
     proc.start()
     there.close()
     try:
-        yield _Server(here)
+        yield _Server(here, name)
     finally:
         here.close()
         proc.join()

@@ -117,15 +117,16 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
         alphas = [theory.alpha_for_weight_decay(lam, step) for lam in lams]
         points = [(a, sigma, lam, stable_hash(seed, "t3", i), cfg["n_samples"])
                   for i, lam in enumerate(lams)]
-        # the estimates run on the other CPUs while the flows run here, where
-        # only each flow's error outlives it
-        with theory.started_weight_decay_points(points) as estimates:
+        # the flows first, each iteration split across two CPUs when they are
+        # there, then the estimates on every CPU: estimates run beside the
+        # split flows slowed their iterations, three processes on two CPUs
+        with theory.flow_space(problem.dim) as space:
             flow_errors = [
                 theory.gradient_flow_sim(problem, 0.0, alpha,
                                          SeededRng(stable_hash(seed, "t3-flow", i)),
-                                         step=step).error
+                                         step=step, space=space).error
                 for i, alpha in enumerate(alphas)]
-            ests = estimates()
+        ests = theory.weight_decay_error_points(points)
         rows = []
         for lam, alpha, est, flow_error in zip(lams, alphas, ests, flow_errors):
             # lam = inf is the constant student's limit, inf/inf in the formula

@@ -14,9 +14,8 @@ A cell reports best, last and gap, all three from its per-epoch test
 accuracy, so cells train with train_metrics=False: the training split is
 never evaluated and the cell's trajectory has empty train lists.
 
-Pending cells run through _pool.map_ordered, _pool.started_map with the
-caller waiting, on the caller's explicit worker count (the CLI default is
-1).
+Pending cells run through _pool.map_ordered, on the caller's explicit
+worker count (the CLI default is 1).
 Results land as one JSON file per cell under <out>/cells/; the canonical
 CSV is regenerated from those files in grid order, one row per cell plus a
 mean row per (v, alpha) aggregating the ok repeats. A cell that fails with

@@ -31,11 +31,18 @@ Every point of an MC grid draws from its own stable_hash-derived Philox
 stream, so the points are independent tasks. clip_error_points maps them
 through _pool.map_ordered, on one process per available CPU (the affinity
 mask, capped by a cgroup CPU quota), and mc_curves maps the points of all
-its curves through one such call. started_weight_decay_points starts
-theorem3's estimates in _pool.started_map on every CPU but one, which the
-caller keeps for its flows. The results, and so the CSV bytes, never depend
-on that count. flow_curve and every gradient flow run in the calling
-process.
+its curves through one such call; weight_decay_error_points maps
+theorem3's estimates the same way. The results, and so the CSV bytes,
+never depend on that count.
+
+A gradient flow runs in the calling process. From _kernels._BLOCK
+coordinates up, and when a CPU is spare, each of its iterations is split
+with one forked helper process that updates the upper half of the flow's
+buffers, held in shared memory, while the caller updates the lower half
+(flow_space). A table of flows (flow_curve, theorem3) runs its flows one
+after another in one space, so it forks one helper. The bits are those of
+one process. theorem3 runs its flows before its estimates: run beside the
+split flows, the estimates slowed them.
 
 Both estimators stream through one core, _estimate: it draws, transforms
 and sums one block of at most _kernels._BLOCK samples at a time, into u,
@@ -50,13 +57,14 @@ the leaves of numpy's own pairwise-sum tree over the segment
 of the whole segment; the segment sums add in order.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels, _pool
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .linalg import SeededRng, sample_cauchy, sample_uniform, stable_hash
 
 NOISE_KINDS = ("uniform", "cauchy")
@@ -92,11 +100,12 @@ class TeacherStudentProblem:
         if not self.a > 0:
             raise DomainError(f"a must be positive, got {self.a}")
 
-    def draw(self, rng: SeededRng, n: int):
+    def draw(self, rng: SeededRng, n: int, out=None):
         """n draws of (u, eta): the teacher u ~ Unif(-a, a) first, then the
-        noise (zeros when uniform with sigma 0)."""
+        noise (zeros when uniform with sigma 0), written into out when it is
+        given."""
         u = sample_uniform(rng, -self.a, self.a, n)
-        return u, self._draw_noise(rng, n, np.empty(n))
+        return u, self._draw_noise(rng, n, np.empty(n) if out is None else out)
 
     def _draw_noise(self, rng: SeededRng, n: int, out):
         """n noise draws from rng, written into out and returned: zeros,
@@ -289,15 +298,14 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
     return _estimate(problem, rng, n_samples, n_samples, values, 0.0)
 
 
-def started_weight_decay_points(points):
-    """Starts weight_decay_error_mc at each (a, sigma, lam, seed, n_samples)
-    point, in _pool.started_map, on every available CPU but the caller's.
+def weight_decay_error_points(points) -> list:
+    """weight_decay_error_mc at each (a, sigma, lam, seed, n_samples) point,
+    in order.
 
-    A context manager: its value returns the estimates in order. Point i
-    draws from SeededRng(seed_i) alone, so the estimates are the same at
-    any CPU count, and on one CPU they run when they are asked for."""
-    return _pool.started_map(_seeded, [(weight_decay_error_mc, *p) for p in points],
-                             _pool.available_cpus() - 1)
+    Point i draws from SeededRng(seed_i) alone, so the points run on every
+    available CPU and the estimates are the same at any CPU count."""
+    return _pool.map_ordered(_seeded, [(weight_decay_error_mc, *p) for p in points],
+                             _pool.available_cpus())
 
 
 @dataclass(eq=False)
@@ -309,14 +317,48 @@ class FlowResult:
     u_prime: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class FlowSpace:
+    """The buffers of gradient flows of one dimension, w and u', and the
+    helper (a _pool.served process) that takes half of each iteration, or
+    None. Flows run in it one after another; see flow_space."""
+
+    w: np.ndarray
+    u_prime: np.ndarray
+    far: object
+
+
+@contextlib.contextmanager
+def flow_space(dim: int):
+    """A FlowSpace for flows of dim coordinates, as a context manager.
+
+    The helper is forked when a CPU is spare (_pool.spare_cpu) and the flow
+    has at least _kernels._BLOCK coordinates; smaller flows ran slower split
+    than whole. It is forked once on entry, with the buffers in shared
+    memory (_pool.shared_zeros), so a table of flows pays its start-up once,
+    and it has exited when the block is left. The bits of every flow are
+    the same with and without it."""
+    split = dim >= _kernels._BLOCK and _pool.spare_cpu()
+    zeros = _pool.shared_zeros if split else np.zeros
+    w, u_prime = zeros(dim), zeros(dim)
+    helper = (_pool.served(_kernels._flow_answer(w, u_prime), "flow helper") if split
+              else contextlib.nullcontext())
+    with helper as far:
+        yield FlowSpace(w, u_prime, far)
+
+
 def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
-                      rng: SeededRng, step: float = 0.1) -> FlowResult:
+                      rng: SeededRng, step: float = 0.1, space=None) -> FlowResult:
     """Explicit-Euler residual flow with the wall transform each iteration.
 
     Student starts at w = 0 and follows w <- w - step*(w - u'), then the
     transform. Steps outside (0, 2) are rejected (explicit Euler would not
     contract). Stops when the max elementwise change drops below
     _FLOW_TOL, or after _FLOW_MAX_STEPS iterations.
+
+    The flow runs in space, a FlowSpace of problem.dim coordinates that a
+    table of flows shares (see flow_space), or in one of its own when space
+    is None. FlowResult.w and u_prime are copies out of its buffers.
     """
     if not vol >= 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
@@ -324,24 +366,33 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
         raise DomainError(f"alpha must lie in [-1, 1], got {alpha}")
     if not 0 < step < 2.0:
         raise DomainError(f"explicit Euler needs 0 < step < 2, got {step}")
-    # the noise block becomes u' = u + eta in place, so no third array lives
-    # as long as the flow
-    u, u_prime = problem.draw(rng, problem.dim)
+    if space is not None and len(space.w) != problem.dim:
+        raise ShapeError(f"a flow of dim {problem.dim} needs a space of that dim, "
+                         f"got {len(space.w)}")
+    with flow_space(problem.dim) if space is None else contextlib.nullcontext(space) as space:
+        err, it, converged = _flow(problem, float(vol), float(alpha), rng, step, space)
+        # copied once the teacher draw is freed, so they add no peak memory
+        return FlowResult(error=err, iterations=it, converged=converged,
+                          w=space.w.copy(), u_prime=space.u_prime.copy())
+
+
+def _flow(problem, vol, alpha, rng, step, space):
+    """gradient_flow_sim's flow in space: (error, iterations, converged)."""
+    w, u_prime = space.w, space.u_prime
+    # the noise lands in the u' buffer and becomes u' = u + eta in place
+    u, _ = problem.draw(rng, problem.dim, out=u_prime)
     u_prime += u
-    w = np.zeros(problem.dim)
+    w.fill(0.0)
 
     converged = False
     for it in range(1, _FLOW_MAX_STEPS + 1):
-        delta = _kernels.flow_iter_identity(w, u_prime, step, float(vol), float(alpha))
+        delta = _kernels.flow_iter_identity(w, u_prime, step, vol, alpha, space.far, it)
         if not math.isfinite(delta) or delta > 1e12:
             raise NumericError(f"flow diverged at iteration {it}: max step {delta:.3e}")
         if delta < _FLOW_TOL:
             converged = True
             break
-
-    err = float(((w - u) ** 2).mean())
-    return FlowResult(error=err, iterations=it, converged=converged,
-                      w=w, u_prime=u_prime)
+    return float(((w - u) ** 2).mean()), it, converged
 
 
 @dataclass(eq=False)
@@ -423,9 +474,10 @@ def flow_curve(a: float, sigma: float, vols, seed: int, dim: int) -> ErrorCurve:
     problem = TeacherStudentProblem(dim=dim, a=a, noise=NoiseSpec("uniform", sigma))
     base = SeededRng(seed)
     errs = np.empty_like(vols)
-    for i, v in enumerate(vols):
-        res = gradient_flow_sim(problem, float(v), 0.0, base.spawn("flow-curve"))
-        errs[i] = res.error
+    with flow_space(dim) as space:
+        for i, v in enumerate(vols):
+            errs[i] = gradient_flow_sim(problem, float(v), 0.0, base.spawn("flow-curve"),
+                                        space=space).error
     se = np.zeros_like(errs)
     return ErrorCurve("gradient_flow", a, sigma, vols, errs, se, dim, seed)
 

@@ -215,7 +215,7 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
         return _metrics(run.net, data, run.loss, train_metrics)
 
     forked = train_metrics and n_epochs >= 2 and _pool.spare_cpu()
-    evaluating = _pool.served(answer) if forked else contextlib.nullcontext()
+    evaluating = _pool.served(answer, "evaluator") if forked else contextlib.nullcontext()
     with evaluating as evaluator:
         try:
             for _ in range(n_epochs):

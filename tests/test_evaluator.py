@@ -46,8 +46,8 @@ def _with_cpus(monkeypatch, n):
 
 @pytest.fixture
 def forks(monkeypatch, tmp_path):
-    """Logs "<pid> <what>" for every pool and evaluator that any process
-    starts; the value reads the log."""
+    """Logs "<pid> <what>" for every pool and served process (by its name)
+    that any process starts; the value reads the log."""
     log = tmp_path / "forks.txt"
     real_pool, real_served = _pool.ProcessPoolExecutor, _pool.served
 
@@ -59,9 +59,9 @@ def forks(monkeypatch, tmp_path):
         record(f"pool of {max_workers}")
         return real_pool(max_workers=max_workers, **kw)
 
-    def served(answer):
-        record("evaluator")
-        return real_served(answer)
+    def served(answer, name):
+        record(name)
+        return real_served(answer, name)
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", pool)
     monkeypatch.setattr(_pool, "served", served)

@@ -5,21 +5,20 @@ patch it to 1, 2 and 3, so the pool runs (3 workers with uneven shares of
 the items) whatever the CPU count of the machine running them.
 """
 
-import functools
 import math
 import multiprocessing
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
 
 from volumize import _kernels, _pool, config, runs, theory
 from volumize.cli import main
-from volumize.errors import ConfigError, DomainError, VolumizeError
-from volumize.theory import (cauchy_comparison, flow_curve, mc_curve, mc_curves,
-                             weight_decay_error_mc)
+from volumize.errors import ConfigError, DomainError, NumericError, VolumizeError
+from volumize.linalg import SeededRng
+from volumize.theory import (cauchy_comparison, flow_curve, gradient_flow_sim, mc_curve,
+                             mc_curves)
 
 CPU_COUNTS = (1, 2, 3)
 
@@ -48,18 +47,6 @@ def _killed_on_negative(x):
     return x
 
 
-def _estimate_once_released(marker, *args):
-    """weight_decay_error_mc(*args) once the file marker (a Path) exists;
-    after 10 s without it, the estimate makes it, so the ones after it do
-    not wait."""
-    deadline = time.monotonic() + 10.0
-    while not marker.exists():
-        if time.monotonic() > deadline:
-            marker.touch()
-        time.sleep(0.001)
-    return weight_decay_error_mc(*args)
-
-
 def _curve_hex(c):
     return [float(x).hex() for x in (*c.errors, *c.stderrs)]
 
@@ -76,20 +63,6 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(_pool, "ProcessPoolExecutor", spy)
     return sizes
-
-
-@pytest.fixture
-def futures(monkeypatch):
-    """Records the future of every task submitted to a pool."""
-    made = []
-
-    class Recording(_pool.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            made.append(super().submit(*args, **kwargs))
-            return made[-1]
-
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", Recording)
-    return made
 
 
 def _with_cpus(monkeypatch, n):
@@ -165,29 +138,12 @@ class TestMapOrdered:
         assert pools == [2]
 
 
-class TestStartedMap:
-    def test_no_workers_runs_in_process_when_asked(self, pools):
-        calls = []
-
-        def record(x):
-            calls.append(x)
-            return x
-
-        with _pool.started_map(record, [(1,), (2,)], 0) as results:
-            assert calls == []  # nothing runs before the results are asked for
-            assert results() == [1, 2]
-        assert calls == [1, 2]
-        assert pools == []
-
     @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_workers_run_beside_the_caller(self, pools, workers):
-        items = [(i,) for i in range(7)]
-        with _pool.started_map(_pid_of, items, workers) as results:
-            assert len(multiprocessing.active_children()) == workers
-            got = results()
+    def test_workers_exit_before_the_results_return(self, pools, workers):
+        got = _pool.map_ordered(_pid_of, [(i,) for i in range(7)], workers)
         assert [x for x, _ in got] == list(range(7))
-        assert os.getpid() not in {pid for _, pid in got}
-        assert pools == [workers]
+        assert (os.getpid() in {pid for _, pid in got}) == (workers == 1)
+        assert pools == ([] if workers == 1 else [workers])
         assert multiprocessing.active_children() == []
 
 
@@ -215,10 +171,8 @@ class TestWorkerCountIndependence:
             got[n] = _theory_bytes(tmp_path, kind, f"{kind}-{n}", **raw)
             started[n] = pools[before:]
         assert got[1] == got[2] == got[3]
-        # at most one pool per table: theorem3's leaves a CPU to its flows,
-        # the other tables wait for theirs
-        mine = 1 if kind == "theorem3" else 0
-        assert started == {1: [], 2: [2 - mine], 3: [3 - mine]}
+        # at most one pool per table, on every CPU
+        assert started == {1: [], 2: [2], 3: [3]}
 
     def test_mc_curve_values(self, monkeypatch, pools):
         vols = np.linspace(0.0, 2.0, 26)
@@ -292,37 +246,155 @@ class TestWorkerErrors:
             ("theorem3", 2, "error: need n_samples > 1, got 1\n"),
         }
 
-    def test_flow_error_cancels_pending_estimates(self, tmp_path, monkeypatch,
-                                                  capsys, futures):
-        # theorem3's flows run in the caller while its estimates run in
-        # workers; a flow that diverges ends the table with estimates pending.
-        # No estimate finishes before the first pending one is cancelled, and
-        # until one finishes at most 2 * workers + 1 of the 6 items start
-        # (one per worker, workers + 1 queued), so some are always pending.
+    def test_diverging_flow_starts_no_estimate(self, tmp_path, monkeypatch, capsys,
+                                               pools):
+        # theorem3 runs its flows before its estimates, so a flow that
+        # diverges ends the table before any pool is forked
         monkeypatch.setattr(_kernels, "flow_iter_identity", lambda *args: math.nan)
-        marker = tmp_path / "cancelled"
-
-        class Releasing(_pool.ProcessPoolExecutor):  # the futures fixture's class
-            def submit(self, *args, **kwargs):
-                f = super().submit(*args, **kwargs)
-                f.add_done_callback(lambda f: f.cancelled() and marker.touch())
-                return f
-
-        monkeypatch.setattr(_pool, "ProcessPoolExecutor", Releasing)
-        monkeypatch.setattr(theory, "weight_decay_error_mc",
-                            functools.partial(_estimate_once_released, marker))
         cfg = tmp_path / "t.txt"
         cfg.write_text("n_samples = 1000000\nflow_dim = 200\n"
                        "lambda_grid = 0.25, 0.5, 1, 2, 4, 8\n")
         seen = set()
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
-            del futures[:]
-            marker.unlink(missing_ok=True)
             code = main(["theory", "theorem3", "--config", str(cfg),
                          "--out", str(tmp_path / f"theorem3-{n}")])
             seen.add((code, capsys.readouterr().err))
-            assert multiprocessing.active_children() == []
-            assert all(f.done() for f in futures)
-            assert (n > 1) == any(f.cancelled() for f in futures)
         assert seen == {(2, "error: flow diverged at iteration 1: max step nan\n")}
+        assert pools == []
+
+
+# odd, and above the size from which a flow splits across a helper process
+_SPLIT_DIM = 3 * _kernels._BLOCK + 5
+_DECAY = theory.alpha_for_weight_decay(1.0, 0.1)
+_FLOW_PART = _kernels._flow_part
+
+
+def _split_problem():
+    return theory.TeacherStudentProblem(dim=_SPLIT_DIM, a=1.0,
+                                        noise=theory.NoiseSpec("uniform", 0.5))
+
+
+def _flow_bits(vol, alpha, seed):
+    res = gradient_flow_sim(_split_problem(), vol, alpha, SeededRng(seed))
+    return res.error.hex(), res.iterations, res.converged, res.w.tobytes()
+
+
+def _flow_hex(vol, alpha, seed):
+    return _flow_bits(vol, alpha, seed)[:3]
+
+
+def _killed_in_the_helper(*args):
+    """_kernels._flow_part, except in the flow helper: there the process
+    kills itself, as the OOM killer would."""
+    if multiprocessing.current_process().name == "flow helper":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _FLOW_PART(*args)
+
+
+@pytest.fixture
+def helpers(monkeypatch, tmp_path):
+    """Logs the name of every process that _pool.served forks, from any
+    process; the value reads the log."""
+    log = tmp_path / "served.txt"
+    real = _pool.served
+
+    def served(answer, name):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{name}\n")
+        return real(answer, name)
+
+    monkeypatch.setattr(_pool, "served", served)
+    return lambda: log.read_text().splitlines() if log.exists() else []
+
+
+class TestSplitFlow:
+    """A large flow's iterations are split with a helper process when a CPU
+    is spare; available_cpus is patched to 1 (in process) and 2 (split)."""
+
+    @pytest.mark.parametrize("vol, alpha", [(0.0, _DECAY), (0.6, 0.0), (0.6, 0.3),
+                                            (0.6, -0.5)])
+    def test_split_flow_keeps_the_bits(self, monkeypatch, helpers, vol, alpha):
+        got = {}
+        for n in (1, 2):
+            _with_cpus(monkeypatch, n)
+            got[n] = _flow_bits(vol, alpha, 31)
+        assert got[1] == got[2]
+        assert got[1][2]  # converged
+        assert helpers() == ["flow helper"]
+
+    def test_flow_curve_forks_one_helper(self, monkeypatch, helpers):
+        got = {}
+        for n in (1, 2):
+            _with_cpus(monkeypatch, n)
+            got[n] = _curve_hex(flow_curve(1.0, 0.5, [0.4, 1.2], seed=10,
+                                           dim=_SPLIT_DIM))
+        assert got[1] == got[2]
+        assert helpers() == ["flow helper"]
+
+    def test_smaller_flows_stay_in_process(self, monkeypatch, helpers):
+        _with_cpus(monkeypatch, 2)
+        gradient_flow_sim(theory.TeacherStudentProblem(dim=_kernels._BLOCK - 1),
+                          0.6, 0.3, SeededRng(3))
+        assert helpers() == []
+        gradient_flow_sim(theory.TeacherStudentProblem(dim=_kernels._BLOCK),
+                          0.6, 0.3, SeededRng(3))
+        assert helpers() == ["flow helper"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("vol, alpha", [(0.0, _DECAY), (0.6, 0.3)])
+    def test_non_finite_far_half_is_numeric_error(self, monkeypatch, helpers, bad,
+                                                  vol, alpha):
+        real = theory.TeacherStudentProblem._draw_noise
+
+        def draw_noise(problem, rng, n, out):
+            real(problem, rng, n, out)
+            out[-3] = bad  # in the helper's half of u'
+            return out
+
+        monkeypatch.setattr(theory.TeacherStudentProblem, "_draw_noise", draw_noise)
+        seen = set()
+        for n in (1, 2):
+            _with_cpus(monkeypatch, n)
+            with pytest.raises(NumericError) as info:
+                _flow_bits(vol, alpha, 5)
+            seen.add(str(info.value))
+        assert seen == {f"flow diverged at iteration 1: max step {bad:.3e}"}
+        assert helpers() == ["flow helper"]
+
+    def test_one_timed_call_per_iteration(self, tmp_path, monkeypatch, helpers):
+        # the wrapper logs from any process: the helper must not call it
+        log = tmp_path / "calls.txt"
+        real = _kernels.flow_iter_identity
+
+        def counting(*args):
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(f"{os.getpid()} {args[0].shape} {args[1].shape}\n")
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "flow_iter_identity", counting)
+        _with_cpus(monkeypatch, 2)
+        res = gradient_flow_sim(_split_problem(), 0.6, 0.3, SeededRng(7))
+        shape = (_SPLIT_DIM,)
+        assert log.read_text().splitlines() == [f"{os.getpid()} {shape} {shape}"] * res.iterations
+        assert helpers() == ["flow helper"]
+
+    def test_a_pool_worker_splits_nothing(self, monkeypatch, helpers, pools):
+        _with_cpus(monkeypatch, 2)
+        items = [(0.6, 0.3, 1), (0.0, _DECAY, 2)]
+        got = _pool.map_ordered(_flow_hex, items, 2)
+        assert (pools, helpers()) == ([2], [])
+        _with_cpus(monkeypatch, 1)
+        assert got == [_flow_hex(*item) for item in items]
+
+    def test_lost_helper_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(_kernels, "_flow_part", _killed_in_the_helper)
+        _with_cpus(monkeypatch, 2)
+        cfg = tmp_path / "t.txt"
+        cfg.write_text(f"n_samples = 4000\nflow_dim = {_SPLIT_DIM}\n")
+        code = main(["theory", "theorem3", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (
+            2, "error: the flow helper process died before it sent its half of "
+               "iteration 1\n")
+        assert multiprocessing.active_children() == []

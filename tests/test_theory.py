@@ -30,7 +30,7 @@ from volumize import (
     weight_decay_optimum,
 )
 from volumize import _kernels, _pool, config, runs, theory
-from volumize.errors import DomainError
+from volumize.errors import DomainError, ShapeError
 from volumize.linalg import sample_cauchy
 from volumize.theory import unregularized_prefix_errors
 
@@ -211,6 +211,12 @@ class TestGradientFlow:
         p = problem(dim=10, sigma=0.5)
         with pytest.raises(DomainError, match="0 < step < 2"):
             gradient_flow_sim(p, 0.5, 0.0, SeededRng(27), step=step)
+
+    def test_space_of_another_dim_is_shape_error(self):
+        with theory.flow_space(10) as space:
+            with pytest.raises(ShapeError, match="needs a space of that dim, got 10"):
+                gradient_flow_sim(problem(dim=11, sigma=0.5), 0.5, 0.0, SeededRng(1),
+                                  space=space)
 
     def test_default_step_is_one_tenth(self):
         p = problem(dim=64, sigma=0.5)
