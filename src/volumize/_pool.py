@@ -1,30 +1,27 @@
-"""The two ways volumize forks: an ordered map over worker processes, and
-one process that answers requests while the caller works.
+"""How volumize forks: served, one process that answers the caller's
+requests over a pipe, and map_ordered, an ordered map over a few of them.
+
+served forks one process that answers requests in order, raw bytes each
+way, over a duplex pipe; the caller writes a request and reads the reply
+when it needs it. It is a plain multiprocessing Process, not an executor,
+whose helper threads in the caller would take the GIL from the caller's
+loop. Training's evaluator computes an epoch's metrics while the caller
+trains the next. A gradient flow's helper updates the upper half of the
+flow's weights while the caller updates the lower half, once per
+iteration; the halves live in buffers from shared_zeros, anonymous shared
+memory allocated before the fork, so only the iteration's settings and its
+largest change cross the pipe.
 
 Sweep cells and theory grid points are independent tasks, each seeded from
 its own stable_hash-derived stream, so where a task runs changes no bit of
-its result. map_ordered runs the tasks on N forked workers and returns
-their results in input order; each theory table starts at most one pool.
-Workers are forked: they start with the caller's modules already imported,
-in milliseconds, where a spawned worker would import numpy and volumize
-again for each grid.
+its result. map_ordered runs them on served workers, one item in flight on
+each, and returns the results in input order; each theory table starts at
+most one map. Forked workers start with the caller's modules imported, in
+milliseconds, where spawned ones would import numpy and volumize again.
 
-served forks one process that answers the caller's requests in order, raw
-bytes each way, over a duplex pipe. It has two users. Training's evaluator
-computes an epoch's metrics while the caller trains the next. A gradient
-flow's helper updates the upper half of the flow's weights while the
-caller updates the lower half, once per iteration; the two halves live in
-buffers from shared_zeros, anonymous shared memory allocated before the
-fork, so only the iteration's settings and its largest change cross the
-pipe. served is a plain multiprocessing Process, not an executor, because
-an executor feeds its workers and collects their results through helper
-threads in the caller, and those threads take the GIL from the caller's
-loop. The pipe needs no thread: the caller writes a request, and reads the
-reply only when it needs it.
-
-A process that _pool forks starts no children of its own: sweep cells and
-theory points already fill the CPUs, so inside one every map, evaluator
-and flow runs in-process.
+Every process _pool forks is daemonic and forks nothing itself: sweep cells
+and theory points already fill the CPUs, so inside one every map,
+evaluator and flow runs in-process.
 """
 
 import contextlib
@@ -34,15 +31,13 @@ import multiprocessing
 import os
 import pickle
 import signal
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 
 from .errors import ConfigError, VolumizeError
 
 _FORK = multiprocessing.get_context("fork")
-_forked = False  # True in map_ordered's workers
 
 # cgroup v2, then v1: "<quota> <period>" in microseconds, quota "max" or -1 if none
 _CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
@@ -76,17 +71,10 @@ def available_cpus() -> int:
     return n if quota is None else min(n, quota)
 
 
-def _mark_forked() -> None:
-    global _forked
-    _forked = True
-
-
 def _nested() -> bool:
-    """True in a process that starts no children: a map_ordered worker
-    (marked, since an executor's workers are not daemonic), or a daemonic
-    one, such as the served process or a multiprocessing.Pool worker,
-    which may not have any."""
-    return _forked or multiprocessing.current_process().daemon
+    """True in a process that starts no children: a daemonic one, as every
+    process _pool forks and every multiprocessing.Pool worker is."""
+    return multiprocessing.current_process().daemon
 
 
 def spare_cpu() -> bool:
@@ -106,34 +94,48 @@ def map_ordered(fn, items, workers: int) -> list:
 
     Runs in-process when workers == 1, there is at most one item, or the
     caller starts no children (see _nested). Otherwise min(workers,
-    len(items)) workers are forked and take one item at a time; fn must be
-    a module-level function. An exception raised by a task reaches the
-    caller as the same class; a worker that dies (killed, say) loses the
-    items the pool held, and VolumizeError names the first lost item.
-    Either way the items not yet started are cancelled and every worker has
-    exited before the call returns or raises.
+    len(items)) workers are forked through served, and a worker that
+    returns an item is sent the next item's index. fn and the items are
+    read from the fork snapshot, so neither is pickled and fn may be any
+    callable, a closure included.
+
+    Once an item raises or its worker dies (killed, say), no further item
+    starts; the items in flight finish, and the lowest-index error is
+    raised, as in process. A task's exception keeps its class; a lost
+    worker is a VolumizeError naming its item. Every worker has exited
+    before the call returns or raises.
     """
     require_workers(workers)
     items = list(items)
     if workers == 1 or len(items) <= 1 or _nested():
         return [fn(*item) for item in items]
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(items)),
-                               mp_context=_FORK, initializer=_mark_forked)
-    futures, results = [], []
-    try:
-        # a dead worker breaks the pool, and submit and result then raise
-        # BrokenProcessPool; the count of results names the first lost item
-        with contextlib.suppress(BrokenProcessPool):
-            for item in items:
-                futures.append(pool.submit(fn, *item))
-        with contextlib.suppress(BrokenProcessPool):
-            for f in futures:
-                results.append(f.result())
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    if len(results) < len(items):
-        raise VolumizeError(f"a worker process died: the item at index {len(results)} "
-                            f"of {len(items)} returned no result")
+    n = len(items)
+
+    def answer(request):
+        return pickle.dumps(fn(*items[int(request)]))
+
+    results, errors, sent, running = [None] * n, {}, 0, {}
+    with contextlib.ExitStack() as stack:
+        ready = [stack.enter_context(served(answer, "worker"))
+                 for _ in range(min(workers, n))]
+        while True:
+            # indices go out after every ready reply is read: none follows an error
+            for server in ready:
+                if not errors and sent < n:
+                    server.send(b"%d" % sent)
+                    running[server] = sent
+                    sent += 1
+            if not running:
+                break
+            ready = wait(list(running))
+            for server in ready:
+                i = running.pop(server)
+                try:
+                    results[i] = pickle.loads(server.receive(f"the item at index {i} of {n}"))
+                except Exception as exc:
+                    errors[i] = exc
+    if errors:
+        raise errors[min(errors)]
     return results
 
 
@@ -149,6 +151,9 @@ class _Server:
     def __init__(self, conn, name):
         self._conn = conn
         self._name = name
+
+    def fileno(self) -> int:  # for multiprocessing.connection.wait
+        return self._conn.fileno()
 
     def send(self, request) -> None:
         """Queues a request (any bytes-like object) for an answer."""
@@ -172,8 +177,7 @@ class _Server:
 
 def _serve(here, there, answer) -> None:
     """The served process: answers each request until the caller closes
-    its end. An exception raised by answer goes back in its place. It is
-    daemonic, so _nested holds in it."""
+    its end. An exception raised by answer goes back in its place."""
     here.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends it by closing the pipe
     while True:

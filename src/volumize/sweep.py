@@ -15,7 +15,9 @@ accuracy, so cells train with train_metrics=False: the training split is
 never evaluated and the cell's trajectory has empty train lists.
 
 Pending cells run through _pool.map_ordered, on the caller's explicit
-worker count (the CLI default is 1).
+worker count (the CLI default is 1), each forked worker writing its cells'
+files. A cell that raises, or a worker that dies, starts no further cell;
+the cells already written stay for a resume.
 Results land as one JSON file per cell under <out>/cells/; the canonical
 CSV is regenerated from those files in grid order, one row per cell plus a
 mean row per (v, alpha) aggregating the ok repeats. A cell that fails with

@@ -29,11 +29,12 @@ feasible at sane sample counts.
 
 Every point of an MC grid draws from its own stable_hash-derived Philox
 stream, so the points are independent tasks. clip_error_points maps them
-through _pool.map_ordered, on one process per available CPU (the affinity
-mask, capped by a cgroup CPU quota), and mc_curves maps the points of all
-its curves through one such call; weight_decay_error_points maps
-theorem3's estimates the same way. The results, and so the CSV bytes,
-never depend on that count.
+through _pool.map_ordered, on one forked worker per available CPU (the
+affinity mask, capped by a cgroup CPU quota), and mc_curves maps the
+points of all its curves through one such call; weight_decay_error_points
+maps theorem3's estimates the same way. The results, and so the CSV bytes,
+never depend on that count. Once a point fails no further point starts,
+and the error raised is the one the in-process loop would raise.
 
 A gradient flow runs in the calling process. From _kernels._BLOCK
 coordinates up, and when a CPU is spare, each of its iterations is split
@@ -237,13 +238,6 @@ def _estimate(problem: TeacherStudentProblem, rng: SeededRng, n: int, segment: i
     return McEstimate(value=offset + mean, stderr=math.sqrt(var / n), n_samples=n)
 
 
-def _seeded(estimator, *point) -> McEstimate:
-    """estimator(*head, SeededRng(seed), n_samples) for point = (*head,
-    seed, n_samples): a grid point as one task of a process map."""
-    *head, seed, n_samples = point
-    return estimator(*head, SeededRng(seed), n_samples)
-
-
 def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
                   n_samples: int) -> McEstimate:
     """Unbiased MC estimate of E[(clip(u', V) - u)^2] with its stderr.
@@ -274,8 +268,10 @@ def clip_error_points(points) -> list:
 
     Point i draws from SeededRng(seed_i) alone, so the points run on every
     available CPU and the estimates are the same at any CPU count."""
-    return _pool.map_ordered(_seeded, [(clip_error_mc, *p) for p in points],
-                             _pool.available_cpus())
+    # clip_error_mc is read at call time, so a wrapper set on it sees each call
+    return _pool.map_ordered(
+        lambda problem, vol, seed, n: clip_error_mc(problem, vol, SeededRng(seed), n),
+        points, _pool.available_cpus())
 
 
 def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
@@ -304,8 +300,10 @@ def weight_decay_error_points(points) -> list:
 
     Point i draws from SeededRng(seed_i) alone, so the points run on every
     available CPU and the estimates are the same at any CPU count."""
-    return _pool.map_ordered(_seeded, [(weight_decay_error_mc, *p) for p in points],
-                             _pool.available_cpus())
+    return _pool.map_ordered(
+        lambda a, sigma, lam, seed, n: weight_decay_error_mc(a, sigma, lam,
+                                                             SeededRng(seed), n),
+        points, _pool.available_cpus())
 
 
 @dataclass(eq=False)
@@ -313,8 +311,6 @@ class FlowResult:
     error: float
     iterations: int
     converged: bool
-    w: np.ndarray
-    u_prime: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +354,7 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
 
     The flow runs in space, a FlowSpace of problem.dim coordinates that a
     table of flows shares (see flow_space), or in one of its own when space
-    is None. FlowResult.w and u_prime are copies out of its buffers.
+    is None.
     """
     if not vol >= 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
@@ -370,10 +366,7 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
         raise ShapeError(f"a flow of dim {problem.dim} needs a space of that dim, "
                          f"got {len(space.w)}")
     with flow_space(problem.dim) if space is None else contextlib.nullcontext(space) as space:
-        err, it, converged = _flow(problem, float(vol), float(alpha), rng, step, space)
-        # copied once the teacher draw is freed, so they add no peak memory
-        return FlowResult(error=err, iterations=it, converged=converged,
-                          w=space.w.copy(), u_prime=space.u_prime.copy())
+        return FlowResult(*_flow(problem, float(vol), float(alpha), rng, step, space))
 
 
 def _flow(problem, vol, alpha, rng, step, space):

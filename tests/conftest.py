@@ -1,6 +1,8 @@
-"""Shared fixtures: tiny nets, datasets, and rngs used across the suite."""
+"""Shared fixtures: tiny nets, datasets, rngs and a spy on the processes
+_pool forks, used across the suite."""
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from volumize import (
     LayerSpec,
     OptimizerSpec,
     SeededRng,
+    _pool,
     gen_blobs,
     init_network,
     stable_hash,
@@ -27,6 +30,23 @@ def no_child_left():
         p.terminate()
         p.join(timeout=10)
     assert left == [], f"child processes left running: {left}"
+
+
+@pytest.fixture
+def forks(monkeypatch, tmp_path):
+    """Logs "<pid> <name>" for every process that _pool.served forks, from
+    any process, with the pid of the process that forks it; the value reads
+    the log. A map over N workers logs N "worker" lines."""
+    log = tmp_path / "forks.txt"
+    real = _pool.served
+
+    def served(answer, name):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()} {name}\n")
+        return real(answer, name)
+
+    monkeypatch.setattr(_pool, "served", served)
+    return lambda: log.read_text().splitlines() if log.exists() else []
 
 
 @pytest.fixture

@@ -146,11 +146,11 @@ class TestExitCodes:
 
     def test_lost_theory_worker_exits_two(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(_pool, "available_cpus", lambda: 2)
-        monkeypatch.setattr(theory, "_seeded", _killed)
+        monkeypatch.setattr(theory, "clip_error_mc", _killed)
         cfg = _cfg(tmp_path, "kind = theorem1\nn_samples = 500\n")
         assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: a worker process died")
+        assert err.startswith("error: the worker process died")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "quantize"])

@@ -68,3 +68,24 @@ def test_every_defaulted_parameter_has_a_caller():
                    for c in calls.get(name.split(".")[-1], []))
     ]
     assert unset == [], "no call passes " + ", ".join(unset)
+
+
+def test_pool_is_the_only_module_that_forks():
+    # one fork primitive: _pool.served; every process volumize starts is one
+    banned = {"multiprocessing", "concurrent", "subprocess", "threading"}
+    found = []
+    for path, tree in _trees("src/volumize"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                roots = {(node.module or "").split(".")[0]}
+            elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and getattr(node.value, "id", None) == "os"):
+                roots = {"os.fork"}
+            else:
+                continue
+            allowed = banned - {"concurrent"} if path.stem == "_pool" else set()
+            found += [f"{path.stem}: {r}" for r in sorted(roots & (banned | {"os.fork"}))
+                      if r not in allowed]
+    assert found == []

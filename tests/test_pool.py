@@ -1,8 +1,10 @@
 """The ordered process map and the worker-count independence of its users.
 
 Theory grids take their worker count from _pool.available_cpus; the tests
-patch it to 1, 2 and 3, so the pool runs (3 workers with uneven shares of
-the items) whatever the CPU count of the machine running them.
+patch it to 1, 2 and 3, so the workers run (3 of them with uneven shares of
+the items) whatever the CPU count of the machine running them. The forks
+fixture (conftest.py) logs every process _pool forks: a map over N workers
+forks N called "worker".
 """
 
 import math
@@ -13,7 +15,7 @@ import signal
 import numpy as np
 import pytest
 
-from volumize import _kernels, _pool, config, runs, theory
+from volumize import _kernels, _pool, config, runs, sweep, theory
 from volumize.cli import main
 from volumize.errors import ConfigError, DomainError, NumericError, VolumizeError
 from volumize.linalg import SeededRng
@@ -47,22 +49,49 @@ def _killed_on_negative(x):
     return x
 
 
+class _ArrivingError(DomainError):
+    """A DomainError that sets _ARRIVED when it is built in the process
+    that runs the map, as that process unpickles a worker's reply."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        if multiprocessing.parent_process() is None:
+            _ARRIVED.set()
+
+
+# made before the workers fork, so they share it
+_ARRIVED = multiprocessing.get_context("fork").Event()
+
+
+def _item_one_fails(i, log):
+    """Logs i as started. Item 1 raises; item 0 returns only once item 1's
+    error has reached the caller."""
+    with open(log, "a", encoding="utf-8") as f:
+        f.write(f"{i}\n")
+    if i == 1:
+        raise _ArrivingError("item 1 failed")
+    if i == 0:
+        assert _ARRIVED.wait(timeout=60)
+    return i
+
+
+def _items_one_and_two_fail(i):
+    """Item 2's error reaches the caller first, and then item 1 fails."""
+    if i == 2:
+        raise _ArrivingError("item 2 failed")
+    if i == 1:
+        assert _ARRIVED.wait(timeout=60)
+        raise DomainError("item 1 failed")
+    return i
+
+
 def _curve_hex(c):
     return [float(x).hex() for x in (*c.errors, *c.stderrs)]
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Records the max_workers of every pool _pool starts."""
-    sizes = []
-    real = _pool.ProcessPoolExecutor
-
-    def spy(max_workers, **kw):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers, **kw)
-
-    monkeypatch.setattr(_pool, "ProcessPoolExecutor", spy)
-    return sizes
+def _fork_log(name, n=1):
+    """The forks log of n processes called name, forked by this process."""
+    return [f"{os.getpid()} {name}"] * n
 
 
 def _with_cpus(monkeypatch, n):
@@ -102,48 +131,66 @@ class TestMapOrdered:
         with pytest.raises(ConfigError, match="workers must be >= 1"):
             _pool.map_ordered(_pid_of, [(1,), (2,)], workers)
 
-    def test_one_worker_runs_in_process(self, pools):
+    def test_one_worker_runs_in_process(self, forks):
         got = _pool.map_ordered(_pid_of, [(i,) for i in range(5)], 1)
         assert got == [(i, os.getpid()) for i in range(5)]
-        assert pools == []
+        assert forks() == []
 
-    def test_single_item_runs_in_process(self, pools):
+    def test_single_item_runs_in_process(self, forks):
         assert _pool.map_ordered(_pid_of, [(7,)], 4) == [(7, os.getpid())]
         assert _pool.map_ordered(_pid_of, [], 4) == []
-        assert pools == []
+        assert forks() == []
 
     @pytest.mark.parametrize("workers", (2, 3))
-    def test_pool_keeps_input_order(self, pools, workers):
+    def test_pool_keeps_input_order(self, forks, workers):
         items = [(i,) for i in range(29)]  # 29 items: uneven shares
         got = _pool.map_ordered(_pid_of, items, workers)
         assert [x for x, _ in got] == list(range(29))
         assert os.getpid() not in {pid for _, pid in got}
-        assert pools == [workers]
+        assert forks() == _fork_log("worker", workers)
 
-    def test_pool_is_capped_at_the_item_count(self, pools):
+    def test_pool_is_capped_at_the_item_count(self, forks):
         _pool.map_ordered(_pid_of, [(1,), (2,)], 8)
-        assert pools == [2]
+        assert forks() == _fork_log("worker", 2)
 
-    def test_task_error_keeps_its_class(self, pools):
+    def test_task_error_keeps_its_class(self, forks):
         with pytest.raises(DomainError, match="negative item -3"):
             _pool.map_ordered(_fail_on_negative, [(1,), (-3,), (4,), (-5,)], 2)
-        assert pools == [2]
+        assert forks() == _fork_log("worker", 2)
 
-    def test_lost_worker_is_volumize_error(self, pools):
+    def test_lost_worker_is_volumize_error(self, forks):
         # the first item kills its worker, so it is the first item lost
         with pytest.raises(VolumizeError) as info:
             _pool.map_ordered(_killed_on_negative, [(-1,), (2,), (3,), (4,)], 2)
         assert type(info.value) is VolumizeError  # not a ConfigError: exit 2
-        assert "worker process died: the item at index 0 of 4" in str(info.value)
-        assert pools == [2]
+        assert str(info.value) == ("the worker process died before it sent the item "
+                                   "at index 0 of 4")
+        assert forks() == _fork_log("worker", 2)
 
+    def test_a_closure_runs_unpickled(self):
+        offset = np.arange(3.0)
+        got = _pool.map_ordered(lambda i: offset[i] + i, [(i,) for i in range(3)], 2)
+        assert got == [0.0, 2.0, 4.0]
+
+    def test_failure_starts_no_further_item(self, tmp_path):
+        log = tmp_path / "started.txt"
+        _ARRIVED.clear()
+        with pytest.raises(_ArrivingError, match="item 1 failed"):
+            _pool.map_ordered(_item_one_fails, [(i, str(log)) for i in range(10)], 2)
+        assert sorted(map(int, log.read_text().split())) == [0, 1]
+
+    def test_lowest_index_error_is_raised(self):
+        _ARRIVED.clear()
+        with pytest.raises(DomainError, match="item 1 failed") as info:
+            _pool.map_ordered(_items_one_and_two_fail, [(i,) for i in range(4)], 3)
+        assert type(info.value) is DomainError
 
     @pytest.mark.parametrize("workers", (1, 2, 3))
-    def test_workers_exit_before_the_results_return(self, pools, workers):
+    def test_workers_exit_before_the_results_return(self, forks, workers):
         got = _pool.map_ordered(_pid_of, [(i,) for i in range(7)], workers)
         assert [x for x, _ in got] == list(range(7))
         assert (os.getpid() in {pid for _, pid in got}) == (workers == 1)
-        assert pools == ([] if workers == 1 else [workers])
+        assert forks() == ([] if workers == 1 else _fork_log("worker", workers))
         assert multiprocessing.active_children() == []
 
 
@@ -163,18 +210,18 @@ class TestWorkerCountIndependence:
         ("fig4b", {"n_samples": "10000"}),
         ("theorem3", {"n_samples": "4000", "flow_dim": "500"}),
     ])
-    def test_theory_csv_bytes(self, tmp_path, monkeypatch, pools, kind, raw):
+    def test_theory_csv_bytes(self, tmp_path, monkeypatch, forks, kind, raw):
         got, started = {}, {}
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
-            before = len(pools)
+            before = len(forks())
             got[n] = _theory_bytes(tmp_path, kind, f"{kind}-{n}", **raw)
-            started[n] = pools[before:]
+            started[n] = forks()[before:]
         assert got[1] == got[2] == got[3]
-        # at most one pool per table, on every CPU
-        assert started == {1: [], 2: [2], 3: [3]}
+        # at most one map per table, on every CPU
+        assert started == {1: [], 2: _fork_log("worker", 2), 3: _fork_log("worker", 3)}
 
-    def test_mc_curve_values(self, monkeypatch, pools):
+    def test_mc_curve_values(self, monkeypatch, forks):
         vols = np.linspace(0.0, 2.0, 26)
         curves = {}
         for n in CPU_COUNTS:
@@ -182,20 +229,20 @@ class TestWorkerCountIndependence:
             c = mc_curve(1.0, 0.5, vols, seed=8, n_samples=3000)
             curves[n] = [float(x).hex() for x in (*c.errors, *c.stderrs)]
         assert curves[1] == curves[2] == curves[3]
-        assert pools == [2, 3]
+        assert forks() == _fork_log("worker", 2) + _fork_log("worker", 3)
 
-    def test_mc_curves_is_mc_curve_per_sigma_in_one_pool(self, monkeypatch, pools):
+    def test_mc_curves_is_mc_curve_per_sigma_in_one_pool(self, monkeypatch, forks):
         _with_cpus(monkeypatch, 3)
         vols = np.linspace(0.0, 2.0, 9)
         one = [_curve_hex(mc_curve(1.0, s, vols, seed=k, n_samples=3000))
                for k, s in enumerate((0.3, 0.7))]
-        del pools[:]
+        before = len(forks())
         both = mc_curves(1.0, (0.3, 0.7), vols, (0, 1), n_samples=3000)
         assert [_curve_hex(c) for c in both] == one
         assert [(c.sigma, c.seed) for c in both] == [(0.3, 0), (0.7, 1)]
-        assert pools == [3]
+        assert forks()[before:] == _fork_log("worker", 3)
 
-    def test_cauchy_comparison_values(self, monkeypatch, pools):
+    def test_cauchy_comparison_values(self, monkeypatch, forks):
         tables = {}
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
@@ -203,12 +250,12 @@ class TestWorkerCountIndependence:
             tables[n] = [(r.method, float(r.vol).hex(), float(r.error).hex(),
                           float(r.stderr).hex(), r.n_samples) for r in t.rows]
         assert tables[1] == tables[2] == tables[3]
-        assert pools == [2, 3]
+        assert forks() == _fork_log("worker", 2) + _fork_log("worker", 3)
 
-    def test_flow_curve_stays_in_process(self, monkeypatch, pools):
+    def test_flow_curve_stays_in_process(self, monkeypatch, forks):
         _with_cpus(monkeypatch, 3)
         flow_curve(1.0, 0.5, [0.4, 0.8, 1.2], seed=10, dim=500)
-        assert pools == []
+        assert forks() == []
 
     def test_mc_curve_inside_a_daemonic_worker(self, monkeypatch):
         # multiprocessing.Pool workers are daemonic and may not fork children
@@ -246,8 +293,39 @@ class TestWorkerErrors:
             ("theorem3", 2, "error: need n_samples > 1, got 1\n"),
         }
 
+    def test_lost_sweep_worker_exits_two_and_resumes(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # the worker training cell (v 0.5, alpha 1), item 1 of 4, kills
+        # itself mid-cell, as the OOM killer would
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("n_classes = 3\nn_per_class = 25\ndim = 4\nhidden_dims = 8\n"
+                       "epochs = 3\nbatch_size = 16\nv_grid = 0.5, inf\n"
+                       "alpha_grid = 0, 1\nrepeats = 1\n", encoding="utf-8")
+        real = sweep.train_model
+
+        def killed_in_cell_one(net, data, opt, walls, *args, **kw):
+            if (walls.v, walls.alpha) == (0.5, 1.0):
+                assert multiprocessing.current_process().name == "worker"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(net, data, opt, walls, *args, **kw)
+
+        def run(out, *flags):
+            return main(["sweep", "--config", str(cfg), "--out", str(tmp_path / out),
+                         *flags])
+
+        monkeypatch.setattr(sweep, "train_model", killed_in_cell_one)
+        assert run("o", "--workers", "2") == 2
+        assert capsys.readouterr().err == ("error: the worker process died before it "
+                                           "sent the item at index 1 of 4\n")
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(sweep, "train_model", real)
+        assert run("o", "--workers", "2", "--resume") == 0
+        assert run("whole") == 0
+        assert ((tmp_path / "o" / "sweep.csv").read_bytes()
+                == (tmp_path / "whole" / "sweep.csv").read_bytes())
+
     def test_diverging_flow_starts_no_estimate(self, tmp_path, monkeypatch, capsys,
-                                               pools):
+                                               forks):
         # theorem3 runs its flows before its estimates, so a flow that
         # diverges ends the table before any pool is forked
         monkeypatch.setattr(_kernels, "flow_iter_identity", lambda *args: math.nan)
@@ -261,7 +339,7 @@ class TestWorkerErrors:
                          "--out", str(tmp_path / f"theorem3-{n}")])
             seen.add((code, capsys.readouterr().err))
         assert seen == {(2, "error: flow diverged at iteration 1: max step nan\n")}
-        assert pools == []
+        assert forks() == []
 
 
 # odd, and above the size from which a flow splits across a helper process
@@ -276,8 +354,9 @@ def _split_problem():
 
 
 def _flow_bits(vol, alpha, seed):
-    res = gradient_flow_sim(_split_problem(), vol, alpha, SeededRng(seed))
-    return res.error.hex(), res.iterations, res.converged, res.w.tobytes()
+    with theory.flow_space(_SPLIT_DIM) as space:
+        res = gradient_flow_sim(_split_problem(), vol, alpha, SeededRng(seed), space=space)
+        return res.error.hex(), res.iterations, res.converged, space.w.tobytes()
 
 
 def _flow_hex(vol, alpha, seed):
@@ -292,58 +371,42 @@ def _killed_in_the_helper(*args):
     return _FLOW_PART(*args)
 
 
-@pytest.fixture
-def helpers(monkeypatch, tmp_path):
-    """Logs the name of every process that _pool.served forks, from any
-    process; the value reads the log."""
-    log = tmp_path / "served.txt"
-    real = _pool.served
-
-    def served(answer, name):
-        with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{name}\n")
-        return real(answer, name)
-
-    monkeypatch.setattr(_pool, "served", served)
-    return lambda: log.read_text().splitlines() if log.exists() else []
-
-
 class TestSplitFlow:
     """A large flow's iterations are split with a helper process when a CPU
     is spare; available_cpus is patched to 1 (in process) and 2 (split)."""
 
     @pytest.mark.parametrize("vol, alpha", [(0.0, _DECAY), (0.6, 0.0), (0.6, 0.3),
                                             (0.6, -0.5)])
-    def test_split_flow_keeps_the_bits(self, monkeypatch, helpers, vol, alpha):
+    def test_split_flow_keeps_the_bits(self, monkeypatch, forks, vol, alpha):
         got = {}
         for n in (1, 2):
             _with_cpus(monkeypatch, n)
             got[n] = _flow_bits(vol, alpha, 31)
         assert got[1] == got[2]
         assert got[1][2]  # converged
-        assert helpers() == ["flow helper"]
+        assert forks() == _fork_log("flow helper")
 
-    def test_flow_curve_forks_one_helper(self, monkeypatch, helpers):
+    def test_flow_curve_forks_one_helper(self, monkeypatch, forks):
         got = {}
         for n in (1, 2):
             _with_cpus(monkeypatch, n)
             got[n] = _curve_hex(flow_curve(1.0, 0.5, [0.4, 1.2], seed=10,
                                            dim=_SPLIT_DIM))
         assert got[1] == got[2]
-        assert helpers() == ["flow helper"]
+        assert forks() == _fork_log("flow helper")
 
-    def test_smaller_flows_stay_in_process(self, monkeypatch, helpers):
+    def test_smaller_flows_stay_in_process(self, monkeypatch, forks):
         _with_cpus(monkeypatch, 2)
         gradient_flow_sim(theory.TeacherStudentProblem(dim=_kernels._BLOCK - 1),
                           0.6, 0.3, SeededRng(3))
-        assert helpers() == []
+        assert forks() == []
         gradient_flow_sim(theory.TeacherStudentProblem(dim=_kernels._BLOCK),
                           0.6, 0.3, SeededRng(3))
-        assert helpers() == ["flow helper"]
+        assert forks() == _fork_log("flow helper")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("vol, alpha", [(0.0, _DECAY), (0.6, 0.3)])
-    def test_non_finite_far_half_is_numeric_error(self, monkeypatch, helpers, bad,
+    def test_non_finite_far_half_is_numeric_error(self, monkeypatch, forks, bad,
                                                   vol, alpha):
         real = theory.TeacherStudentProblem._draw_noise
 
@@ -360,9 +423,9 @@ class TestSplitFlow:
                 _flow_bits(vol, alpha, 5)
             seen.add(str(info.value))
         assert seen == {f"flow diverged at iteration 1: max step {bad:.3e}"}
-        assert helpers() == ["flow helper"]
+        assert forks() == _fork_log("flow helper")
 
-    def test_one_timed_call_per_iteration(self, tmp_path, monkeypatch, helpers):
+    def test_one_timed_call_per_iteration(self, tmp_path, monkeypatch, forks):
         # the wrapper logs from any process: the helper must not call it
         log = tmp_path / "calls.txt"
         real = _kernels.flow_iter_identity
@@ -377,13 +440,13 @@ class TestSplitFlow:
         res = gradient_flow_sim(_split_problem(), 0.6, 0.3, SeededRng(7))
         shape = (_SPLIT_DIM,)
         assert log.read_text().splitlines() == [f"{os.getpid()} {shape} {shape}"] * res.iterations
-        assert helpers() == ["flow helper"]
+        assert forks() == _fork_log("flow helper")
 
-    def test_a_pool_worker_splits_nothing(self, monkeypatch, helpers, pools):
+    def test_a_pool_worker_splits_nothing(self, monkeypatch, forks):
         _with_cpus(monkeypatch, 2)
         items = [(0.6, 0.3, 1), (0.0, _DECAY, 2)]
         got = _pool.map_ordered(_flow_hex, items, 2)
-        assert (pools, helpers()) == ([2], [])
+        assert forks() == _fork_log("worker", 2)
         _with_cpus(monkeypatch, 1)
         assert got == [_flow_hex(*item) for item in items]
 

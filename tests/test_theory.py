@@ -167,29 +167,31 @@ class TestGradientFlow:
 
     def test_alpha1_flow_is_unregularized(self):
         p = problem(dim=20000, sigma=0.5)
-        res = gradient_flow_sim(p, 0.2, 1.0, SeededRng(22))
-        assert res.converged
-        np.testing.assert_allclose(res.w, res.u_prime, atol=1e-8)
+        with theory.flow_space(p.dim) as space:
+            res = gradient_flow_sim(p, 0.2, 1.0, SeededRng(22), space=space)
+            assert res.converged
+            np.testing.assert_allclose(space.w, space.u_prime, atol=1e-8)
 
     def test_weight_decay_alpha_mapping_hits_shrinkage_fixed_point(self):
         lam, step = 0.7, 0.1
         alpha = alpha_for_weight_decay(lam, step)
         p = problem(dim=5000, sigma=0.5)
-        res = gradient_flow_sim(p, 0.0, alpha, SeededRng(23), step=step)
-        assert res.converged
-        np.testing.assert_allclose(res.w, res.u_prime / (1.0 + lam), atol=1e-7)
+        with theory.flow_space(p.dim) as space:
+            res = gradient_flow_sim(p, 0.0, alpha, SeededRng(23), step=step, space=space)
+            assert res.converged
+            np.testing.assert_allclose(space.w, space.u_prime / (1.0 + lam), atol=1e-7)
 
     def test_mapping_is_step_invariant(self):
         # the fixed point must not depend on the integrator step
         lam = 0.5
         p = problem(dim=500, sigma=0.5)
-        res_a = gradient_flow_sim(
-            p, 0.0, alpha_for_weight_decay(lam, 0.1), SeededRng(24), step=0.1
-        )
-        res_b = gradient_flow_sim(
-            p, 0.0, alpha_for_weight_decay(lam, 0.37), SeededRng(24), step=0.37
-        )
-        np.testing.assert_allclose(res_a.w, res_b.w, atol=1e-7)
+        w = {}
+        for step in (0.1, 0.37):
+            with theory.flow_space(p.dim) as space:
+                gradient_flow_sim(p, 0.0, alpha_for_weight_decay(lam, step),
+                                  SeededRng(24), step=step, space=space)
+                w[step] = space.w.copy()
+        np.testing.assert_allclose(w[0.1], w[0.37], atol=1e-7)
 
     # error and iteration count of V > 0 flows, as float.hex: no benchmark
     # workload runs this wall path, so no digest guards its bits
@@ -220,11 +222,13 @@ class TestGradientFlow:
 
     def test_default_step_is_one_tenth(self):
         p = problem(dim=64, sigma=0.5)
-        default = gradient_flow_sim(p, 0.6, 0.3, SeededRng(28))
-        tenth = gradient_flow_sim(p, 0.6, 0.3, SeededRng(28), step=0.1)
+        with theory.flow_space(p.dim) as space:
+            default = gradient_flow_sim(p, 0.6, 0.3, SeededRng(28), space=space)
+            w = space.w.tobytes()
+            tenth = gradient_flow_sim(p, 0.6, 0.3, SeededRng(28), step=0.1, space=space)
+            assert space.w.tobytes() == w
         assert default.error.hex() == tenth.error.hex()
         assert default.iterations == tenth.iterations
-        assert default.w.tobytes() == tenth.w.tobytes()
 
 
 def _discard(rng, k):
