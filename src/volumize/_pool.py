@@ -1,16 +1,17 @@
 """How volumize forks: served, one process that answers the caller's
 requests over a pipe, and map_ordered, an ordered map over a few of them.
 
-served forks one process that answers requests in order, raw bytes each
-way, over a duplex pipe; the caller writes a request and reads the reply
-when it needs it. It is a plain multiprocessing Process, not an executor,
-whose helper threads in the caller would take the GIL from the caller's
-loop. Training's evaluator computes an epoch's metrics while the caller
-trains the next. A gradient flow's helper updates the upper half of the
-flow's weights while the caller updates the lower half, once per
-iteration; the halves live in buffers from shared_zeros, anonymous shared
-memory allocated before the fork, so only the iteration's settings and its
-largest change cross the pipe.
+served forks one process that answers requests in order over a duplex
+pipe; the caller writes a request and reads the reply when it needs it.
+Requests and replies are Python values, pickled here and nowhere else, so a
+float or an array crosses with its bits. It is a plain multiprocessing
+Process, not an executor, whose helper threads in the caller would take the
+GIL from the caller's loop. Training's evaluator computes an epoch's
+metrics while the caller trains the next. A gradient flow's helper updates
+the upper half of the flow's weights while the caller updates the lower
+half, once per iteration; the halves live in buffers from shared_zeros,
+anonymous shared memory allocated before the fork, so only the iteration's
+settings and its largest change cross the pipe.
 
 Sweep cells and theory grid points are independent tasks, each seeded from
 its own stable_hash-derived stream, so where a task runs changes no bit of
@@ -101,28 +102,25 @@ def map_ordered(fn, items, workers: int) -> list:
 
     Once an item raises or its worker dies (killed, say), no further item
     starts; the items in flight finish, and the lowest-index error is
-    raised, as in process. A task's exception keeps its class; a lost
-    worker is a VolumizeError naming its item. Every worker has exited
-    before the call returns or raises.
+    raised, as in process. A task's exception keeps its class, unless it
+    or a result cannot be pickled (see served); a lost worker is a
+    VolumizeError naming its item. Every worker has exited before the call
+    returns or raises.
     """
     require_workers(workers)
     items = list(items)
     if workers == 1 or len(items) <= 1 or _nested():
         return [fn(*item) for item in items]
     n = len(items)
-
-    def answer(request):
-        return pickle.dumps(fn(*items[int(request)]))
-
     results, errors, sent, running = [None] * n, {}, 0, {}
     with contextlib.ExitStack() as stack:
-        ready = [stack.enter_context(served(answer, "worker"))
+        ready = [stack.enter_context(served(lambda i: fn(*items[i]), "worker"))
                  for _ in range(min(workers, n))]
         while True:
             # indices go out after every ready reply is read: none follows an error
             for server in ready:
                 if not errors and sent < n:
-                    server.send(b"%d" % sent)
+                    server.send(sent)
                     running[server] = sent
                     sent += 1
             if not running:
@@ -131,7 +129,7 @@ def map_ordered(fn, items, workers: int) -> list:
             for server in ready:
                 i = running.pop(server)
                 try:
-                    results[i] = pickle.loads(server.receive(f"the item at index {i} of {n}"))
+                    results[i] = server.receive(f"the item at index {i} of {n}")
                 except Exception as exc:
                     errors[i] = exc
     if errors:
@@ -156,23 +154,37 @@ class _Server:
         return self._conn.fileno()
 
     def send(self, request) -> None:
-        """Queues a request (any bytes-like object) for an answer."""
+        """Queues a request, any picklable value, for an answer."""
         try:
-            self._conn.send_bytes(request)
+            self._conn.send_bytes(pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
         except OSError:  # the process died; receive says so
             pass
 
-    def receive(self, what: str) -> bytes:
-        """The answer to the oldest request not yet received; what names it
-        in the VolumizeError raised when the process has died."""
+    def receive(self, what: str):
+        """The answer to the oldest request not yet received, or the
+        exception answer raised for it; what names the request in the
+        VolumizeError raised when the process has died."""
         try:
             reply = self._conn.recv_bytes()
         except (EOFError, OSError):
             raise VolumizeError(
                 f"the {self._name} process died before it sent {what}") from None
-        if reply[:1] == b"\0":
-            return reply[1:]
-        raise pickle.loads(reply[1:])
+        failed, value = pickle.loads(reply)
+        if failed:
+            raise value
+        return value
+
+
+def _pickled(failed: bool, value) -> bytes:
+    """The reply (failed, value), pickled. A value that cannot be pickled
+    goes as VolumizeError("<Class>: <message>") in its place: the class and
+    message of the exception, or for a result, of its pickling error."""
+    try:
+        return pickle.dumps((failed, value), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        unsent = value if failed else exc
+        return pickle.dumps((True, VolumizeError(f"{type(unsent).__name__}: {unsent}")),
+                            pickle.HIGHEST_PROTOCOL)
 
 
 def _serve(here, there, answer) -> None:
@@ -182,13 +194,13 @@ def _serve(here, there, answer) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends it by closing the pipe
     while True:
         try:
-            request = there.recv_bytes()
+            request = pickle.loads(there.recv_bytes())
         except EOFError:
             return
         try:
-            reply = b"\0" + answer(request)
+            reply = _pickled(False, answer(request))
         except Exception as exc:
-            reply = b"\1" + pickle.dumps(exc)
+            reply = _pickled(True, exc)
         try:
             there.send_bytes(reply)
         except OSError:  # the caller has gone
@@ -200,12 +212,13 @@ def served(answer, name: str):
     """Forks one process, called name, that answers requests, and makes the
     caller's end of the pipe (a _Server) the value of the block.
 
-    Each request, sent as raw bytes, gets one answer(request), raw bytes
+    Each request, any picklable value, gets one answer(request), a value
     too, in request order; the caller reads each answer when it needs it.
     answer runs in a snapshot of the caller taken on entry, so it reads any
     state the caller held then, and the buffers from shared_zeros as they
     are written. An exception raised by answer is raised by receive as the
-    same class; a process that dies makes receive raise VolumizeError
+    same class, and a reply that cannot be pickled as a VolumizeError naming
+    its class; a process that dies makes receive raise VolumizeError
     naming it. On leaving the block, by any path, the process has exited,
     after the answer it was computing, if any.
     """

@@ -97,22 +97,18 @@ class WeightHistogram:
     vol: float
 
 
-def mass_near_walls(values, vol: float, delta: float = 0.05) -> float:
+def mass_near_walls(values, vol: float) -> float:
     if not vol > 0:
         raise DomainError(f"vol must be positive, got {vol}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         return 0.0
-    return float((np.abs(np.abs(v) - vol) <= delta * vol).mean())
+    return float((np.abs(np.abs(v) - vol) <= 0.05 * vol).mean())
 
 
-def weight_histogram(net, vols=None, bins: int = 64):
-    """One histogram per layer over [-max|w|, max|w|], weights and biases
-    pooled (they share the layer's walls, one per layer in ``vols``)."""
-    if bins < 3:
-        raise ConfigError(f"bins must be >= 3, got {bins}")
+def weight_histogram(net, vols=None):
+    """One 64-bin histogram per layer over [-max|w|, max|w|], weights and
+    biases pooled (they share the layer's walls, one per layer in ``vols``)."""
     if vols is not None and len(vols) != len(net.layers):
         raise ConfigError(f"got {len(vols)} walls for {len(net.layers)} layers")
     out = []
@@ -121,7 +117,7 @@ def weight_histogram(net, vols=None, bins: int = 64):
         m = float(np.abs(vals).max()) if vals.size else 0.0
         if m == 0.0:
             m = 1.0
-        counts, edges = np.histogram(vals, bins=bins, range=(-m, m))
+        counts, edges = np.histogram(vals, bins=64, range=(-m, m))
         vol = float("nan") if vols is None else float(vols[i])
         if np.isfinite(vol) and vol > 0:
             mass = mass_near_walls(vals, vol)

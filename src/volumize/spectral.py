@@ -25,16 +25,14 @@ from .linalg import SeededRng, as_matrix, stable_hash
 from .net import empirical_lipschitz
 
 
-def power_iteration_smax(w, iters: int = 1000, seed: int = 0) -> float:
+def power_iteration_smax(w, seed: int = 0) -> float:
     """Largest singular value by alternating W / W^T power iteration.
 
     Deterministic: the start vector comes from the given seed. Stops when
-    the estimate's relative change drops to 1e-10, or after iters steps; a
+    the estimate's relative change drops to 1e-10, or after 1000 steps; a
     zero matrix returns 0.0 without iterating.
     """
     w = as_matrix(w, "w")
-    if iters <= 0:
-        raise DomainError(f"iters must be positive, got {iters}")
     if not (np.isfinite(w).all()):
         raise DomainError("matrix has non-finite entries")
     if not w.any():
@@ -47,7 +45,7 @@ def power_iteration_smax(w, iters: int = 1000, seed: int = 0) -> float:
         nv = math.sqrt(float(w.shape[1]))
     v /= nv
     est = 0.0
-    for _ in range(iters):
+    for _ in range(1000):
         u = _kernels.matvec(w, v)
         nu_ = math.sqrt(float((u * u).sum()))
         if nu_ == 0.0:

@@ -87,22 +87,21 @@ def evaluate(net, x, y, loss: str = "softmax_xent"):
     return value, acc
 
 
-def _metrics(net, data, loss: str, train_metrics: bool) -> bytes:
-    """One epoch's metrics as float64 bytes: the training split's loss and
-    accuracy (only with train_metrics), then the test split's."""
+def _metrics(net, data, loss: str, train_metrics: bool) -> list:
+    """One epoch's metrics as a list of floats: the training split's loss
+    and accuracy (only with train_metrics), then the test split's."""
     splits = [(data.x_test, data.y_test)]
     if train_metrics:
         splits.insert(0, (data.x_train, data.y_train))
-    return np.array([m for x, y in splits for m in evaluate(net, x, y, loss)]).tobytes()
+    return [float(m) for x, y in splits for m in evaluate(net, x, y, loss)]
 
 
-def _record(traj: MetricTrajectory, metrics: bytes) -> None:
-    values = np.frombuffer(metrics).tolist()
-    if len(values) == 4:
-        traj.train_loss.append(values[0])
-        traj.train_acc.append(values[1])
-    traj.test_loss.append(values[-2])
-    traj.test_acc.append(values[-1])
+def _record(traj: MetricTrajectory, metrics: list) -> None:
+    if len(metrics) == 4:
+        traj.train_loss.append(metrics[0])
+        traj.train_acc.append(metrics[1])
+    traj.test_loss.append(metrics[-2])
+    traj.test_acc.append(metrics[-1])
 
 
 @dataclass(eq=False)
@@ -209,9 +208,9 @@ def run_epochs(run: TrainingRun, data, n_epochs: int, epoch_hook=None,
     bs = run.batch_size
     n_batches = math.ceil(n / bs)
 
-    def answer(params: bytes) -> bytes:
+    def answer(params: np.ndarray) -> list:
         # in the evaluator, whose run.net is its own snapshot of the caller's
-        run.net.params[...] = np.frombuffer(params)
+        run.net.params[...] = params
         return _metrics(run.net, data, run.loss, train_metrics)
 
     forked = train_metrics and n_epochs >= 2 and _pool.spare_cpu()

@@ -89,3 +89,23 @@ def test_pool_is_the_only_module_that_forks():
             found += [f"{path.stem}: {r}" for r in sorted(roots & (banned | {"os.fork"}))
                       if r not in allowed]
     assert found == []
+
+
+def _imported(tree):
+    """The top-level names of the modules tree imports, a relative import
+    as "." plus its module."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            roots.add("." * node.level + (node.module or "").split(".")[0])
+    return roots
+
+
+def test_pool_is_the_only_module_that_pickles():
+    # one wire format at every process boundary, _pool.served's; the numeric
+    # kernels encode nothing and need numpy alone
+    imported = {path.stem: _imported(tree) for path, tree in _trees("src/volumize")}
+    assert [m for m, roots in imported.items() if "pickle" in roots] == ["_pool"]
+    assert imported["_kernels"] == {"numpy"}

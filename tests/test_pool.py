@@ -1,4 +1,5 @@
-"""The ordered process map and the worker-count independence of its users.
+"""The served process, the ordered process map over it, and the
+worker-count independence of their users.
 
 Theory grids take their worker count from _pool.available_cpus; the tests
 patch it to 1, 2 and 3, so the workers run (3 of them with uneven shares of
@@ -98,6 +99,62 @@ def _with_cpus(monkeypatch, n):
     monkeypatch.setattr(_pool, "available_cpus", lambda: n)
 
 
+def _nan_with_payload():
+    """A negative nan with payload bits, which float arithmetic would lose."""
+    return float(np.array([0xFFF8_0000_0000_0123], dtype=np.uint64).view(np.float64)[0])
+
+
+def _raise_or_echo(request):
+    if isinstance(request, Exception):
+        raise request
+    return request
+
+
+class TestServed:
+    def test_values_cross_with_their_bits(self):
+        arena = SeededRng(3).normal(836)  # train-small's arena size
+        sent = [(0.1, -2.5, 5e-324), -0.0, math.nan, _nan_with_payload(), None, arena]
+        with _pool.served(_raise_or_echo, "echo") as server:
+            for value in (*sent, NumericError("no bits")):
+                server.send(value)
+            got = [server.receive(f"reply {i}") for i in range(len(sent))]
+            with pytest.raises(NumericError, match="^no bits$"):  # keeps its class
+                server.receive("the error")
+        assert [type(v) for v in got] == [type(v) for v in sent]
+        assert [x.hex() for x in got[0]] == [x.hex() for x in sent[0]]
+        for x, y in zip(got[1:4], sent[1:4]):
+            assert np.float64(x).view(np.uint64) == np.float64(y).view(np.uint64)
+        assert got[4] is None
+        assert got[5].dtype == np.float64 and got[5].tobytes() == arena.tobytes()
+
+    def test_an_unpicklable_reply_is_volumize_error(self, capfd):
+        # the process stays up, answers the next request and prints nothing
+        class LocalError(DomainError):
+            pass
+
+        class Local:
+            pass
+
+        def answer(request):
+            if request == "raise":
+                raise LocalError("local failure")
+            return Local() if request == "return" else request
+
+        with _pool.served(answer, "echo") as server:
+            for request in ("raise", "return", 7):
+                server.send(request)
+            errors = []
+            for what in ("the error", "the result"):
+                with pytest.raises(VolumizeError) as info:
+                    server.receive(what)
+                errors.append(info.value)
+            assert server.receive("the echo") == 7
+        assert [type(e) for e in errors] == [VolumizeError, VolumizeError]
+        assert str(errors[0]) == "LocalError: local failure"
+        assert "Local" in str(errors[1]) and "died" not in str(errors[1])
+        assert capfd.readouterr().err == ""
+
+
 class TestMapOrdered:
     def test_available_cpus_is_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(_pool, "_CPU_QUOTA_FILES", ())
@@ -166,6 +223,31 @@ class TestMapOrdered:
         assert str(info.value) == ("the worker process died before it sent the item "
                                    "at index 0 of 4")
         assert forks() == _fork_log("worker", 2)
+
+    def test_an_unpicklable_error_is_volumize_error(self, capfd):
+        class LocalError(DomainError):
+            pass
+
+        def fail_on_one(i):
+            if i == 1:
+                raise LocalError(f"item {i} failed")
+            return i
+
+        with pytest.raises(VolumizeError) as info:
+            _pool.map_ordered(fail_on_one, [(i,) for i in range(4)], 2)
+        assert type(info.value) is VolumizeError
+        assert str(info.value) == "LocalError: item 1 failed"
+        assert capfd.readouterr().err == ""
+
+    def test_an_unpicklable_result_is_volumize_error(self, capfd):
+        class Local:
+            pass
+
+        with pytest.raises(VolumizeError) as info:
+            _pool.map_ordered(lambda i: Local() if i == 1 else i, [(i,) for i in range(4)], 2)
+        assert type(info.value) is VolumizeError
+        assert "Local" in str(info.value) and "died" not in str(info.value)
+        assert capfd.readouterr().err == ""
 
     def test_a_closure_runs_unpickled(self):
         offset = np.arange(3.0)

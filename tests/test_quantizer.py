@@ -112,36 +112,32 @@ class TestMassNearWalls:
 
     def test_band_is_relative_to_vol(self):
         # |w| within 5% of V counts; 0.94 does not, 0.96 does (V=1)
-        assert mass_near_walls([0.94], 1.0, delta=0.05) == 0.0
-        assert mass_near_walls([0.96], 1.0, delta=0.05) == 1.0
-        assert mass_near_walls([-0.96], 1.0, delta=0.05) == 1.0
+        assert mass_near_walls([0.94], 1.0) == 0.0
+        assert mass_near_walls([0.96], 1.0) == 1.0
+        assert mass_near_walls([-0.96], 1.0) == 1.0
 
     def test_fresh_uniform_layer_matches_truncated_band(self):
         # w ~ U(-a, a) with walls at V = a: only the inward half of the
         # +-delta band lies in the support, so the expected mass is delta
         w, a = he_uniform_init(SeededRng(77), 400, 400, fan=400)
-        got = mass_near_walls(w, a, delta=0.05)
+        got = mass_near_walls(w, a)
         assert got == pytest.approx(0.05, abs=0.01)
 
     def test_empty_is_zero(self):
         assert mass_near_walls(np.empty(0), 1.0) == 0.0
 
-    def test_vol_and_delta_validation(self):
+    def test_vol_validation(self):
         with pytest.raises(DomainError):
             mass_near_walls([0.1], 0.0)
-        with pytest.raises(DomainError):
-            mass_near_walls([0.1], 1.0, delta=1.0)
-        with pytest.raises(DomainError):
-            mass_near_walls([0.1], 1.0, delta=0.0)
 
 
 class TestWeightHistogram:
     def test_counts_cover_every_parameter(self, small_net):
-        hists = weight_histogram(small_net, bins=16)
+        hists = weight_histogram(small_net)
         assert len(hists) == len(small_net.layers)
         for h, layer in zip(hists, small_net.layers):
             assert h.counts.sum() == layer.w.size + layer.b.size
-            assert len(h.bin_edges) == 17
+            assert len(h.bin_edges) == 65
 
     def test_range_is_symmetric(self, small_net):
         for h in weight_histogram(small_net):
@@ -162,15 +158,11 @@ class TestWeightHistogram:
             assert h.vol == vols[i]
             assert 0.0 <= h.mass_near_walls <= 1.0
 
-    def test_rejects_tiny_bin_count(self, small_net):
-        with pytest.raises(ConfigError):
-            weight_histogram(small_net, bins=2)
-
     def test_biasless_layer_pools_weights_only(self):
         net = init_network([LayerSpec(3, 4, has_bias=False),
                             LayerSpec(4, 2)], SeededRng(9))
         vols = derive_layer_volumes(net, VolumizationConfig(v=0.5, alpha=0.5))
-        hists = weight_histogram(net, vols=vols, bins=8)
+        hists = weight_histogram(net, vols=vols)
         assert [h.counts.sum() for h in hists] == [12, 8 + 2]
         assert hists[0].mass_near_walls == mass_near_walls(net.layers[0].w, vols[0])
 

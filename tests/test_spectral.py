@@ -59,8 +59,6 @@ class TestPowerIteration:
     def test_rejects_bad_input(self):
         with pytest.raises(DomainError):
             power_iteration_smax(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(DomainError):
-            power_iteration_smax(np.eye(2), iters=0)
 
 
 class TestEntrywiseBound:
