@@ -103,9 +103,9 @@ def map_ordered(fn, items, workers: int) -> list:
     Once an item raises or its worker dies (killed, say), no further item
     starts; the items in flight finish, and the lowest-index error is
     raised, as in process. A task's exception keeps its class, unless it
-    or a result cannot be pickled (see served); a lost worker is a
-    VolumizeError naming its item. Every worker has exited before the call
-    returns or raises.
+    cannot be pickled and rebuilt, or a result cannot be pickled (see
+    served); a lost worker is a VolumizeError naming its item. Every worker
+    has exited before the call returns or raises.
     """
     require_workers(workers)
     items = list(items)
@@ -176,11 +176,17 @@ class _Server:
 
 
 def _pickled(failed: bool, value) -> bytes:
-    """The reply (failed, value), pickled. A value that cannot be pickled
-    goes as VolumizeError("<Class>: <message>") in its place: the class and
-    message of the exception, or for a result, of its pickling error."""
+    """The reply (failed, value), pickled. A value that cannot be pickled,
+    or an exception that cannot be rebuilt from its pickle (its __init__
+    takes other arguments than its args), goes as VolumizeError("<Class>:
+    <message>") in its place: the class and message of the exception, or
+    for a result, of its pickling error. Results are volumize's own values,
+    so only exceptions are unpickled to check."""
     try:
-        return pickle.dumps((failed, value), pickle.HIGHEST_PROTOCOL)
+        reply = pickle.dumps((failed, value), pickle.HIGHEST_PROTOCOL)
+        if failed:
+            pickle.loads(reply)
+        return reply
     except Exception as exc:
         unsent = value if failed else exc
         return pickle.dumps((True, VolumizeError(f"{type(unsent).__name__}: {unsent}")),
@@ -217,10 +223,11 @@ def served(answer, name: str):
     answer runs in a snapshot of the caller taken on entry, so it reads any
     state the caller held then, and the buffers from shared_zeros as they
     are written. An exception raised by answer is raised by receive as the
-    same class, and a reply that cannot be pickled as a VolumizeError naming
-    its class; a process that dies makes receive raise VolumizeError
-    naming it. On leaving the block, by any path, the process has exited,
-    after the answer it was computing, if any.
+    same class, and a reply that cannot be pickled, or an exception that
+    cannot be rebuilt, as a VolumizeError naming its class; a process that
+    dies makes receive raise VolumizeError naming it. On leaving the block,
+    by any path, the process has exited, after the answer it was computing,
+    if any.
     """
     here, there = _FORK.Pipe()
     proc = _FORK.Process(target=_serve, args=(here, there, answer), daemon=True,

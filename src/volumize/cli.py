@@ -7,8 +7,9 @@
     volumize spectral       --config c.txt --out dir --seed 7
 
 Exit codes: 0 success, 1 config/usage error, 2 runtime or numeric error,
-3 a `theory --check` run whose acceptance checks did not pass. Every run
-writes an effective_config.txt echo next to its CSVs.
+3 a `theory --check` run whose acceptance checks did not pass, 130 an
+interrupt (SIGINT), reported as one `interrupted` line. Every run writes
+an effective_config.txt echo next to its CSVs.
 """
 
 import argparse
@@ -149,6 +150,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

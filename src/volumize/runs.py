@@ -36,10 +36,6 @@ def _write_effective_config(out_dir: str, cfg: dict, extra: dict) -> None:
                  effective_config_text({**cfg, **extra}).encode("utf-8"))
 
 
-def _ensure_out(out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-
-
 # --- theory -------------------------------------------------------------
 
 THEOREM1_HEADER = ("a", "sigma", "v_star", "predicted_min", "mc_error",
@@ -52,7 +48,7 @@ THEOREM3_HEADER = ("a", "sigma", "lambda", "alpha", "predicted", "mc_error",
 def run_theory(cfg: dict, out_dir: str, seed: int):
     """Returns (csv_path, all_checks_passed)."""
     check_theory_cfg(cfg)
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     kind = cfg["kind"]
     a = cfg["a"]
     ok = True
@@ -65,16 +61,15 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
                 dim=1, a=a, noise=theory.NoiseSpec("uniform", sigma))
             optima.append((sigma, v_star, predicted))
             points.append((problem, v_star, stable_hash(seed, "t1", i), cfg["n_samples"]))
-        rows = []
-        for (sigma, v_star, predicted), est in zip(optima, theory.clip_error_points(points)):
+        header, rows = THEOREM1_HEADER, []
+        ests = theory.estimate_points(theory.clip_error_mc, points)
+        for (sigma, v_star, predicted), est in zip(optima, ests):
             good = abs(est.value - predicted) <= 0.02 * predicted
             ok = ok and good
             rows.append({"a": a, "sigma": sigma, "v_star": v_star,
                          "predicted_min": predicted, "mc_error": est.value,
                          "mc_stderr": est.stderr, "n_samples": est.n_samples,
                          "seed": seed, "within_2pct": good})
-        path = os.path.join(out_dir, "theorem1.csv")
-        write_csv(path, THEOREM1_HEADER, rows)
 
     elif kind == "fig4a":
         sigmas = cfg["sigma_grid"]
@@ -83,20 +78,17 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
         mcs = theory.mc_curves(a, sigmas, vols,
                                [stable_hash(seed, "f4a", i) for i in range(len(sigmas))],
                                cfg["n_samples"])
-        rows = []
+        header, rows = theory.CURVE_CSV_HEADER, []
         for sigma, mc in zip(sigmas, mcs):
             rows.extend(theory.closed_form_curve(a, sigma, vols).rows())
             rows.extend(mc.rows())
             good = abs(mc.argmin_vol() - (a - sigma / 2.0)) <= cell + 1e-12
             ok = ok and good
-        path = os.path.join(out_dir, "fig4a.csv")
-        write_csv(path, theory.CURVE_CSV_HEADER, rows)
 
     elif kind == "fig4b":
         table = theory.cauchy_comparison(a=a, scale=cfg["sigma"],
                                          n_samples=cfg["n_samples"], seed=seed)
-        path = os.path.join(out_dir, "fig4b.csv")
-        write_csv(path, theory.CURVE_CSV_HEADER, list(table.csv_rows()))
+        header, rows = theory.CURVE_CSV_HEADER, list(table.csv_rows())
         best = table.best_volumization()
         unreg = [r for r in table.rows if r.method == "unregularized"]
         constant = [r for r in table.rows if r.method == "weight_decay"][0]
@@ -126,8 +118,8 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
                                          SeededRng(stable_hash(seed, "t3-flow", i)),
                                          step=step, space=space).error
                 for i, alpha in enumerate(alphas)]
-        ests = theory.weight_decay_error_points(points)
-        rows = []
+        ests = theory.estimate_points(theory.weight_decay_error_mc, points)
+        header, rows = THEOREM3_HEADER, []
         for lam, alpha, est, flow_error in zip(lams, alphas, ests, flow_errors):
             # lam = inf is the constant student's limit, inf/inf in the formula
             predicted = (a * a / 3.0 if lam == np.inf else
@@ -141,12 +133,12 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
                          "n_samples": est.n_samples, "flow_dim": cfg["flow_dim"],
                          "seed": seed, "mc_within_2pct": mc_good,
                          "flow_within_5pct": flow_good})
-        path = os.path.join(out_dir, "theorem3.csv")
-        write_csv(path, THEOREM3_HEADER, rows)
 
     else:  # pragma: no cover - schema rejects other kinds
         raise ConfigError(f"unknown theory kind {kind!r}")
 
+    path = os.path.join(out_dir, f"{kind}.csv")
+    write_csv(path, header, rows)
     _write_effective_config(out_dir, cfg, {"seed": seed})
     return path, ok
 
@@ -156,9 +148,22 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
 METRICS_HEADER = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
 
 
-def _require_epochs(cfg: dict) -> None:
+def _fresh_run(cfg: dict, seed: int, walls=None, vols=None):
+    """(dataset, a new TrainingRun) built from cfg with the seeds named in
+    the module docstring.
+
+    walls, a VolumizationConfig, replaces the config's walls, and vols,
+    when given, maps the net to its walls (new_run's vols). A config value
+    that no run accepts raises ConfigError or DomainError here."""
     if cfg["epochs"] < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
+    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
+    net = model_from_cfg(cfg, stable_hash(seed, "init"))
+    run = new_run(net, optimizer_from_cfg(cfg),
+                  walls_from_cfg(cfg) if walls is None else walls,
+                  SeededRng(stable_hash(seed, "train")), batch_size=cfg["batch_size"],
+                  vols=None if vols is None else vols(net))
+    return data, run
 
 
 def _write_trajectory(out_dir: str, traj) -> str:
@@ -182,18 +187,13 @@ def _write_summary(out_dir: str, pairs) -> str:
 def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
     """Returns (metrics_path, trajectory). --resume continues a run from
     <out>/checkpoint.bin toward the configured total epoch count."""
-    _require_epochs(cfg)
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
-    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
+    # the fresh run is built under --resume too, so a config that no run
+    # accepts is refused either way, and a refused config leaves no --out
+    data, run = _fresh_run(cfg, seed)
     if resume and os.path.exists(ckpt_path):
         run = load_checkpoint(ckpt_path)
-    else:
-        run = new_run(model_from_cfg(cfg, stable_hash(seed, "init")),
-                      optimizer_from_cfg(cfg), walls_from_cfg(cfg),
-                      SeededRng(stable_hash(seed, "train")),
-                      batch_size=cfg["batch_size"])
-    # every config error is raised above, so a refused config leaves no --out
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     every = cfg["checkpoint_every"]
 
     def hook(net_, state_, epoch: int) -> None:
@@ -218,16 +218,11 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
 
 def run_quantize(cfg: dict, out_dir: str, seed: int):
     """Returns (metrics_path, float accuracy, quantized accuracy)."""
-    _require_epochs(cfg)
-    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
-    run = new_run(model_from_cfg(cfg, stable_hash(seed, "init")),
-                  optimizer_from_cfg(cfg), walls_from_cfg(cfg),
-                  SeededRng(stable_hash(seed, "train")),
-                  batch_size=cfg["batch_size"])
+    data, run = _fresh_run(cfg, seed)
     scheme = QuantizationScheme(mode=cfg["mode"], period_epochs=cfg["period_epochs"])
     quantized, rounding_epochs = quantized_training(run, data, scheme, cfg["epochs"])
     # quantized_training refuses inactive walls, so --out is made only now
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     path = _write_trajectory(out_dir, run.trajectory)
 
     # the final epoch never rounds, so its test accuracy is run.net's
@@ -256,17 +251,13 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
 def run_spectral(cfg: dict, out_dir: str, seed: int):
     """Train at alpha=0 with contractive walls, then audit the bounds.
     Returns (layers_csv_path, LipschitzReport)."""
-    _require_epochs(cfg)
+    data, run = _fresh_run(cfg, seed, VolumizationConfig(v=1.0, alpha=0.0),
+                           contractive_volumes)
     if cfg["probe_pairs"] < 1:
         raise ConfigError(f"probe_pairs must be >= 1, got {cfg['probe_pairs']}")
-    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
-    net = model_from_cfg(cfg, stable_hash(seed, "init"))
-    run = new_run(net, optimizer_from_cfg(cfg), VolumizationConfig(v=1.0, alpha=0.0),
-                  SeededRng(stable_hash(seed, "train")),
-                  batch_size=cfg["batch_size"], vols=contractive_volumes(net))
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     run_epochs(run, data, cfg["epochs"])
-    report = check_network_lipschitz(net, seed=stable_hash(seed, "probes"),
+    report = check_network_lipschitz(run.net, seed=stable_hash(seed, "probes"),
                                      n_pairs=cfg["probe_pairs"])
     layers_path = os.path.join(out_dir, "layers.csv")
     write_csv(layers_path, SpectralReport.CSV_HEADER,

@@ -28,13 +28,14 @@ error by orders of magnitude and is what makes three-sigma interval checks
 feasible at sane sample counts.
 
 Every point of an MC grid draws from its own stable_hash-derived Philox
-stream, so the points are independent tasks. clip_error_points maps them
-through _pool.map_ordered, on one forked worker per available CPU (the
-affinity mask, capped by a cgroup CPU quota), and mc_curves maps the
-points of all its curves through one such call; weight_decay_error_points
-maps theorem3's estimates the same way. The results, and so the CSV bytes,
-never depend on that count. Once a point fails no further point starts,
-and the error raised is the one the in-process loop would raise.
+stream, so the points are independent tasks. estimate_points maps an
+estimator over them through _pool.map_ordered, on one forked worker per
+available CPU (the affinity mask, capped by a cgroup CPU quota): mc_curves
+maps the clip_error_mc points of all its curves through one such call, and
+theorem3 maps its weight_decay_error_mc points the same way. The results,
+and so the CSV bytes, never depend on that count. Once a point fails no
+further point starts, and the error raised is the one the in-process loop
+would raise.
 
 A gradient flow runs in the calling process. From _kernels._BLOCK
 coordinates up, and when a CPU is spare, each of its iterations is split
@@ -263,17 +264,6 @@ def clip_error_mc(problem: TeacherStudentProblem, vol: float, rng: SeededRng,
     return _estimate(problem, rng, n_samples, _MC_CHUNK, values, offset)
 
 
-def clip_error_points(points) -> list:
-    """clip_error_mc at each (problem, vol, seed, n_samples) point, in order.
-
-    Point i draws from SeededRng(seed_i) alone, so the points run on every
-    available CPU and the estimates are the same at any CPU count."""
-    # clip_error_mc is read at call time, so a wrapper set on it sees each call
-    return _pool.map_ordered(
-        lambda problem, vol, seed, n: clip_error_mc(problem, vol, SeededRng(seed), n),
-        points, _pool.available_cpus())
-
-
 def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
                           n_samples: int) -> McEstimate:
     """MC estimate of E[(u'/(1+lam) - u)^2] for uniform noise."""
@@ -294,15 +284,15 @@ def weight_decay_error_mc(a: float, sigma: float, lam: float, rng: SeededRng,
     return _estimate(problem, rng, n_samples, n_samples, values, 0.0)
 
 
-def weight_decay_error_points(points) -> list:
-    """weight_decay_error_mc at each (a, sigma, lam, seed, n_samples) point,
-    in order.
+def estimate_points(estimator, points) -> list:
+    """estimator(*args, SeededRng(seed), n_samples) at each (*args, seed,
+    n_samples) point, in order: clip_error_mc at (problem, vol, seed, n)
+    points, weight_decay_error_mc at (a, sigma, lam, seed, n) ones.
 
     Point i draws from SeededRng(seed_i) alone, so the points run on every
     available CPU and the estimates are the same at any CPU count."""
     return _pool.map_ordered(
-        lambda a, sigma, lam, seed, n: weight_decay_error_mc(a, sigma, lam,
-                                                             SeededRng(seed), n),
+        lambda *point: estimator(*point[:-2], SeededRng(point[-2]), point[-1]),
         points, _pool.available_cpus())
 
 
@@ -388,6 +378,14 @@ def _flow(problem, vol, alpha, rng, step, space):
     return float(((w - u) ** 2).mean()), it, converged
 
 
+CURVE_CSV_HEADER = ("method", "a", "sigma", "V", "error", "stderr", "n_samples", "seed")
+
+
+def _curve_row(*values) -> dict:
+    """One row of a CURVE_CSV_HEADER table, from its values in header order."""
+    return dict(zip(CURVE_CSV_HEADER, values, strict=True))
+
+
 @dataclass(eq=False)
 class ErrorCurve:
     """One method's error across a V grid, with CSV-ready metadata."""
@@ -406,19 +404,8 @@ class ErrorCurve:
 
     def rows(self):
         for v, e, s in zip(self.vols, self.errors, self.stderrs):
-            yield {
-                "method": self.method,
-                "a": self.a,
-                "sigma": self.sigma,
-                "V": float(v),
-                "error": float(e),
-                "stderr": float(s),
-                "n_samples": self.n_samples,
-                "seed": self.seed,
-            }
-
-
-CURVE_CSV_HEADER = ("method", "a", "sigma", "V", "error", "stderr", "n_samples", "seed")
+            yield _curve_row(self.method, self.a, self.sigma, float(v), float(e),
+                             float(s), self.n_samples, self.seed)
 
 
 def closed_form_curve(a: float, sigma: float, vols) -> ErrorCurve:
@@ -429,7 +416,7 @@ def closed_form_curve(a: float, sigma: float, vols) -> ErrorCurve:
 
 def mc_curves(a: float, sigmas, vols, seeds, n_samples: int) -> list:
     """mc_curve for each (sigma, seed) pair, in order; the points of every
-    curve go through one clip_error_points call. The noise is uniform."""
+    curve go through one estimate_points call. The noise is uniform."""
     vols = np.asarray(vols, dtype=np.float64)
     points = []
     for sigma, seed in zip(sigmas, seeds, strict=True):
@@ -438,7 +425,7 @@ def mc_curves(a: float, sigmas, vols, seeds, n_samples: int) -> list:
         # point i's stream is base.spawn("mc-curve", i), named by its seed
         points += [(problem, float(v), stable_hash(base.seed, "mc-curve", i), n_samples)
                    for i, v in enumerate(vols)]
-    ests = clip_error_points(points)
+    ests = estimate_points(clip_error_mc, points)
     curves = []
     for k, (sigma, seed) in enumerate(zip(sigmas, seeds)):
         part = ests[k * len(vols):(k + 1) * len(vols)]
@@ -497,16 +484,8 @@ class ComparisonTable:
 
     def csv_rows(self):
         for r in self.rows:
-            yield {
-                "method": r.method,
-                "a": self.a,
-                "sigma": self.scale,
-                "V": r.vol,
-                "error": r.error,
-                "stderr": r.stderr,
-                "n_samples": r.n_samples,
-                "seed": self.seed,
-            }
+            yield _curve_row(r.method, self.a, self.scale, r.vol, r.error, r.stderr,
+                             r.n_samples, self.seed)
 
 
 def unregularized_prefix_errors(rng: SeededRng, scale: float, prefix_ns):
@@ -560,8 +539,9 @@ def cauchy_comparison(a: float = 1.0, scale: float = 1.0,
 
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("cauchy", scale))
     vols = [float(v) for v in np.round(np.arange(0.05, 2.0001, 0.05), 10)]
-    ests = clip_error_points([(problem, v, stable_hash(base.seed, "vol", i), n_samples)
-                              for i, v in enumerate(vols)])
+    ests = estimate_points(clip_error_mc,
+                           [(problem, v, stable_hash(base.seed, "vol", i), n_samples)
+                            for i, v in enumerate(vols)])
     for v, est in zip(vols, ests):
         rows.append(ComparisonRow("volumization", v, est.value, est.stderr, n_samples))
     return ComparisonTable(a=a, scale=scale, seed=seed, rows=rows)

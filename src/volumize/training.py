@@ -104,26 +104,36 @@ def _record(traj: MetricTrajectory, metrics: list) -> None:
     traj.test_acc.append(metrics[-1])
 
 
-@dataclass(eq=False)
 class TrainingRun:
-    """Everything needed to continue a run: mutate via run_epochs only.
+    """Everything needed to continue a run: mutate via run_epochs only."""
 
-    Reading trajectory first waits for an epoch whose metrics the evaluator
-    is still computing (the property is set below the class).
-    """
+    def __init__(self, net, opt_spec: OptimizerSpec, opt_state,
+                 vol_cfg: VolumizationConfig, vols: tuple, shuffle_rng: SeededRng,
+                 batch_size: int, loss: str, epoch: int = 0,
+                 trajectory: MetricTrajectory | None = None):
+        self.net = net
+        self.opt_spec = opt_spec
+        self.opt_state = opt_state
+        self.vol_cfg = vol_cfg
+        self.vols = vols  # one wall per layer; None when the transform is inactive
+        self.shuffle_rng = shuffle_rng
+        self.batch_size = batch_size
+        self.loss = loss
+        self.epoch = epoch
+        # (epoch, evaluator) while the evaluator holds that epoch's metrics
+        self._pending = None
+        self.trajectory = MetricTrajectory() if trajectory is None else trajectory
 
-    net: "object"
-    opt_spec: OptimizerSpec
-    opt_state: "object"
-    vol_cfg: VolumizationConfig
-    vols: tuple         # one wall per layer; None when the transform is inactive
-    shuffle_rng: SeededRng
-    batch_size: int
-    loss: str
-    epoch: int = 0
-    trajectory: MetricTrajectory = field(default_factory=MetricTrajectory)
-    # (epoch, evaluator) while the evaluator holds that epoch's metrics
-    _pending: object = field(default=None, init=False, repr=False)
+    @property
+    def trajectory(self) -> MetricTrajectory:
+        """The metrics of every completed epoch. Reading it first waits for
+        an epoch whose metrics the evaluator is still computing."""
+        self._receive()
+        return self._recorded
+
+    @trajectory.setter
+    def trajectory(self, trajectory: MetricTrajectory) -> None:
+        self._recorded = trajectory
 
     def _receive(self) -> None:
         """Records the metrics of the epoch the evaluator holds, if any, once
@@ -137,21 +147,6 @@ class TrainingRun:
                 self.epoch = epoch - 1
                 raise
             _record(self._recorded, metrics)
-
-
-def _trajectory(run: TrainingRun) -> MetricTrajectory:
-    run._receive()
-    return run._recorded
-
-
-def _set_trajectory(run: TrainingRun, trajectory: MetricTrajectory) -> None:
-    run._recorded = trajectory
-
-
-# Set once the dataclass is built, so that trajectory stays a field
-# (TrainingRun(..., trajectory=t)) that __init__ stores through the setter.
-TrainingRun.trajectory = property(_trajectory, _set_trajectory,
-                                  doc="The metrics of every completed epoch.")
 
 
 def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,

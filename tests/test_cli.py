@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +120,19 @@ class TestExitCodes:
                      _cfg(tmp_path, TRAIN_CFG.format(epochs=2), "less.cfg"),
                      "--out", str(out), "--resume"])
         assert code == 1
+
+    def test_resume_refuses_a_bad_run_value(self, tmp_path, capsys):
+        # --resume builds the fresh run too, so it refuses what a fresh run does
+        out = tmp_path / "o"
+        assert main(["train", "--config", _cfg(tmp_path, TRAIN_CFG.format(epochs=2)),
+                     "--out", str(out)]) == 0
+        saved = (out / "checkpoint.bin").read_bytes()
+        bad = _cfg(tmp_path, TRAIN_CFG.format(epochs=4).replace("lr = 0.05", "lr = 0"),
+                   "bad.cfg")
+        capsys.readouterr()
+        assert main(["train", "--config", bad, "--out", str(out), "--resume"]) == 1
+        assert "lr must be positive" in capsys.readouterr().err
+        assert (out / "checkpoint.bin").read_bytes() == saved
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0", "spread = 0",
@@ -357,6 +371,42 @@ def _module_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(volumize.__file__)))
     paths = [src, os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_with_one_line(self, tmp_path):
+        cfg = _cfg(tmp_path, "hidden_dims = 256,256\nepochs = 400\n")
+        out = tmp_path / "o"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "volumize", "train", "--config", cfg, "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_module_env(),
+            start_new_session=True,
+            # a shell that starts the suite in the background ignores SIGINT,
+            # and the child would inherit that
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            deadline = time.monotonic() + 60
+            while not out.exists():  # made once the run is built
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.5)  # into the epochs, with the evaluator running
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 130
+        assert err == "interrupted\n"
+        deadline = time.monotonic() + 2
+        while True:  # every process of the run's session has exited
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process outlived the run"
+            time.sleep(0.05)
+        assert list(out.glob("*.tmp")) == []
 
 
 class TestConsoleScript:

@@ -2,8 +2,10 @@
 
 import ast
 import pathlib
+import re
 
 import volumize
+from volumize.cli import build_parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -109,3 +111,15 @@ def test_pool_is_the_only_module_that_pickles():
     imported = {path.stem: _imported(tree) for path, tree in _trees("src/volumize")}
     assert [m for m, roots in imported.items() if "pickle" in roots] == ["_pool"]
     assert imported["_kernels"] == {"numpy"}
+
+
+def test_readme_synopsis_matches_the_parser():
+    # the five `volumize <command> ...` lines under README's `## CLI`
+    cli = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n")[1]
+    synopsis = {m[1]: set(re.findall(r"--[a-z-]+", m[2]))
+                for m in re.finditer(r"^ {4}volumize (\w+)(.*)$",
+                                     cli.split("\n## ")[0], re.M)}
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    defined = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+               for name, sp in commands.items()}
+    assert synopsis == defined

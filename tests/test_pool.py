@@ -50,6 +50,20 @@ def _killed_on_negative(x):
     return x
 
 
+class _TwoArgError(DomainError):
+    """A DomainError that pickles, but whose __init__ cannot be called
+    with its args alone, as unpickling calls it."""
+
+    def __init__(self, name, value):
+        super().__init__(f"{name} is {value}")
+
+
+def _two_arg_error_on_one(i):
+    if i == 1:
+        raise _TwoArgError("item", i)
+    return i
+
+
 class _ArrivingError(DomainError):
     """A DomainError that sets _ARRIVED when it is built in the process
     that runs the map, as that process unpickles a worker's reply."""
@@ -247,6 +261,13 @@ class TestMapOrdered:
             _pool.map_ordered(lambda i: Local() if i == 1 else i, [(i,) for i in range(4)], 2)
         assert type(info.value) is VolumizeError
         assert "Local" in str(info.value) and "died" not in str(info.value)
+        assert capfd.readouterr().err == ""
+
+    def test_an_error_that_cannot_be_rebuilt_is_volumize_error(self, capfd):
+        with pytest.raises(VolumizeError) as info:
+            _pool.map_ordered(_two_arg_error_on_one, [(i,) for i in range(3)], 2)
+        assert type(info.value) is VolumizeError  # not TypeError from pickle.loads
+        assert str(info.value) == "_TwoArgError: item is 1"
         assert capfd.readouterr().err == ""
 
     def test_a_closure_runs_unpickled(self):

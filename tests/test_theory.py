@@ -435,15 +435,15 @@ class TestCauchy:
     def test_fig4b_check_bounds_every_wall_row(self, tmp_path, monkeypatch, over, ok):
         # a wall row's error can never pass (a+V)^2: |clip(u', V) - u| <= a + V
         monkeypatch.setattr(_pool, "available_cpus", lambda: 1)
-        estimate = theory.clip_error_points
+        estimate = theory.estimate_points
 
-        def last_row_at_bound(points):
-            ests = estimate(points)
+        def last_row_at_bound(estimator, points):
+            ests = estimate(estimator, points)
             bound = (points[-1][0].a + points[-1][1]) ** 2
             value = math.nextafter(bound, math.inf) if over else bound
             return ests[:-1] + [dataclasses.replace(ests[-1], value=value)]
 
-        monkeypatch.setattr(theory, "clip_error_points", last_row_at_bound)
+        monkeypatch.setattr(theory, "estimate_points", last_row_at_bound)
         cfg = config.apply_schema({"kind": "fig4b", "n_samples": "100000"},
                                   config.THEORY_SCHEMA)
         assert runs.run_theory(cfg, str(tmp_path), 3)[1] is ok
