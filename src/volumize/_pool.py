@@ -197,11 +197,12 @@ def _serve(here, there, answer) -> None:
     """The served process: answers each request until the caller closes
     its end. An exception raised by answer goes back in its place."""
     here.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller ends it by closing the pipe
+    for signum in (signal.SIGINT, signal.SIGTERM):  # the caller ends it by closing the pipe
+        signal.signal(signum, signal.SIG_IGN)
     while True:
         try:
             request = pickle.loads(there.recv_bytes())
-        except EOFError:
+        except (EOFError, OSError):  # closed, or reset with a reply unread
             return
         try:
             reply = _pickled(False, answer(request))

@@ -8,11 +8,13 @@
 
 Exit codes: 0 success, 1 config/usage error, 2 runtime or numeric error,
 3 a `theory --check` run whose acceptance checks did not pass, 130 an
-interrupt (SIGINT), reported as one `interrupted` line. Every run writes
-an effective_config.txt echo next to its CSVs.
+interrupt (SIGINT), reported as one `interrupted` line, and 143 a SIGTERM,
+reported as one `terminated` line. Every run writes an
+effective_config.txt echo next to its CSVs.
 """
 
 import argparse
+import signal
 import sys
 
 from . import runs
@@ -90,8 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class _Terminated(BaseException):
+    """Raised by main's SIGTERM handler; like KeyboardInterrupt, no
+    `except Exception` stops it on its way to main."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         try:
             args = parser.parse_args(argv)
@@ -153,6 +165,11 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return 143
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

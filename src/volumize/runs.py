@@ -86,18 +86,16 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
             ok = ok and good
 
     elif kind == "fig4b":
-        table = theory.cauchy_comparison(a=a, scale=cfg["sigma"],
-                                         n_samples=cfg["n_samples"], seed=seed)
-        header, rows = theory.CURVE_CSV_HEADER, list(table.csv_rows())
-        best = table.best_volumization()
-        unreg = [r for r in table.rows if r.method == "unregularized"]
-        constant = [r for r in table.rows if r.method == "weight_decay"][0]
+        curves = theory.cauchy_comparison(a=a, scale=cfg["sigma"],
+                                          n_samples=cfg["n_samples"], seed=seed)
+        header, rows = theory.CURVE_CSV_HEADER, [r for c in curves for r in c.rows()]
+        *unreg, decay, walls = curves
+        best = float(walls.errors.min())
         # |clip(u', V) - u| <= a + V for every draw, so no wall row may pass (a+V)^2
-        bounded = all(r.error <= (a + r.vol) ** 2
-                      for r in table.rows if r.method == "volumization")
-        ok = (best.error < a * a / 3.0
-              and constant.error == a * a / 3.0
-              and unreg[-1].error > 10.0 * best.error
+        bounded = all(float(e) <= (a + float(v)) ** 2 for v, e in zip(walls.vols, walls.errors))
+        ok = (best < a * a / 3.0
+              and decay.errors[0] == a * a / 3.0
+              and unreg[-1].errors[0] > 10.0 * best
               and bounded)
 
     elif kind == "theorem3":
@@ -187,6 +185,9 @@ def _write_summary(out_dir: str, pairs) -> str:
 def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
     """Returns (metrics_path, trajectory). --resume continues a run from
     <out>/checkpoint.bin toward the configured total epoch count."""
+    every = cfg["checkpoint_every"]
+    if every < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {every}")
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
     # the fresh run is built under --resume too, so a config that no run
     # accepts is refused either way, and a refused config leaves no --out
@@ -194,7 +195,6 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
     if resume and os.path.exists(ckpt_path):
         run = load_checkpoint(ckpt_path)
     os.makedirs(out_dir, exist_ok=True)
-    every = cfg["checkpoint_every"]
 
     def hook(net_, state_, epoch: int) -> None:
         if every > 0 and epoch % every == 0:

@@ -30,8 +30,9 @@ feasible at sane sample counts.
 Every point of an MC grid draws from its own stable_hash-derived Philox
 stream, so the points are independent tasks. estimate_points maps an
 estimator over them through _pool.map_ordered, on one forked worker per
-available CPU (the affinity mask, capped by a cgroup CPU quota): mc_curves
-maps the clip_error_mc points of all its curves through one such call, and
+available CPU (the affinity mask, capped by a cgroup CPU quota):
+_clip_curves, which builds mc_curves' curves and fig4b's wall curve, maps
+the clip_error_mc points of all its curves through one such call, and
 theorem3 maps its weight_decay_error_mc points the same way. The results,
 and so the CSV bytes, never depend on that count. Once a point fails no
 further point starts, and the error raised is the one the in-process loop
@@ -381,11 +382,6 @@ def _flow(problem, vol, alpha, rng, step, space):
 CURVE_CSV_HEADER = ("method", "a", "sigma", "V", "error", "stderr", "n_samples", "seed")
 
 
-def _curve_row(*values) -> dict:
-    """One row of a CURVE_CSV_HEADER table, from its values in header order."""
-    return dict(zip(CURVE_CSV_HEADER, values, strict=True))
-
-
 @dataclass(eq=False)
 class ErrorCurve:
     """One method's error across a V grid, with CSV-ready metadata."""
@@ -403,9 +399,10 @@ class ErrorCurve:
         return float(self.vols[int(np.argmin(self.errors))])
 
     def rows(self):
+        """One CURVE_CSV_HEADER row per V, in order."""
         for v, e, s in zip(self.vols, self.errors, self.stderrs):
-            yield _curve_row(self.method, self.a, self.sigma, float(v), float(e),
-                             float(s), self.n_samples, self.seed)
+            yield dict(zip(CURVE_CSV_HEADER, (self.method, self.a, self.sigma, float(v),
+                                              float(e), float(s), self.n_samples, self.seed)))
 
 
 def closed_form_curve(a: float, sigma: float, vols) -> ErrorCurve:
@@ -414,26 +411,31 @@ def closed_form_curve(a: float, sigma: float, vols) -> ErrorCurve:
     return ErrorCurve("closed_form", a, sigma, vols, errs, np.zeros_like(errs), 0, 0)
 
 
-def mc_curves(a: float, sigmas, vols, seeds, n_samples: int) -> list:
-    """mc_curve for each (sigma, seed) pair, in order; the points of every
-    curve go through one estimate_points call. The noise is uniform."""
+def _clip_curves(method: str, problems, vols, seeds, tag: str, n_samples: int) -> list:
+    """A clip_error_mc ErrorCurve called method across the V grid vols for
+    each (problem, seed) pair, in order. Point i of a curve draws from
+    stable_hash(seed, tag, i), and the points of every curve go through one
+    estimate_points call."""
     vols = np.asarray(vols, dtype=np.float64)
-    points = []
-    for sigma, seed in zip(sigmas, seeds, strict=True):
-        problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
-        base = SeededRng(seed)
-        # point i's stream is base.spawn("mc-curve", i), named by its seed
-        points += [(problem, float(v), stable_hash(base.seed, "mc-curve", i), n_samples)
-                   for i, v in enumerate(vols)]
-    ests = estimate_points(clip_error_mc, points)
+    ests = estimate_points(clip_error_mc, [
+        (problem, float(v), stable_hash(seed, tag, i), n_samples)
+        for problem, seed in zip(problems, seeds, strict=True) for i, v in enumerate(vols)])
     curves = []
-    for k, (sigma, seed) in enumerate(zip(sigmas, seeds)):
+    for k, (problem, seed) in enumerate(zip(problems, seeds)):
         part = ests[k * len(vols):(k + 1) * len(vols)]
-        errs = np.array([est.value for est in part], dtype=np.float64)
-        ses = np.array([est.stderr for est in part], dtype=np.float64)
-        curves.append(ErrorCurve("monte_carlo", a, sigma, vols, errs, ses,
+        curves.append(ErrorCurve(method, problem.a, problem.noise.sigma, vols,
+                                 np.array([est.value for est in part], dtype=np.float64),
+                                 np.array([est.stderr for est in part], dtype=np.float64),
                                  n_samples, seed))
     return curves
+
+
+def mc_curves(a: float, sigmas, vols, seeds, n_samples: int) -> list:
+    """mc_curve for each (sigma, seed) pair, in order, all from one
+    _clip_curves call. The noise is uniform."""
+    problems = [TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("uniform", sigma))
+                for sigma in sigmas]
+    return _clip_curves("monte_carlo", problems, vols, seeds, "mc-curve", n_samples)
 
 
 def mc_curve(a: float, sigma: float, vols, seed: int, n_samples: int) -> ErrorCurve:
@@ -446,46 +448,20 @@ def flow_curve(a: float, sigma: float, vols, seed: int, dim: int) -> ErrorCurve:
     """Gradient-flow error across a V grid with common random numbers.
 
     The flow is the hard clip (alpha 0) under uniform noise. Every V point
-    replays the same teacher draw (same spawned stream), so the curve's
+    replays the same teacher draw (same derived stream), so the curve's
     shape, and in particular its argmin, is not washed out by independent
     sampling noise between neighboring grid points.
     """
     vols = np.asarray(vols, dtype=np.float64)
     problem = TeacherStudentProblem(dim=dim, a=a, noise=NoiseSpec("uniform", sigma))
-    base = SeededRng(seed)
     errs = np.empty_like(vols)
     with flow_space(dim) as space:
         for i, v in enumerate(vols):
-            errs[i] = gradient_flow_sim(problem, float(v), 0.0, base.spawn("flow-curve"),
+            errs[i] = gradient_flow_sim(problem, float(v), 0.0,
+                                        SeededRng(stable_hash(seed, "flow-curve")),
                                         space=space).error
     se = np.zeros_like(errs)
     return ErrorCurve("gradient_flow", a, sigma, vols, errs, se, dim, seed)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    method: str
-    vol: float
-    error: float
-    stderr: float
-    n_samples: int
-
-
-@dataclass(eq=False)
-class ComparisonTable:
-    a: float
-    scale: float
-    seed: int
-    rows: list
-
-    def best_volumization(self) -> ComparisonRow:
-        vrows = [r for r in self.rows if r.method == "volumization"]
-        return min(vrows, key=lambda r: r.error)
-
-    def csv_rows(self):
-        for r in self.rows:
-            yield _curve_row(r.method, self.a, self.scale, r.vol, r.error, r.stderr,
-                             r.n_samples, self.seed)
 
 
 def unregularized_prefix_errors(rng: SeededRng, scale: float, prefix_ns):
@@ -514,34 +490,28 @@ def unregularized_prefix_errors(rng: SeededRng, scale: float, prefix_ns):
 
 
 def cauchy_comparison(a: float = 1.0, scale: float = 1.0,
-                      n_samples: int = 10**6, seed: int = 0) -> ComparisonTable:
-    """Heavy-tail showdown: no regularization vs shrinkage vs walls.
+                      n_samples: int = 10**6, seed: int = 0) -> list:
+    """Heavy-tail showdown: no regularization vs shrinkage vs walls, as
+    ErrorCurves in CSV order.
 
-    Unregularized rows report the (divergent) truncated-sample estimate at
-    several prefix sizes of one stream. Weight decay has no finite optimum
-    when the noise variance does not exist; its row reports the constant
-    -model limit a^2/3 exactly. Volumization rows are clip-MC estimates at
+    One "unregularized" curve per prefix size of one stream, each a single
+    point at V = inf: the (divergent) truncated-sample estimate, stderr nan.
+    Weight decay has no finite optimum when the noise variance does not
+    exist; its "weight_decay" curve is the constant-model limit a^2/3
+    exactly, at V = 0. The "volumization" curve holds clip-MC estimates at
     each V of fig4b's grid, 0.05 to 2.0 in steps of 0.05; all remain
     bounded.
     """
     if not a > 0:
         raise DomainError(f"a must be positive, got {a}")
-    base = SeededRng(seed)
-    rows = []
-
     prefix_ns = sorted({10**4, 10**5, min(10**6, n_samples), n_samples})
     prefix_ns = [n for n in prefix_ns if n <= n_samples]
-    for n, est in zip(prefix_ns,
-                      unregularized_prefix_errors(base.spawn("unreg"), scale, prefix_ns)):
-        rows.append(ComparisonRow("unregularized", math.inf, est, math.nan, n))
-
-    rows.append(ComparisonRow("weight_decay", 0.0, a * a / 3.0, 0.0, 0))
-
+    unreg = unregularized_prefix_errors(SeededRng(stable_hash(seed, "unreg")), scale, prefix_ns)
+    curves = [ErrorCurve("unregularized", a, scale, np.array([math.inf]), np.array([est]),
+                         np.array([math.nan]), n, seed) for n, est in zip(prefix_ns, unreg)]
+    curves.append(ErrorCurve("weight_decay", a, scale, np.zeros(1), np.array([a * a / 3.0]),
+                             np.zeros(1), 0, seed))
     problem = TeacherStudentProblem(dim=1, a=a, noise=NoiseSpec("cauchy", scale))
-    vols = [float(v) for v in np.round(np.arange(0.05, 2.0001, 0.05), 10)]
-    ests = estimate_points(clip_error_mc,
-                           [(problem, v, stable_hash(base.seed, "vol", i), n_samples)
-                            for i, v in enumerate(vols)])
-    for v, est in zip(vols, ests):
-        rows.append(ComparisonRow("volumization", v, est.value, est.stderr, n_samples))
-    return ComparisonTable(a=a, scale=scale, seed=seed, rows=rows)
+    return curves + _clip_curves("volumization", [problem],
+                                 np.round(np.arange(0.05, 2.0001, 0.05), 10), [seed], "vol",
+                                 n_samples)

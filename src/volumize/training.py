@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pool
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ShapeError
 from .linalg import SeededRng
 from .net import LOSSES, _loss_and_output_grad, forward, loss_and_grad
 from .optimizers import OptimizerSpec, OptimizerState, step
@@ -154,7 +154,8 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
             loss: str = "softmax_xent", vols=None) -> TrainingRun:
     """vols overrides the walls, one per layer (vol_cfg then contributes
     only alpha and the overshoot policy); by default they derive from
-    vol_cfg. A negative or NaN wall raises DomainError."""
+    vol_cfg. A negative or NaN wall raises DomainError, and a count of
+    walls other than the net's layer count ShapeError."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if loss not in LOSSES:
@@ -163,6 +164,8 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
         vols = derive_layer_volumes(net, vol_cfg)
     else:
         vols = tuple(float(v) for v in vols)
+        if len(vols) != len(net.layers):
+            raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
         for i, v in enumerate(vols):
             if not v >= 0.0:  # catches NaN too
                 raise DomainError(f"wall must be >= 0, got {v} for layer{i}")

@@ -219,6 +219,13 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_checkpoint_every_exits_one_before_making_out(self, tmp_path, capsys):
+        cfg = _cfg(tmp_path, _run_cfg("train", "checkpoint_every = -1"))
+        out = tmp_path / "o"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert "checkpoint_every" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind, bad", [
         ("theorem3", "lambda_grid = -1"),
         ("theorem3", "sigma = 2"),
@@ -374,7 +381,10 @@ def _module_env():
 
 
 class TestInterrupt:
-    def test_sigint_exits_130_with_one_line(self, tmp_path):
+    @pytest.mark.parametrize("signum, code, line", [
+        pytest.param(signal.SIGINT, 130, "interrupted", id="SIGINT"),
+        pytest.param(signal.SIGTERM, 143, "terminated", id="SIGTERM")])
+    def test_sigint_exits_130_with_one_line(self, tmp_path, signum, code, line):
         cfg = _cfg(tmp_path, "hidden_dims = 256,256\nepochs = 400\n")
         out = tmp_path / "o"
         proc = subprocess.Popen(
@@ -390,14 +400,14 @@ class TestInterrupt:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
             time.sleep(0.5)  # into the epochs, with the evaluator running
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             _, err = proc.communicate(timeout=60)
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.communicate()
-        assert proc.returncode == 130
-        assert err == "interrupted\n"
+        assert proc.returncode == code
+        assert err == f"{line}\n"
         deadline = time.monotonic() + 2
         while True:  # every process of the run's session has exited
             try:

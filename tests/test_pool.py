@@ -12,6 +12,7 @@ import math
 import multiprocessing
 import os
 import signal
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -166,6 +167,13 @@ class TestServed:
         assert [type(e) for e in errors] == [VolumizeError, VolumizeError]
         assert str(errors[0]) == "LocalError: local failure"
         assert "Local" in str(errors[1]) and "died" not in str(errors[1])
+        assert capfd.readouterr().err == ""
+
+    def test_leaving_with_a_reply_unread_prints_nothing(self, capfd):
+        # the unread reply makes closing the pipe reset the connection
+        with _pool.served(_raise_or_echo, "echo") as server:
+            server.send(1)
+            assert wait([server], 5) == [server]
         assert capfd.readouterr().err == ""
 
 
@@ -350,8 +358,9 @@ class TestWorkerCountIndependence:
         for n in CPU_COUNTS:
             _with_cpus(monkeypatch, n)
             t = cauchy_comparison(n_samples=5000, seed=9)
-            tables[n] = [(r.method, float(r.vol).hex(), float(r.error).hex(),
-                          float(r.stderr).hex(), r.n_samples) for r in t.rows]
+            tables[n] = [(c.method, float(v).hex(), float(e).hex(), float(s).hex(),
+                          c.n_samples)
+                         for c in t for v, e, s in zip(c.vols, c.errors, c.stderrs)]
         assert tables[1] == tables[2] == tables[3]
         assert forks() == _fork_log("worker", 2) + _fork_log("worker", 3)
 

@@ -407,17 +407,15 @@ class TestCauchy:
         assert ests[1] == pytest.approx(sq.mean(), rel=1e-12)
 
     def test_comparison_table_properties(self):
-        table = cauchy_comparison(n_samples=10**5, seed=3)
-        best = table.best_volumization()
-        constant = [r for r in table.rows if r.method == "weight_decay"]
-        unreg = sorted(
-            (r for r in table.rows if r.method == "unregularized"),
-            key=lambda r: r.n_samples,
-        )
-        assert best.error < 1.0 / 3.0  # walls beat the constant student
-        assert constant and constant[0].error == pytest.approx(1.0 / 3.0)
-        assert unreg[-1].error > unreg[0].error  # heavy tail: estimate grows
-        assert unreg[-1].error > 10 * best.error
+        *unreg, constant, walls = cauchy_comparison(n_samples=10**5, seed=3)
+        assert [c.method for c in (*unreg, constant, walls)] == (
+            ["unregularized"] * len(unreg) + ["weight_decay", "volumization"])
+        unreg.sort(key=lambda c: c.n_samples)
+        best = walls.errors.min()
+        assert best < 1.0 / 3.0  # walls beat the constant student
+        assert constant.errors[0] == pytest.approx(1.0 / 3.0)
+        assert unreg[-1].errors[0] > unreg[0].errors[0]  # heavy tail: estimate grows
+        assert unreg[-1].errors[0] > 10 * best
 
     def test_fig4b_check_holds_with_one_prefix_row(self, tmp_path, monkeypatch):
         # at n <= 1e4 there is a single unregularized prefix row, so the
@@ -449,15 +447,15 @@ class TestCauchy:
         assert runs.run_theory(cfg, str(tmp_path), 3)[1] is ok
 
     def test_rows_carry_metadata(self):
-        table = cauchy_comparison(n_samples=10**4, seed=4)
-        for row in table.csv_rows():
-            assert set(row) == {
-                "method",
-                "a",
-                "sigma",
-                "V",
-                "error",
-                "stderr",
-                "n_samples",
-                "seed",
-            }
+        for curve in cauchy_comparison(n_samples=10**4, seed=4):
+            for row in curve.rows():
+                assert set(row) == {
+                    "method",
+                    "a",
+                    "sigma",
+                    "V",
+                    "error",
+                    "stderr",
+                    "n_samples",
+                    "seed",
+                }

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from volumize.checkpoint import load_checkpoint, save_checkpoint
-from volumize.errors import CheckpointError, ConfigError, DomainError
+from volumize.errors import CheckpointError, ConfigError, DomainError, ShapeError
 from volumize.linalg import SeededRng, stable_hash
 from volumize.net import LayerSpec, forward, init_network
 from volumize.optimizers import OptimizerSpec
@@ -204,6 +204,13 @@ class TestNewRun:
             new_run(_net(9), sgd_spec, OFF, SeededRng(9), batch_size=0)
         with pytest.raises(ConfigError):
             new_run(_net(9), sgd_spec, OFF, SeededRng(9), loss="huber")
+
+    @pytest.mark.parametrize("vols", [(0.5,), (0.5, 0.5, 0.5)])
+    def test_wall_count_must_match_the_layers(self, sgd_spec, vols):
+        # refused here, not by the first step after a forward and backward pass
+        with pytest.raises(ShapeError, match=f"got {len(vols)} walls for 2 layers"):
+            new_run(_net(9), sgd_spec, VolumizationConfig(v=0.5, alpha=0.0),
+                    SeededRng(9), vols=vols)
 
 
 class TestTrainModel:
