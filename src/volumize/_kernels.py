@@ -35,13 +35,15 @@ None of this moves a bit: plans and views fix only where values sit, never
 which products are formed or the order they are added in, and p + 0.0 is
 0.0 + p, signed zeros included.
 The elementwise theory kernels work in place one block of ``_BLOCK``
-elements at a time, through scratch allocated once per call (the flow keeps
-one block, the old values); each element sees the same operations in the
-same order as a whole-array expression, no sum crosses a block, and the max
-over block maxima keeps a nan as one max would, so blocking changes no bit.
-For the same reason a flow iteration splits across processes bit for bit:
-given a flow helper, ``flow_iter_identity`` updates the lower half of the
-flow while the helper updates the upper half of the same shared buffers.
+elements at a time, through scratch blocks that a process allocates on
+their first use and keeps (``_block``; the flow keeps one, the old values),
+so a call in a hot loop allocates nothing. Each element sees the same
+operations in the same order as a whole-array expression, no sum crosses a
+block, and the max over block maxima keeps a nan as one max would, so
+blocking changes no bit. For the same reason a flow iteration splits
+across processes bit for bit: given a flow helper, ``flow_iter_identity``
+updates the lower part of the flow while the helper updates the upper part
+of the same shared buffers.
 The clip kernels select without a masked copy, which branches on every run
 of its mask (at mask density 0.5 one took 10-50x a plain ufunc pass, numpy
 2.4 on a 2-vCPU Xeon): the wall distance is ``clip(u+eta, +-vol) - u``, and
@@ -81,6 +83,19 @@ _NARROW = 16  # narrower outputs are built transposed, for long inner loops
 # sweep and theory workers are forked processes, each with its own copy.
 _scratch = np.empty(0)
 _plans = {}
+# Blocks of at least _BLOCK elements by name, each allocated on its first use
+# in a process and reused by every later call there (see _block).
+_blocks = {}
+
+
+def _block(name, dtype=np.float64):
+    """The block called name: at least _BLOCK elements of dtype, allocated
+    when this process first asks for it and the same array on every later
+    call. A forked process starts with its caller's blocks."""
+    b = _blocks.get(name)
+    if b is None or len(b) < _BLOCK:
+        b = _blocks[name] = np.empty(_BLOCK, dtype)
+    return b
 
 
 def _chunk(k, tile, cols):
@@ -303,8 +318,7 @@ def clip_sq_cv_values(u, eta, vol, out=None):
     """
     n = len(u)
     z = np.empty(n) if out is None else out
-    t = np.empty(min(n, _BLOCK))
-    crossed = np.empty(len(t), dtype=bool)
+    t, crossed = _block("clip"), _block("clip mask", bool)
     for i in range(0, n, _BLOCK):
         ub, eb, zb = u[i:i + _BLOCK], eta[i:i + _BLOCK], z[i:i + _BLOCK]
         m = len(zb)
@@ -345,7 +359,7 @@ def _flow_part(w, u_prime, step, vol, alpha):
     # and alpha = inf (pull is nan) break this, so signs and finiteness count.
     decay = (not _is_identity(vol, alpha) and vol == 0.0 and not np.signbit(vol)
              and 0.0 <= alpha < np.inf and not np.signbit(alpha))
-    old = np.empty(min(n, _BLOCK))
+    old = _block("flow old")
     dmax = 0.0
     for i in range(0, n, _BLOCK):
         wb, ub = w[i:i + _BLOCK], u_prime[i:i + _BLOCK]
@@ -364,20 +378,13 @@ def _flow_part(w, u_prime, step, vol, alpha):
     return dmax
 
 
-def _half(w):
-    """Where a flow splits: its helper updates w[_half(w):]."""
-    return len(w) // 2
-
-
-def _flow_answer(w, u_prime):
-    """The answer of a flow helper (a _pool.served process) over the flow
-    buffers w and u_prime: each request, (step, vol, alpha), updates their
-    upper half for one iteration and returns its largest change as a float,
-    which crosses the pipe faster than an np.float64. It runs _flow_part,
-    so a wrapper on flow_iter_identity never sees the helper's share."""
-    h = _half(w)
-    wf, uf = w[h:], u_prime[h:]
-    return lambda request: float(_flow_part(wf, uf, *request))
+def _half(n):
+    """Where numpy's pairwise sum splits n > 128 values: about half, rounded
+    down to a multiple of its unroll width 8. A split flow's helper takes
+    its coordinates from there up, so the sums of the two parts add up to
+    np.sum of the whole (see _flow_error in theory)."""
+    half = n // 2
+    return half - half % 8
 
 
 def flow_iter_identity(w, u_prime, step, vol, alpha, far=None, it=0):
@@ -392,17 +399,18 @@ def flow_iter_identity(w, u_prime, step, vol, alpha, far=None, it=0):
     bit the general path's result.
 
     ``far`` is None, or a flow helper (a _pool.served process answering
-    with _flow_answer over the same w and u_prime in shared memory).
-    Then the helper is sent (step, vol, alpha) and updates the upper half
-    while this call updates the lower one, and the change is the larger of
-    the halves' changes: every element sees the same operations, the
-    helper's float is its half's max, and a max of maxima is the max, nan
-    included, so the bits are those of one process. ``it`` numbers the
-    iteration for the VolumizeError raised when the helper has died.
+    with theory's flow answer over the same w and u_prime in shared
+    memory). Then the helper is sent ("iterate", step, vol, alpha) and
+    updates w[_half(n):] while this call updates the part below, and the
+    change is the larger of the parts' changes: every element sees the same
+    operations, the helper's float is its part's max, and a max of maxima is
+    the max, nan included, so the bits are those of one process. ``it``
+    numbers the iteration for the VolumizeError raised when the helper has
+    died.
     """
     if far is None:
         return float(_flow_part(w, u_prime, step, vol, alpha))
-    far.send((step, vol, alpha))
-    h = _half(w)
+    far.send(("iterate", step, vol, alpha))
+    h = _half(len(w))
     dmax = _flow_part(w[:h], u_prime[:h], step, vol, alpha)
     return float(np.maximum(dmax, far.receive(f"its half of iteration {it}")))

@@ -102,7 +102,8 @@ def map_ordered(fn, items, workers: int) -> list:
 
     Once an item raises or its worker dies (killed, say), no further item
     starts; the items in flight finish, and the lowest-index error is
-    raised, as in process. A task's exception keeps its class, unless it
+    raised, as in process. An interrupt ends every worker at once (see
+    served). A task's exception keeps its class, unless it
     cannot be pickled and rebuilt, or a result cannot be pickled (see
     served); a lost worker is a VolumizeError naming its item. Every worker
     has exited before the call returns or raises.
@@ -227,8 +228,11 @@ def served(answer, name: str):
     same class, and a reply that cannot be pickled, or an exception that
     cannot be rebuilt, as a VolumizeError naming its class; a process that
     dies makes receive raise VolumizeError naming it. On leaving the block,
-    by any path, the process has exited, after the answer it was computing,
-    if any.
+    by any path, the process has exited: after the answer it was computing,
+    if any, unless the block is left by a BaseException that is not an
+    Exception (KeyboardInterrupt, or the CLI's SIGTERM), which kills it at
+    once. Files are written atomically, so a killed answer leaves no file
+    part-written under its name.
     """
     here, there = _FORK.Pipe()
     proc = _FORK.Process(target=_serve, args=(here, there, answer), daemon=True,
@@ -237,6 +241,11 @@ def served(answer, name: str):
     there.close()
     try:
         yield _Server(here, name)
+    except Exception:
+        raise
+    except BaseException:
+        proc.kill()  # it ignores SIGINT and SIGTERM
+        raise
     finally:
         here.close()
         proc.join()

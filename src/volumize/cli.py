@@ -6,7 +6,8 @@
     volumize quantize       --config c.txt --out dir --seed 7
     volumize spectral       --config c.txt --out dir --seed 7
 
-Exit codes: 0 success, 1 config/usage error, 2 runtime or numeric error,
+Exit codes: 0 success, 1 config/usage error, 2 runtime or numeric error
+(out of memory included, as one `error: out of memory` line),
 3 a `theory --check` run whose acceptance checks did not pass, 130 an
 interrupt (SIGINT), reported as one `interrupted` line, and 143 a SIGTERM,
 reported as one `terminated` line. Every run writes an
@@ -161,6 +162,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a config can ask for more than there is (flow_dim, say)
+        print(f"error: out of memory{f' ({exc})' if str(exc) else ''}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -84,25 +84,27 @@ class SeededRng:
     def ahead(self, k: int) -> "SeededRng":
         """A second cursor on this stream, k draws ahead of it.
 
-        Its draws are the ones this stream would give after k unit doubles
-        were drawn and discarded; this stream does not move. Each unit
-        double is one 64-bit Philox word and a Philox block holds four, so
-        the cursor skips whole blocks by advancing the counter and discards
-        the rest of the way.
+        Its state is the one this stream would have after k unit doubles
+        were drawn and discarded, buffer included; this stream does not
+        move. Each unit double is one 64-bit Philox word and a Philox block
+        holds four, so the cursor skips whole blocks by advancing the counter
+        and draws the rest of the way, at least one word of the block it
+        ends in.
         """
         if k < 0:
             raise DomainError(f"need k >= 0, got {k}")
         state = self.get_state()
         pos = state["buffer_pos"] + k
-        if pos < 4:  # still in the block this stream has buffered
+        if pos <= 4:  # still in the block this stream has buffered
             return SeededRng.from_state({**state, "buffer_pos": pos})
         cursor = SeededRng.from_state(state)
         # advance empties the buffer, as if the block at the counter were
         # used up, and clears the pending 32-bit half, which this stream keeps
-        cursor._gen.bit_generator.advance(pos // 4 - 1)
+        blocks, words = divmod(pos - 1, 4)
+        cursor._gen.bit_generator.advance(blocks - 1)
         cursor.set_state({**cursor.get_state(), "has_uint32": state["has_uint32"],
                           "uinteger": state["uinteger"]})
-        cursor.random(pos % 4)
+        cursor.random(words + 1)
         return cursor
 
     def get_state(self) -> dict:

@@ -39,18 +39,24 @@ further point starts, and the error raised is the one the in-process loop
 would raise.
 
 A gradient flow runs in the calling process. From _kernels._BLOCK
-coordinates up, and when a CPU is spare, each of its iterations is split
-with one forked helper process that updates the upper half of the flow's
-buffers, held in shared memory, while the caller updates the lower half
-(flow_space). A table of flows (flow_curve, theorem3) runs its flows one
-after another in one space, so it forks one helper. The bits are those of
-one process. theorem3 runs its flows before its estimates: run beside the
-split flows, the estimates slowed them.
+coordinates up, and when a CPU is spare, it is split with one forked
+helper process over three buffers in shared memory, w, the teacher u and
+u' (flow_space). The helper owns the upper part of the coordinates from
+the draw to the error, the caller the lower part: each draws its part of
+u and u' from cursors on the flow's stream (SeededRng.ahead), updates it
+on every iteration, and sums its part of (w - u)**2. The parts meet at
+numpy's pairwise split point, so the error is np.mean's, and the caller's
+stream ends where one whole draw leaves it. So the caller touches only
+its part of the buffers, and the bits are those of one process. A table
+of flows (flow_curve, theorem3) runs its flows one after another in one
+space, so it forks one helper. theorem3 runs its flows before its
+estimates: run beside the split flows, the estimates slowed them.
 
 Both estimators stream through one core, _estimate: it draws, transforms
 and sums one block of at most _kernels._BLOCK samples at a time, into u,
-eta and value blocks allocated once per estimate, so an estimate holds a
-few blocks whatever its n. The bits are those of whole-array draws and
+eta and value blocks that a process allocates once (_kernels._block), so
+an estimate holds a few blocks whatever its n and allocates none after a
+process's first. The bits are those of whole-array draws and
 sums. clip_error_mc takes its samples in segments of _MC_CHUNK,
 weight_decay_error_mc in one segment of n. A segment draws its teacher
 values and then its noise, so a block reads u from the rng and eta from a
@@ -62,7 +68,7 @@ of the whole segment; the segment sums add in order.
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,12 +109,11 @@ class TeacherStudentProblem:
         if not self.a > 0:
             raise DomainError(f"a must be positive, got {self.a}")
 
-    def draw(self, rng: SeededRng, n: int, out=None):
+    def draw(self, rng: SeededRng, n: int):
         """n draws of (u, eta): the teacher u ~ Unif(-a, a) first, then the
-        noise (zeros when uniform with sigma 0), written into out when it is
-        given."""
+        noise (zeros when uniform with sigma 0)."""
         u = sample_uniform(rng, -self.a, self.a, n)
-        return u, self._draw_noise(rng, n, np.empty(n) if out is None else out)
+        return u, self._draw_noise(rng, n, np.empty(n))
 
     def _draw_noise(self, rng: SeededRng, n: int, out):
         """n noise draws from rng, written into out and returned: zeros,
@@ -191,12 +196,10 @@ def _tree_moments(n: int, leaf) -> tuple:
 
     leaf(m) gives (np.sum of z, np.sum of z*z) over the next m values, for
     each subtree of at most _kernels._BLOCK values in order. Larger n are
-    split as numpy's pairwise sum splits them: about half, rounded down to
-    a multiple of its unroll width 8."""
+    split as numpy's pairwise sum splits them (_kernels._half)."""
     if n <= _kernels._BLOCK:
         return leaf(n)
-    half = n // 2
-    half -= half % 8
+    half = _kernels._half(n)
     l1, l2 = _tree_moments(half, leaf)
     r1, r2 = _tree_moments(n - half, leaf)
     return l1 + r1, l2 + r2
@@ -212,8 +215,7 @@ def _estimate(problem: TeacherStudentProblem, rng: SeededRng, n: int, segment: i
     it and summed with the bits of np.sum; the segment sums add in order."""
     if n <= 1:
         raise DomainError(f"need n_samples > 1, got {n}")
-    width = min(n, segment, _kernels._BLOCK)
-    u_buf, eta_buf, z_buf = np.empty(width), np.empty(width), np.empty(width)
+    u_buf, eta_buf, z_buf = (_kernels._block(name) for name in ("mc u", "mc eta", "mc z"))
     s1 = 0.0
     s2 = 0.0
     for start in range(0, n, segment):
@@ -306,11 +308,15 @@ class FlowResult:
 
 @dataclass(frozen=True, eq=False)
 class FlowSpace:
-    """The buffers of gradient flows of one dimension, w and u', and the
-    helper (a _pool.served process) that takes half of each iteration, or
-    None. Flows run in it one after another; see flow_space."""
+    """The buffers of gradient flows of one dimension, w, the teacher u and
+    u' = u + eta, and the helper (a _pool.served process) that takes the
+    upper part of each phase of a flow, or None. With a helper the buffers
+    are shared with it, and it draws, iterates and reduces coordinates
+    [_kernels._half(dim), dim) while the caller does the ones below. Flows
+    run in a space one after another; see flow_space."""
 
     w: np.ndarray
+    u: np.ndarray
     u_prime: np.ndarray
     far: object
 
@@ -327,11 +333,59 @@ def flow_space(dim: int):
     the same with and without it."""
     split = dim >= _kernels._BLOCK and _pool.spare_cpu()
     zeros = _pool.shared_zeros if split else np.zeros
-    w, u_prime = zeros(dim), zeros(dim)
-    helper = (_pool.served(_kernels._flow_answer(w, u_prime), "flow helper") if split
-              else contextlib.nullcontext())
-    with helper as far:
-        yield FlowSpace(w, u_prime, far)
+    space = FlowSpace(zeros(dim), zeros(dim), zeros(dim), None)
+    if not split:
+        yield space
+        return
+    with _pool.served(_flow_answer(space), "flow helper") as far:
+        yield replace(space, far=far)
+
+
+def _flow_answer(space):
+    """The answer of a flow helper over the buffers of space, for its
+    coordinates [h, n), h = _kernels._half(n). A request is one of
+    ("setup", problem, rng state): _flow_setup, answered with None;
+    ("iterate", step, vol, alpha): one iteration (_kernels._flow_part),
+    answered with its largest change as a float, which crosses the pipe
+    faster than an np.float64; and ("error",): _flow_error. The helper never
+    calls flow_iter_identity, so a wrapper on it sees one call per
+    iteration."""
+    n = len(space.w)
+    h = _kernels._half(n)
+    w, u_prime = space.w[h:], space.u_prime[h:]
+
+    def answer(request):
+        kind, *args = request
+        if kind == "iterate":
+            return float(_kernels._flow_part(w, u_prime, *args))
+        if kind == "setup":
+            problem, state = args
+            return _flow_setup(problem, SeededRng.from_state(state), space, h, n)
+        return _flow_error(space, h, n)
+
+    return answer
+
+
+def _flow_setup(problem, rng, space, lo, hi):
+    """Coordinates [lo, hi) of a flow's start, as problem.draw(rng, n) draws
+    them for all n coordinates: u from the stream lo draws on, the noise
+    from the one n + lo draws on (none when it is zero) and u' = u + eta,
+    each in its buffer, and w = 0. rng does not move."""
+    n = len(space.w)
+    u, u_prime = space.u[lo:hi], space.u_prime[lo:hi]
+    sample_uniform(rng.ahead(lo), -problem.a, problem.a, hi - lo, out=u)
+    noise = rng.ahead(n + lo) if problem.noise.sigma != 0.0 else None
+    problem._draw_noise(noise, hi - lo, u_prime)
+    u_prime += u
+    space.w[lo:hi].fill(0.0)
+
+
+def _flow_error(space, lo, hi):
+    """np.sum of (w - u)**2 over coordinates [lo, hi) as a float, formed in
+    u's buffer."""
+    d = np.subtract(space.w[lo:hi], space.u[lo:hi], out=space.u[lo:hi])
+    d *= d
+    return float(d.sum())
 
 
 def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
@@ -345,7 +399,7 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
 
     The flow runs in space, a FlowSpace of problem.dim coordinates that a
     table of flows shares (see flow_space), or in one of its own when space
-    is None.
+    is None. rng ends where problem.draw(rng, problem.dim) leaves it.
     """
     if not vol >= 0:
         raise DomainError(f"vol must be >= 0, got {vol}")
@@ -361,22 +415,33 @@ def gradient_flow_sim(problem: TeacherStudentProblem, vol: float, alpha: float,
 
 
 def _flow(problem, vol, alpha, rng, step, space):
-    """gradient_flow_sim's flow in space: (error, iterations, converged)."""
-    w, u_prime = space.w, space.u_prime
-    # the noise lands in the u' buffer and becomes u' = u + eta in place
-    u, _ = problem.draw(rng, problem.dim, out=u_prime)
-    u_prime += u
-    w.fill(0.0)
+    """gradient_flow_sim's flow in space: (error, iterations, converged).
+
+    The caller sets up and reduces coordinates [0, h) and the helper, if
+    any, [h, n), each in its own process; the error is the mean of
+    (w - u)**2 with the bits of np.mean, since h is where np.sum splits."""
+    n, far = problem.dim, space.far
+    h = n if far is None else _kernels._half(n)
+    if far is not None:
+        far.send(("setup", problem, rng.get_state()))
+    _flow_setup(problem, rng, space, 0, h)
+    if far is not None:
+        far.receive("its half of the setup")
+    rng.set_state(rng.ahead(2 * n if problem.noise.sigma != 0.0 else n).get_state())
 
     converged = False
     for it in range(1, _FLOW_MAX_STEPS + 1):
-        delta = _kernels.flow_iter_identity(w, u_prime, step, vol, alpha, space.far, it)
+        delta = _kernels.flow_iter_identity(space.w, space.u_prime, step, vol, alpha, far, it)
         if not math.isfinite(delta) or delta > 1e12:
             raise NumericError(f"flow diverged at iteration {it}: max step {delta:.3e}")
         if delta < _FLOW_TOL:
             converged = True
             break
-    return float(((w - u) ** 2).mean()), it, converged
+    if far is not None:
+        far.send(("error",))
+    low = _flow_error(space, 0, h)
+    high = 0.0 if far is None else far.receive("its half of the error")
+    return (low + high) / n, it, converged
 
 
 CURVE_CSV_HEADER = ("method", "a", "sigma", "V", "error", "stderr", "n_samples", "seed")

@@ -167,6 +167,26 @@ class TestExitCodes:
         assert err.startswith("error: the worker process died")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("message, line", [
+        pytest.param("Unable to allocate 7.28 TiB for an array",
+                     "error: out of memory (Unable to allocate 7.28 TiB for an array)",
+                     id="with-message"),
+        pytest.param("", "error: out of memory", id="no-message")])
+    def test_out_of_memory_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                   cpus, message, line):
+        # raised in process at 1 CPU and in a map_ordered worker at 2; a real
+        # allocation that large would stress the machine, not the code
+        def out_of_memory(*args):
+            assert (multiprocessing.parent_process() is not None) == (cpus == 2)
+            raise MemoryError(message)
+
+        monkeypatch.setattr(_pool, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(theory, "clip_error_mc", out_of_memory)
+        cfg = _cfg(tmp_path, "kind = theorem1\nn_samples = 500\n")
+        assert main(["theory", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"{line}\n"
+
     @pytest.mark.parametrize("command", ["train", "quantize"])
     def test_zero_epochs_exits_one_before_writing(self, tmp_path, capsys, command):
         cfg = _cfg(tmp_path, TRAIN_CFG.format(epochs=0))

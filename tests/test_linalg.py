@@ -81,6 +81,7 @@ class TestSeededRng:
             assert src.get_state() == before
             ref = SeededRng.from_state(before)
             self._discard(ref, k)
+            assert cursor.get_state() == ref.get_state()
             np.testing.assert_array_equal(cursor.random(9), ref.random(9))
             assert cursor.get_state() == ref.get_state()
             assert cursor.integers(0, 1000, 5).tolist() == ref.integers(0, 1000, 5).tolist()

@@ -12,13 +12,14 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
 
 from volumize import _kernels, _pool, config, runs, sweep, theory
-from volumize.cli import main
+from volumize.cli import _Terminated, main
 from volumize.errors import ConfigError, DomainError, NumericError, VolumizeError
 from volumize.linalg import SeededRng
 from volumize.theory import (cauchy_comparison, flow_curve, gradient_flow_sim, mc_curve,
@@ -77,6 +78,14 @@ class _ArrivingError(DomainError):
 
 # made before the workers fork, so they share it
 _ARRIVED = multiprocessing.get_context("fork").Event()
+_ANSWERING = multiprocessing.get_context("fork").Event()
+
+
+def _answer_for_a_minute(*request):
+    """Sets _ANSWERING, then answers a minute later."""
+    _ANSWERING.set()
+    time.sleep(60)
+    return request
 
 
 def _item_one_fails(i, log):
@@ -175,6 +184,31 @@ class TestServed:
             server.send(1)
             assert wait([server], 5) == [server]
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, _Terminated])
+    def test_an_interrupt_ends_the_process_at_once(self, interrupt):
+        _ANSWERING.clear()
+        with pytest.raises(interrupt):
+            with _pool.served(_answer_for_a_minute, "sleeper") as server:
+                server.send(None)
+                assert _ANSWERING.wait(timeout=30)
+                left = time.monotonic()
+                raise interrupt
+        assert time.monotonic() - left < 2
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_waits_for_the_answer_in_flight(self, tmp_path):
+        done = tmp_path / "done"
+
+        def answer(request):
+            time.sleep(0.3)
+            done.write_text("answered")
+
+        with pytest.raises(DomainError, match="in the block"):
+            with _pool.served(answer, "echo") as server:
+                server.send(None)
+                raise DomainError("in the block")
+        assert done.read_text() == "answered"
 
 
 class TestMapOrdered:
@@ -302,6 +336,23 @@ class TestMapOrdered:
         assert [x for x, _ in got] == list(range(7))
         assert (os.getpid() in {pid for _, pid in got}) == (workers == 1)
         assert forks() == ([] if workers == 1 else _fork_log("worker", workers))
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_ends_every_worker_at_once(self, monkeypatch):
+        def interrupted(servers):
+            # both workers are answering: the interrupt lands in the wait
+            assert _ANSWERING.wait(timeout=30)
+            time.sleep(0.2)
+            nonlocal left
+            left = time.monotonic()
+            raise KeyboardInterrupt
+
+        left = None
+        _ANSWERING.clear()
+        monkeypatch.setattr(_pool, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _pool.map_ordered(_answer_for_a_minute, [(i,) for i in range(4)], 2)
+        assert time.monotonic() - left < 2
         assert multiprocessing.active_children() == []
 
 
@@ -520,14 +571,14 @@ class TestSplitFlow:
     @pytest.mark.parametrize("vol, alpha", [(0.0, _DECAY), (0.6, 0.3)])
     def test_non_finite_far_half_is_numeric_error(self, monkeypatch, forks, bad,
                                                   vol, alpha):
-        real = theory.TeacherStudentProblem._draw_noise
+        real = theory._flow_setup
 
-        def draw_noise(problem, rng, n, out):
-            real(problem, rng, n, out)
-            out[-3] = bad  # in the helper's half of u'
-            return out
+        def flow_setup(problem, rng, space, lo, hi):
+            real(problem, rng, space, lo, hi)
+            if hi == problem.dim:
+                space.u_prime[-3] = bad  # in the helper's half of u'
 
-        monkeypatch.setattr(theory.TeacherStudentProblem, "_draw_noise", draw_noise)
+        monkeypatch.setattr(theory, "_flow_setup", flow_setup)
         seen = set()
         for n in (1, 2):
             _with_cpus(monkeypatch, n)
@@ -535,6 +586,53 @@ class TestSplitFlow:
                 _flow_bits(vol, alpha, 5)
             seen.add(str(info.value))
         assert seen == {f"flow diverged at iteration 1: max step {bad:.3e}"}
+        assert forks() == _fork_log("flow helper")
+
+    @pytest.mark.parametrize("dim", [_SPLIT_DIM, _kernels._BLOCK])
+    @pytest.mark.parametrize("sigma", [0.5, 0.0])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_flow_error_is_the_mean_of_one_draw(self, monkeypatch, forks, dim, sigma, cpus):
+        # the oracle: np.mean over the whole flow against u from one
+        # problem.draw, which leaves the stream where the flow leaves it.
+        # _SPLIT_DIM is odd and half of it is not a multiple of 8
+        _with_cpus(monkeypatch, cpus)
+        problem = theory.TeacherStudentProblem(dim=dim, a=1.0,
+                                               noise=theory.NoiseSpec("uniform", sigma))
+        rng, ref = SeededRng(41), SeededRng(41)
+        with theory.flow_space(dim) as space:
+            res = gradient_flow_sim(problem, 0.0, _DECAY, rng, space=space)
+            w = space.w.copy()
+        u, _ = problem.draw(ref, dim)
+        assert res.converged
+        assert res.error.hex() == float(((w - u) ** 2).mean()).hex()
+        assert rng.get_state() == ref.get_state()
+        assert forks() == (_fork_log("flow helper") if cpus == 2 else [])
+
+    def test_each_process_draws_and_reduces_its_own_part(self, tmp_path, monkeypatch,
+                                                         forks):
+        # the wrappers log from any process: (phase, caller?, lo, hi)
+        log = tmp_path / "parts.txt"
+
+        def logged(name):
+            real = getattr(theory, name)
+
+            def part(*args):
+                with open(log, "a", encoding="utf-8") as f:
+                    f.write(f"{name} {os.getpid()} {args[-2]} {args[-1]}\n")
+                return real(*args)
+
+            return part
+
+        for name in ("_flow_setup", "_flow_error"):
+            monkeypatch.setattr(theory, name, logged(name))
+        _with_cpus(monkeypatch, 2)
+        gradient_flow_sim(_split_problem(), 0.0, _DECAY, SeededRng(7))
+        parts = [line.split() for line in log.read_text().splitlines()]
+        h, n = _kernels._half(_SPLIT_DIM), _SPLIT_DIM
+        assert sorted((name, int(pid) == os.getpid(), int(lo), int(hi))
+                      for name, pid, lo, hi in parts) == [
+            ("_flow_error", False, h, n), ("_flow_error", True, 0, h),
+            ("_flow_setup", False, h, n), ("_flow_setup", True, 0, h)]
         assert forks() == _fork_log("flow helper")
 
     def test_one_timed_call_per_iteration(self, tmp_path, monkeypatch, forks):
