@@ -2,7 +2,9 @@
 record codec.
 
 Every file the package writes goes through write_atomic, so a crash or a
-failed write leaves the previous file in place, never a torn one. The two
+failed write leaves the previous file in place, never a torn one. A writer
+killed outright (SIGKILL) can leave its temp file, <file>.<pid>.tmp, beside
+it; a resumed command deletes those with remove_stale_temps. The two
 binary formats (checkpoints, packed weights) share one framing:
 
     magic[4] version[1] body crc32[u32, little-endian]
@@ -23,6 +25,7 @@ annotations` would have its floats written as plain JSON numbers.
 
 import contextlib
 import os
+import re
 import struct
 import zlib
 from dataclasses import fields
@@ -45,6 +48,20 @@ def write_atomic(path, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def remove_stale_temps(paths) -> None:
+    """Delete the temp files that write_atomic left beside paths, the files
+    a command writes, when their writer was killed: <path>.<digits>.tmp for
+    each path. No other name is touched."""
+    names = {}
+    for path in map(os.fspath, paths):
+        names.setdefault(os.path.dirname(path), set()).add(os.path.basename(path))
+    for directory, wanted in names.items():
+        for entry in os.listdir(directory or "."):
+            match = re.fullmatch(r"(.+)\.[0-9]+\.tmp", entry)
+            if match and match.group(1) in wanted:
+                os.remove(os.path.join(directory, entry))
 
 
 def write_framed(path, magic: bytes, version: int, body: bytes) -> None:

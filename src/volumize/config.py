@@ -13,19 +13,19 @@ keys, defaults filled in, canonical formatting) so an output directory is
 self-describing.
 
 The schemas below own every key and its default, and the builders at the
-end are the one place typed values become run objects: the dataset, the
-model, the optimizer and the walls. Each builder takes the seed its caller
-derived for it, so `train` and a sweep cell build the same objects from the
-same values and differ only in how they derive their seeds.
+end, the one check of a training config's values, make its run objects:
+the dataset, model, optimizer, walls and run. Each builder takes the seed
+its caller derived for it, so `train` and a sweep cell build the same
+objects from the same values and differ only in how they derive their seeds.
 """
 
 import math
 from dataclasses import dataclass
 
-# data and net are reached through their modules at call time, so a wrapper
-# installed on data.gen_blobs or net.init_network (perfbench's tracer) sees
+# data, net and training are reached through their modules at call time, so
+# a wrapper installed on data.gen_blobs or the like (perfbench's tracer) sees
 # the builders' calls
-from . import data, net
+from . import data, net, training
 from .csvio import format_value
 from .errors import ConfigError
 from .linalg import SeededRng
@@ -131,6 +131,9 @@ def _format_value(v) -> str:
     return format_value(v)
 
 
+EFFECTIVE_CONFIG = "effective_config.txt"  # the echo's name in every out_dir
+
+
 def effective_config_text(values: dict) -> str:
     """Canonical echo: sorted keys, one per line, re-parseable."""
     lines = [f"{k} = {_format_value(values[k])}" for k in sorted(values)]
@@ -213,15 +216,6 @@ THEORY_SCHEMA = {
 
 # --- builders -----------------------------------------------------------
 
-def check_dataset_cfg(cfg: dict) -> None:
-    """Refuse, as config errors, the dataset values that data.py refuses as
-    domain errors, so a bad config file exits 1 from every subcommand."""
-    if not 0 < cfg["spread"] < math.inf:
-        raise ConfigError(f"spread must be positive and finite, got {cfg['spread']}")
-    if not 0.0 <= cfg["noise_ratio"] < 1.0:
-        raise ConfigError(f"noise_ratio must be in [0, 1), got {cfg['noise_ratio']}")
-
-
 def check_theory_cfg(cfg: dict) -> None:
     """Refuse, as config errors, the theory values the lab refuses as domain
     errors (or fails on), checking only the keys the configured kind reads."""
@@ -255,7 +249,6 @@ def check_theory_cfg(cfg: dict) -> None:
 def dataset_from_cfg(cfg: dict, seed: int):
     """Blobs from the dataset keys, then label noise, each on its own child
     stream of seed."""
-    check_dataset_cfg(cfg)
     root = SeededRng(seed)
     blobs = data.gen_blobs(root.spawn("blobs"), n_classes=cfg["n_classes"],
                            n_per_class=cfg["n_per_class"], dim=cfg["dim"],
@@ -284,3 +277,19 @@ def optimizer_from_cfg(cfg: dict) -> OptimizerSpec:
 def walls_from_cfg(cfg: dict) -> VolumizationConfig:
     return VolumizationConfig(v=cfg["v"], alpha=cfg["alpha"],
                               overshoot_policy=cfg["overshoot_policy"])
+
+
+def run_from_cfg(cfg: dict, data_seed: int, init_seed: int, train_seed: int,
+                 walls=None, vols=None):
+    """(dataset, a new TrainingRun) from cfg and the seeds of the data, the
+    weights and the shuffle stream. walls, a VolumizationConfig, replaces
+    the config's walls; vols maps the net to its walls (new_run's vols)."""
+    if cfg["epochs"] < 1:
+        raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
+    dataset = dataset_from_cfg(cfg, data_seed)
+    model = model_from_cfg(cfg, init_seed)
+    run = training.new_run(model, optimizer_from_cfg(cfg),
+                           walls_from_cfg(cfg) if walls is None else walls,
+                           SeededRng(train_seed), batch_size=cfg["batch_size"],
+                           vols=None if vols is None else vols(model))
+    return dataset, run

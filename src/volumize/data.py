@@ -4,7 +4,8 @@ Gaussian blobs stand in for real image/text benchmarks at desk scale: class
 centers are drawn once from a seeded stream, per-class points from another,
 so the geometry is reproducible and independent of the sample count. Label
 noise is injected as an exact count (floor(ratio * N) training labels, never
-test labels), which keeps repeat-to-repeat variance down at small N.
+test labels), which keeps repeat-to-repeat variance down at small N. A
+refused value raises ConfigError naming its config key.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .linalg import SeededRng
 
 
@@ -55,7 +56,7 @@ def gen_blobs(rng: SeededRng, n_classes: int = 4, n_per_class: int = 250,
     if dim < 1:
         raise ConfigError(f"dim must be >= 1, got {dim}")
     if not 0 < spread < math.inf:
-        raise DomainError(f"spread must be positive and finite, got {spread}")
+        raise ConfigError(f"spread must be positive and finite, got {spread}")
 
     centers = rng.spawn("centers").normal((n_classes, dim))
     points_rng = rng.spawn("points")
@@ -85,7 +86,7 @@ def inject_label_noise(data: Dataset, ratio: float, rng: SeededRng) -> Dataset:
     alone; the corrupted index set is recorded on the returned dataset.
     """
     if not 0.0 <= ratio < 1.0:
-        raise DomainError(f"ratio must be in [0, 1), got {ratio}")
+        raise ConfigError(f"noise_ratio must be in [0, 1), got {ratio}")
     n = data.n_train
     k = int(ratio * n)
     y = data.y_train.copy()

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, NumericError, ShapeError
-from .volumization import OVERSHOOT_POLICIES, apply_volumization
+from .volumization import apply_volumization, check_overshoot_policy, check_walls
 
 KINDS = ("sgd", "adam", "laprop")
 
@@ -80,10 +80,9 @@ def step(net, grads, state: OptimizerState, spec: OptimizerSpec,
     transform entirely. Bad arguments raise before anything is mutated.
     """
     # apply_volumization checks these too, but only after the update has run
-    if vols is not None and len(vols) != len(net.layers):
-        raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
-    if overshoot_policy not in OVERSHOOT_POLICIES:
-        raise ConfigError(f"unknown overshoot_policy {overshoot_policy!r}")
+    if vols is not None:
+        check_walls(net, vols)
+    check_overshoot_policy(overshoot_policy)
     g = grads.grad
     if g.shape != net.params.shape:
         raise ShapeError(f"gradient shape {g.shape} != parameter arena shape {net.params.shape}")

@@ -29,6 +29,7 @@ import numpy as np
 from ._container import read_framed, write_framed
 from .errors import CheckpointError, ConfigError, DomainError
 from .training import run_epochs
+from .volumization import check_walls
 
 MODES = ("binary", "ternary")
 
@@ -75,8 +76,7 @@ def quantize(w, vol: float, mode: str):
 def quantize_network(net, vols, mode: str) -> None:
     """Round every layer slice of the arena (biases included) in place onto
     that layer's walls; ``vols`` holds one wall per layer."""
-    if len(vols) != len(net.layers):
-        raise ConfigError(f"got {len(vols)} walls for {len(net.layers)} layers")
+    check_walls(net, vols)
     for sl, vol in zip(net.layer_slices, vols):
         net.params[sl] = quantize(net.params[sl], vol, mode)
 
@@ -109,8 +109,8 @@ def mass_near_walls(values, vol: float) -> float:
 def weight_histogram(net, vols=None):
     """One 64-bin histogram per layer over [-max|w|, max|w|], weights and
     biases pooled (they share the layer's walls, one per layer in ``vols``)."""
-    if vols is not None and len(vols) != len(net.layers):
-        raise ConfigError(f"got {len(vols)} walls for {len(net.layers)} layers")
+    if vols is not None:
+        check_walls(net, vols)
     out = []
     for i, sl in enumerate(net.layer_slices):
         vals = net.params[sl]
@@ -128,6 +128,13 @@ def weight_histogram(net, vols=None):
     return out
 
 
+def require_active_walls(vols) -> None:
+    """Raises ConfigError unless vols, a run's walls, are all active."""
+    if vols is None or not min(vols) > 0:
+        raise ConfigError("quantized training requires active walls "
+                          "(0 < v < inf and alpha < 1)")
+
+
 def quantized_training(run, data, scheme: QuantizationScheme, epochs: int):
     """Advance a TrainingRun by epochs with periodic in-place rounding onto
     its walls; returns (quantized_net, rounding_epochs).
@@ -137,9 +144,7 @@ def quantized_training(run, data, scheme: QuantizationScheme, epochs: int):
     simply continues (optimizer moments are kept). The final epoch never
     rounds: run.net is left as trained, quantized_net is its rounded copy.
     """
-    if run.vols is None or not min(run.vols) > 0:
-        raise ConfigError("quantized training requires active walls "
-                          "(0 < v < inf and alpha < 1)")
+    require_active_walls(run.vols)
     end = run.epoch + epochs
     rounding_epochs = []
 

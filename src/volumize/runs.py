@@ -5,7 +5,7 @@ directory, and a seed; it writes CSVs plus an effective-config echo and
 returns what the CLI needs for its exit code. All outputs are deterministic
 in (config, seed).
 
-The config.py builders make the dataset, model, optimizer and walls; the
+The config.py builders make each run, before out_dir is created; the
 runners only derive their seeds: stable_hash(seed, "dataset") for the data,
 stable_hash(seed, "init") for the weights and stable_hash(seed, "train") for
 the shuffle stream. A sweep hands its cells the same builders (sweep.py).
@@ -16,23 +16,23 @@ import os
 import numpy as np
 
 from . import theory
-from ._container import write_atomic
+from ._container import remove_stale_temps, write_atomic
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (check_theory_cfg, dataset_from_cfg, effective_config_text,
-                     model_from_cfg, optimizer_from_cfg, walls_from_cfg)
+from .config import (EFFECTIVE_CONFIG, check_theory_cfg, effective_config_text,
+                     run_from_cfg)
 from .csvio import write_csv
 from .errors import ConfigError
 from .linalg import SeededRng, stable_hash
-from .quantizer import (QuantizationScheme, quantized_training,
+from .quantizer import (QuantizationScheme, quantized_training, require_active_walls,
                         save_quantized_weights, weight_histogram)
 from .spectral import SpectralReport, check_network_lipschitz, contractive_volumes
 from .sweep import SweepSpec, run_sweep
-from .training import evaluate, new_run, run_epochs
+from .training import evaluate, run_epochs
 from .volumization import VolumizationConfig
 
 
 def _write_effective_config(out_dir: str, cfg: dict, extra: dict) -> None:
-    write_atomic(os.path.join(out_dir, "effective_config.txt"),
+    write_atomic(os.path.join(out_dir, EFFECTIVE_CONFIG),
                  effective_config_text({**cfg, **extra}).encode("utf-8"))
 
 
@@ -144,24 +144,14 @@ def run_theory(cfg: dict, out_dir: str, seed: int):
 # --- training-style runners ----------------------------------------------
 
 METRICS_HEADER = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
+# every file run_train writes into its out_dir
+TRAIN_FILES = ("checkpoint.bin", "metrics.csv", "summary.csv", EFFECTIVE_CONFIG)
 
 
 def _fresh_run(cfg: dict, seed: int, walls=None, vols=None):
-    """(dataset, a new TrainingRun) built from cfg with the seeds named in
-    the module docstring.
-
-    walls, a VolumizationConfig, replaces the config's walls, and vols,
-    when given, maps the net to its walls (new_run's vols). A config value
-    that no run accepts raises ConfigError or DomainError here."""
-    if cfg["epochs"] < 1:
-        raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
-    data = dataset_from_cfg(cfg, stable_hash(seed, "dataset"))
-    net = model_from_cfg(cfg, stable_hash(seed, "init"))
-    run = new_run(net, optimizer_from_cfg(cfg),
-                  walls_from_cfg(cfg) if walls is None else walls,
-                  SeededRng(stable_hash(seed, "train")), batch_size=cfg["batch_size"],
-                  vols=None if vols is None else vols(net))
-    return data, run
+    """config.run_from_cfg with the seeds named in the module docstring."""
+    return run_from_cfg(cfg, stable_hash(seed, "dataset"), stable_hash(seed, "init"),
+                        stable_hash(seed, "train"), walls, vols)
 
 
 def _write_trajectory(out_dir: str, traj) -> str:
@@ -183,8 +173,9 @@ def _write_summary(out_dir: str, pairs) -> str:
 
 
 def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
-    """Returns (metrics_path, trajectory). --resume continues a run from
-    <out>/checkpoint.bin toward the configured total epoch count."""
+    """Returns (metrics_path, trajectory). --resume deletes a killed
+    writer's temp files and continues a run from <out>/checkpoint.bin
+    toward the configured total epoch count."""
     every = cfg["checkpoint_every"]
     if every < 0:
         raise ConfigError(f"checkpoint_every must be >= 0, got {every}")
@@ -195,6 +186,8 @@ def run_train(cfg: dict, out_dir: str, seed: int, resume: bool = False):
     if resume and os.path.exists(ckpt_path):
         run = load_checkpoint(ckpt_path)
     os.makedirs(out_dir, exist_ok=True)
+    if resume:
+        remove_stale_temps(os.path.join(out_dir, name) for name in TRAIN_FILES)
 
     def hook(net_, state_, epoch: int) -> None:
         if every > 0 and epoch % every == 0:
@@ -220,9 +213,9 @@ def run_quantize(cfg: dict, out_dir: str, seed: int):
     """Returns (metrics_path, float accuracy, quantized accuracy)."""
     data, run = _fresh_run(cfg, seed)
     scheme = QuantizationScheme(mode=cfg["mode"], period_epochs=cfg["period_epochs"])
+    require_active_walls(run.vols)
+    os.makedirs(out_dir, exist_ok=True)  # before any epoch trains
     quantized, rounding_epochs = quantized_training(run, data, scheme, cfg["epochs"])
-    # quantized_training refuses inactive walls, so --out is made only now
-    os.makedirs(out_dir, exist_ok=True)
     path = _write_trajectory(out_dir, run.trajectory)
 
     # the final epoch never rounds, so its test accuracy is run.net's

@@ -20,20 +20,19 @@ files. A cell that raises, or a worker that dies, starts no further cell;
 the cells already written stay for a resume.
 Results land as one JSON file per cell under <out>/cells/; the canonical
 CSV is regenerated from those files in grid order, one row per cell plus a
-mean row per (v, alpha) aggregating the ok repeats. A cell that fails with
-a numeric or other runtime error becomes a row with a status message and
-never aborts the sweep; a ConfigError aborts it, since no cell of a bad
-config can succeed.
+mean row per (v, alpha) aggregating the ok repeats. A bad config is
+refused when the SweepSpec is built; a cell that fails at run time
+becomes a row with a status message and never aborts the sweep.
 """
 
 import json
 import os
 from dataclasses import dataclass
 
-from ._container import from_record, to_record, write_atomic
+from ._container import from_record, remove_stale_temps, to_record, write_atomic
 from ._pool import map_ordered, require_workers
-from .config import (SWEEP_SCHEMA, check_dataset_cfg, dataset_from_cfg,
-                     model_from_cfg, optimizer_from_cfg, walls_from_cfg)
+from .config import (EFFECTIVE_CONFIG, SWEEP_SCHEMA, dataset_from_cfg, model_from_cfg,
+                     optimizer_from_cfg, run_from_cfg, walls_from_cfg)
 from .csvio import write_csv
 from .errors import CheckpointError, ConfigError, VolumizeError
 from .linalg import SeededRng, stable_hash
@@ -45,8 +44,9 @@ SWEEP_CSV_HEADER = ("v", "alpha", "repeat", "seed", "best", "last", "gap", "stat
 class SweepSpec:
     """A (v, alpha) grid over typed SWEEP_SCHEMA values, as
     config.apply_schema returns them, plus the seed every cell and dataset
-    seed derives from. The config is the only copy of the sweep's settings;
-    the dataset, model and optimizer come from the config.py builders."""
+    seed derives from. The config is the only copy of the sweep's settings.
+    The config.py builders make every cell's objects, and on construction
+    the first cell's run, so a spec refuses what `train` refuses."""
 
     def __init__(self, cfg: dict, base_seed: int):
         missing = sorted(set(SWEEP_SCHEMA) - set(cfg))
@@ -54,9 +54,6 @@ class SweepSpec:
             raise ConfigError(f"sweep config lacks keys {missing}")
         if cfg["repeats"] < 1:
             raise ConfigError(f"repeats must be >= 1, got {cfg['repeats']}")
-        check_dataset_cfg(cfg)
-        if cfg["epochs"] < 1:
-            raise ConfigError(f"epochs must be >= 1, got {cfg['epochs']}")
         if not cfg["v_grid"] or not cfg["alpha_grid"]:
             raise ConfigError("v_grid and alpha_grid must be non-empty")
         self.cfg = dict(cfg)
@@ -64,9 +61,11 @@ class SweepSpec:
         self.v_grid = cfg["v_grid"]
         self.alpha_grid = cfg["alpha_grid"]
         self.repeats = cfg["repeats"]
-        # the walls of every grid point, built (and so checked) up front
         self.walls = [[walls_from_cfg({**cfg, "v": v, "alpha": a})
                        for a in self.alpha_grid] for v in self.v_grid]
+        seed = self.cell_seed(0, 0, 0)
+        run_from_cfg(cfg, self.dataset_seed(0), stable_hash(seed, "init"), seed,
+                     self.walls[0][0])
 
     def cells(self):
         """Canonical cell order: v-major, then alpha, then repeat."""
@@ -107,8 +106,8 @@ class CellResult:
 
 
 def run_cell(spec: SweepSpec, v_idx: int, alpha_idx: int, repeat: int) -> CellResult:
-    """Train one cell. A ConfigError propagates, since the config is bad for
-    every cell; any other VolumizeError becomes the cell's status row."""
+    """Train one cell; a VolumizeError, a run-time failure since the spec
+    refused every config error, becomes the cell's status row."""
     walls = spec.walls[v_idx][alpha_idx]
     seed = spec.cell_seed(v_idx, alpha_idx, repeat)
     result = CellResult(v_idx=v_idx, alpha_idx=alpha_idx, repeat=repeat,
@@ -123,8 +122,6 @@ def run_cell(spec: SweepSpec, v_idx: int, alpha_idx: int, repeat: int) -> CellRe
         result.best = traj.best
         result.last = traj.last
         result.gap = traj.gap
-    except ConfigError:
-        raise
     except VolumizeError as exc:
         result.status = f"error: {exc}"
     return result
@@ -167,8 +164,9 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
               resume: bool = False) -> str:
     """Execute (or finish) a sweep; returns the canonical CSV path.
 
-    With resume=True, cells whose JSON already exists are skipped; without
-    it, every cell is recomputed and rewritten. A kept cell whose v, alpha
+    With resume=True, a killed writer's temp files are deleted and cells
+    whose JSON already exists are skipped; without it, every cell is
+    recomputed and rewritten. A kept cell whose v, alpha
     or seed differs from this spec's raises ConfigError, and a damaged one
     CheckpointError, before any cell runs. The CSV is always rebuilt from
     the cell files in canonical order, so its bytes depend only on the spec,
@@ -177,6 +175,10 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
     """
     require_workers(workers)
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
+    csv_path = os.path.join(out_dir, "sweep.csv")
+    if resume:
+        remove_stale_temps([csv_path, os.path.join(out_dir, EFFECTIVE_CONFIG),
+                            *(_cell_path(out_dir, *cell) for cell in spec.cells())])
     pending = []
     for vi, ai, r in spec.cells():
         path = _cell_path(out_dir, vi, ai, r)
@@ -212,6 +214,5 @@ def run_sweep(spec: SweepSpec, out_dir: str, workers: int = 1,
                 "gap": sum(r.gap for r in ok) / k,
                 "status": f"ok ({k} repeats)",
             })
-    csv_path = os.path.join(out_dir, "sweep.csv")
     write_csv(csv_path, SWEEP_CSV_HEADER, rows)
     return csv_path

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _pool
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError
 from .linalg import SeededRng
 from .net import LOSSES, _loss_and_output_grad, forward, loss_and_grad
 from .optimizers import OptimizerSpec, OptimizerState, step
-from .volumization import VolumizationConfig, derive_layer_volumes
+from .volumization import VolumizationConfig, check_walls, derive_layer_volumes
 
 
 @dataclass(eq=False)
@@ -164,8 +164,7 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
         vols = derive_layer_volumes(net, vol_cfg)
     else:
         vols = tuple(float(v) for v in vols)
-        if len(vols) != len(net.layers):
-            raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
+        check_walls(net, vols)
         for i, v in enumerate(vols):
             if not v >= 0.0:  # catches NaN too
                 raise DomainError(f"wall must be >= 0, got {v} for layer{i}")

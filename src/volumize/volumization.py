@@ -45,15 +45,24 @@ class VolumizationConfig:
             raise ConfigError(f"v must be >= 0 (inf = off), got {self.v}")
         if not -1.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [-1, 1], got {self.alpha}")
-        if self.overshoot_policy not in OVERSHOOT_POLICIES:
-            raise ConfigError(
-                f"overshoot_policy must be one of {OVERSHOOT_POLICIES}, "
-                f"got {self.overshoot_policy!r}"
-            )
+        check_overshoot_policy(self.overshoot_policy)
 
     @property
     def enabled(self) -> bool:
         return not _kernels._is_identity(self.v, self.alpha)
+
+
+def check_overshoot_policy(overshoot_policy: str) -> None:
+    """Raises ConfigError unless overshoot_policy is one of OVERSHOOT_POLICIES."""
+    if overshoot_policy not in OVERSHOOT_POLICIES:
+        raise ConfigError(f"overshoot_policy must be one of {OVERSHOOT_POLICIES}, "
+                          f"got {overshoot_policy!r}")
+
+
+def check_walls(net, vols) -> None:
+    """Raises ShapeError unless vols holds one wall per layer of net."""
+    if len(vols) != len(net.layers):
+        raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
 
 
 def apply_volumization(net, state, vols, alpha: float, overshoot_policy: str = "leave") -> None:
@@ -62,10 +71,8 @@ def apply_volumization(net, state, vols, alpha: float, overshoot_policy: str = "
     ``vols`` holds one wall per layer; ``state.m`` rides along (optimizer
     first moments are decayed with their weights).
     """
-    if len(vols) != len(net.layers):
-        raise ShapeError(f"got {len(vols)} walls for {len(net.layers)} layers")
-    if overshoot_policy not in OVERSHOOT_POLICIES:
-        raise ConfigError(f"unknown overshoot_policy {overshoot_policy!r}")
+    check_walls(net, vols)
+    check_overshoot_policy(overshoot_policy)
     clamp = overshoot_policy == "clamp"
     for sl, vol in zip(net.layer_slices, vols):
         _kernels.volumize(net.params[sl], state.m[sl], float(vol), float(alpha), clamp)

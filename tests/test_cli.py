@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, outputs, resume."""
 
+import contextlib
 import importlib
 import multiprocessing
 import os
@@ -12,7 +13,8 @@ import time
 import pytest
 
 import volumize
-from volumize import _pool, theory
+from volumize import _pool, quantizer, theory
+from volumize.checkpoint import load_checkpoint
 from volumize.cli import main
 from volumize.csvio import read_csv
 
@@ -49,6 +51,12 @@ def _killed(*args):
     would."""
     assert multiprocessing.parent_process() is not None, "not in a worker"
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _tree(root):
+    """{relative path: bytes} of every file under root."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _cfg(tmp_path, text, name="run.cfg"):
@@ -135,18 +143,28 @@ class TestExitCodes:
         assert (out / "checkpoint.bin").read_bytes() == saved
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("bad", ["n_classes = 1", "batch_size = 0", "spread = 0",
-                                     "spread = inf"],
-                             ids=["n_classes", "batch_size", "spread", "spread-inf"])
-    def test_bad_sweep_config_exits_one(self, tmp_path, capsys, workers, bad):
-        cfg = _cfg(tmp_path, (
-            "n_per_class = 10\ndim = 4\nhidden_dims = 8\nepochs = 1\n"
-            "repeats = 1\nv_grid = 0.5, inf\nalpha_grid = 0\n" + bad + "\n"))
+    @pytest.mark.parametrize("bad, message", [
+        ("n_classes = 1", "n_classes"), ("batch_size = 0", "batch_size"),
+        ("spread = 0", "spread"), ("spread = inf", "spread"),
+        ("lr = 0", "lr must be positive"), ("hidden_dims = 0", "layer dims must be positive"),
+        ("noise_ratio = 1", "noise_ratio")],
+        ids=["n_classes", "batch_size", "spread", "spread-inf", "lr", "hidden_dims",
+             "noise_ratio"])
+    def test_bad_sweep_config_exits_one(self, tmp_path, capsys, forks, workers, bad,
+                                        message):
+        # the spec builds its first cell's run, so the sweep refuses what
+        # train refuses, before --out is made or a worker is forked
+        lines = ["n_per_class = 10", "dim = 4", "hidden_dims = 8", "epochs = 1",
+                 "repeats = 1", "v_grid = 0.5, inf", "alpha_grid = 0"]
+        cfg = _cfg(tmp_path, "\n".join(
+            [line for line in lines if line.split()[0] != bad.split()[0]] + [bad, ""]))
         out = tmp_path / "o"
         assert main(["sweep", "--config", cfg, "--out", str(out),
                      "--workers", workers]) == 1
-        assert bad.split()[0] in capsys.readouterr().err
-        assert not (out / "sweep.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+        assert forks() == []
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_sweep_without_workers_exits_one_before_making_out(self, tmp_path, capsys,
@@ -238,6 +256,20 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_quantize_unwritable_out_exits_two_before_training(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the walls are checked and --out made before the first epoch, so an
+        # unwritable --out costs no training time
+        epochs = []
+        monkeypatch.setattr(quantizer, "run_epochs",
+                            lambda run, data, n, **kw: epochs.append(n))
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        cfg = _cfg(tmp_path, _run_cfg("quantize", "v = 0.5"))
+        assert main(["quantize", "--config", cfg, "--out", str(blocker / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert epochs == []
 
     def test_negative_checkpoint_every_exits_one_before_making_out(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, _run_cfg("train", "checkpoint_every = -1"))
@@ -333,6 +365,33 @@ class TestOutputs:
                (split / "metrics.csv").read_bytes()
         assert (straight / "checkpoint.bin").read_bytes() == \
                (split / "checkpoint.bin").read_bytes()
+
+    def test_train_resume_deletes_a_killed_writers_temp_files(self, tmp_path):
+        cfg4 = _cfg(tmp_path, TRAIN_CFG.format(epochs=4), "four.cfg")
+        cfg2 = _cfg(tmp_path, TRAIN_CFG.format(epochs=2), "two.cfg")
+        straight, split = tmp_path / "straight", tmp_path / "split"
+        assert main(["train", "--config", cfg4, "--out", str(straight)]) == 0
+        assert main(["train", "--config", cfg2, "--out", str(split)]) == 0
+        # as write_atomic leaves them when its process is killed mid-write
+        (split / "checkpoint.bin.424242.tmp").write_bytes(b"torn")
+        (split / "metrics.csv.7.tmp").write_bytes(b"torn")
+        assert main(["train", "--config", cfg4, "--out", str(split), "--resume"]) == 0
+        assert _tree(split) == _tree(straight)
+
+    def test_sweep_resume_deletes_a_killed_writers_temp_files(self, tmp_path):
+        cfg = _cfg(tmp_path, (
+            "n_classes = 3\nn_per_class = 25\ndim = 4\nhidden_dims = 8\n"
+            "optimizer = sgd\nlr = 0.05\nepochs = 2\nbatch_size = 16\n"
+            "v_grid = 0.5, inf\nalpha_grid = 0\nrepeats = 1\n"))
+        whole, partial = tmp_path / "whole", tmp_path / "partial"
+        assert main(["sweep", "--config", cfg, "--out", str(whole)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(partial)]) == 0
+        os.remove(partial / "cells" / "cell_v1_a0_r0.json")
+        (partial / "cells" / "cell_v1_a0_r0.json.424242.tmp").write_bytes(b"torn")
+        (partial / "cells" / "cell_v0_a0_r0.json.424243.tmp").write_bytes(b"torn")
+        (partial / "sweep.csv.424241.tmp").write_bytes(b"torn")
+        assert main(["sweep", "--config", cfg, "--out", str(partial), "--resume"]) == 0
+        assert _tree(partial) == _tree(whole)
 
     def test_sweep_outputs(self, tmp_path, capsys):
         cfg = _cfg(tmp_path, (
@@ -437,6 +496,34 @@ class TestInterrupt:
             assert time.monotonic() < deadline, "a process outlived the run"
             time.sleep(0.05)
         assert list(out.glob("*.tmp")) == []
+
+
+class TestKilled:
+    def test_resume_after_sigkill_gives_the_uninterrupted_bytes(self, tmp_path):
+        cfg = _cfg(tmp_path, TRAIN_CFG.format(epochs=400).replace(
+            "checkpoint_every = 0", "checkpoint_every = 1"))
+        straight, killed = tmp_path / "straight", tmp_path / "killed"
+        assert main(["train", "--config", cfg, "--out", str(straight)]) == 0
+        ckpt = killed / "checkpoint.bin"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "volumize", "train", "--config", cfg,
+             "--out", str(killed)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_module_env(),
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            # checkpoints are replaced atomically, so each read sees a whole one
+            while not (ckpt.exists() and load_checkpoint(ckpt).epoch >= 2):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # the run and its evaluator
+            proc.communicate()
+        assert proc.returncode == -signal.SIGKILL
+        assert 2 <= load_checkpoint(ckpt).epoch < 400
+        assert main(["train", "--config", cfg, "--out", str(killed), "--resume"]) == 0
+        assert _tree(killed) == _tree(straight)
 
 
 class TestConsoleScript:

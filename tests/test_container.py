@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from volumize._container import from_record, to_record
+from volumize._container import from_record, remove_stale_temps, to_record
 from volumize.checkpoint import load_checkpoint, save_checkpoint
 from volumize.csvio import write_csv
 from volumize.errors import CheckpointError, ConfigError
@@ -159,6 +159,18 @@ class TestAtomicWrites:
         write_csv(tmp_path / "t.csv", ("a",), [{"a": 1}])
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["run.vzck", "t.csv", "w.vzqw"]
+
+    def test_stale_temps_of_named_files_only_are_removed(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        kept = ["run.vzck", "run.vzck.tmp", "run.vzck.12a.tmp", "run.vzck.7.tmp.bak",
+                "other.csv.42.tmp", "xrun.vzck.42.tmp", "sub/t.csv.42.tmpx"]
+        gone = ["run.vzck.424242.tmp", "run.vzck.1.tmp", "sub/t.csv.99.tmp"]
+        for name in kept + gone:
+            (tmp_path / name).write_bytes(b"x")
+        remove_stale_temps([tmp_path / "run.vzck", str(tmp_path / "sub" / "t.csv")])
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                      if p.is_file())
+        assert left == sorted(kept)
 
     def test_bad_csv_row_keeps_previous_file(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from volumize.data import Dataset, gen_blobs, inject_label_noise
-from volumize.errors import ConfigError, DomainError
+from volumize.errors import ConfigError
 from volumize.linalg import SeededRng, stable_hash
 
 
@@ -70,9 +70,11 @@ class TestGenBlobs:
             _data(**kw)
 
     def test_spread_validation(self):
-        with pytest.raises(DomainError):
+        # a config error, as for the other gen_blobs values: these are the
+        # config's dataset keys, and so exit 1 from every command
+        with pytest.raises(ConfigError, match="spread"):
             _data(spread=0.0)
-        with pytest.raises(DomainError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             _data(spread=float("inf"))
 
 
@@ -138,5 +140,5 @@ class TestInjectLabelNoise:
     @pytest.mark.parametrize("ratio", [-0.1, 1.0, 1.5])
     def test_ratio_validation(self, ratio):
         d = _data()
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="noise_ratio"):
             inject_label_noise(d, ratio, SeededRng(0))

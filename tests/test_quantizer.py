@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from volumize.data import gen_blobs
-from volumize.errors import CheckpointError, ConfigError, DomainError
+from volumize.errors import CheckpointError, ConfigError, DomainError, ShapeError
 from volumize.linalg import SeededRng, he_uniform_init, stable_hash
 from volumize.net import LayerSpec, init_network
 from volumize.optimizers import OptimizerSpec
@@ -97,7 +97,7 @@ class TestQuantizeNetwork:
     def test_missing_volume_entry(self, small_net):
         cfg = VolumizationConfig(v=0.5, alpha=0.5)
         vols = derive_layer_volumes(small_net, cfg)[:-1]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ShapeError, match="walls for"):
             quantize_network(small_net, vols, "binary")
 
 

@@ -128,15 +128,6 @@ class TestRunCell:
         assert math.isnan(res.best) and math.isnan(res.last)
 
 
-    def test_config_errors_abort_the_cell(self, monkeypatch):
-        def bad(*a, **kw):
-            raise ConfigError("batch_size must be >= 1, got 0")
-
-        monkeypatch.setattr(sweep_mod, "train_model", bad)
-        with pytest.raises(ConfigError, match="batch_size"):
-            run_cell(_spec(repeats=1), 0, 0, 0)
-
-
 class TestRunSweep:
     def test_csv_bytes_depend_only_on_spec(self, tmp_path):
         spec = _spec()
