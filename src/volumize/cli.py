@@ -23,6 +23,11 @@ from .config import (QUANTIZE_SCHEMA, SPECTRAL_SCHEMA, SWEEP_SCHEMA,
                      THEORY_SCHEMA, TRAIN_SCHEMA, load_config)
 from .errors import ConfigError, VolumizeError
 
+# numpy imports numpy.random at its first use, a command's first SeededRng,
+# after main has set its signal handlers; an interrupt raised inside that
+# import can be lost in its extension modules' set-up, so it is made here
+import numpy.random  # noqa: E402,F401
+
 THEORY_KINDS = THEORY_SCHEMA["kind"].choices
 SCHEMAS = {"theory": THEORY_SCHEMA, "sweep": SWEEP_SCHEMA, "train": TRAIN_SCHEMA,
            "quantize": QUANTIZE_SCHEMA, "spectral": SPECTRAL_SCHEMA}

@@ -259,6 +259,8 @@ def dataset_from_cfg(cfg: dict, seed: int):
 def model_from_cfg(cfg: dict, seed: int):
     """dim -> hidden_dims -> n_classes, the configured activation on every
     hidden layer and none on the output, initialized from seed."""
+    if min(cfg["hidden_dims"], default=1) < 1:
+        raise ConfigError(f"hidden_dims must be >= 1, got {min(cfg['hidden_dims'])}")
     dims = [cfg["dim"], *cfg["hidden_dims"], cfg["n_classes"]]
     specs = [
         net.LayerSpec(dims[i], dims[i + 1],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, DomainError, NumericError, ShapeError
 from .linalg import SeededRng, as_matrix, he_uniform_init
 
 ACTIVATIONS = ("identity", "relu", "tanh")
@@ -55,9 +55,24 @@ class Network:
     (arrays, or scalars to broadcast) into the arena and rebinds them as
     views into it. The optimizer and the walls mutate the arena in place,
     so identity is meaningful; clone() gives a network its own copy.
+    Every network, initialized, loaded, cloned or built by hand, is checked
+    here once: a known fan mode, at least one layer, each out_dim feeding
+    the next in_dim, and a positive, finite init scale per layer.
     """
 
     def __init__(self, layers, fan_mode: str):
+        if fan_mode not in FAN_MODES:
+            raise ConfigError(f"fan_mode must be fan_in or fan_out, got {fan_mode!r}")
+        if not layers:
+            raise ConfigError("need at least one layer")
+        for prev, nxt in zip(layers, layers[1:]):
+            if prev.spec.out_dim != nxt.spec.in_dim:
+                raise ConfigError(f"layer chain broken: out_dim {prev.spec.out_dim} "
+                                  f"feeds in_dim {nxt.spec.in_dim}")
+        for i, layer in enumerate(layers):
+            if not 0.0 < layer.init_scale_a < np.inf:  # catches NaN too
+                raise DomainError(f"init scale must be positive and finite, "
+                                  f"got {layer.init_scale_a} for layer{i}")
         self.layers = layers
         self.fan_mode = fan_mode
         self.layer_slices = []
@@ -124,15 +139,6 @@ class Network:
 
 def init_network(specs, rng: SeededRng, fan_mode: str = "fan_in") -> Network:
     """He-uniform weights, zero biases; records a = sqrt(6/fan) per layer."""
-    if fan_mode not in FAN_MODES:
-        raise ConfigError(f"fan_mode must be fan_in or fan_out, got {fan_mode!r}")
-    if not specs:
-        raise ConfigError("need at least one layer")
-    for prev, nxt in zip(specs, specs[1:]):
-        if prev.out_dim != nxt.in_dim:
-            raise ConfigError(
-                f"layer chain broken: out_dim {prev.out_dim} feeds in_dim {nxt.in_dim}"
-            )
     layers = []
     for spec in specs:
         fan = spec.in_dim if fan_mode == "fan_in" else spec.out_dim

@@ -105,17 +105,36 @@ def _record(traj: MetricTrajectory, metrics: list) -> None:
 
 
 class TrainingRun:
-    """Everything needed to continue a run: mutate via run_epochs only."""
+    """Everything needed to continue a run: mutate via run_epochs only.
+    Every run, new, loaded or built by hand, is checked here once: a batch
+    size >= 1, a known loss, walls None or one float >= 0 per layer (else
+    ShapeError or DomainError), a step counter >= 0, and second moments
+    exactly when the optimizer is not sgd. Network checks the net."""
 
     def __init__(self, net, opt_spec: OptimizerSpec, opt_state,
                  vol_cfg: VolumizationConfig, vols: tuple, shuffle_rng: SeededRng,
                  batch_size: int, loss: str, epoch: int = 0,
                  trajectory: MetricTrajectory | None = None):
+        if batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+        if loss not in LOSSES:
+            raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
+        if vols is not None:
+            vols = tuple(float(v) for v in vols)
+            check_walls(net, vols)
+            for i, v in enumerate(vols):
+                if not v >= 0.0:  # catches NaN too
+                    raise DomainError(f"wall must be >= 0, got {v} for layer{i}")
+        if opt_state.t < 0:
+            raise DomainError(f"step counter must be >= 0, got {opt_state.t}")
+        if (opt_state.n is None) != (opt_spec.kind == "sgd"):
+            given = "missing from" if opt_state.n is None else "given to"
+            raise ConfigError(f"second moments {given} the {opt_spec.kind} state")
         self.net = net
         self.opt_spec = opt_spec
         self.opt_state = opt_state
         self.vol_cfg = vol_cfg
-        self.vols = vols  # one wall per layer; None when the transform is inactive
+        self.vols = vols
         self.shuffle_rng = shuffle_rng
         self.batch_size = batch_size
         self.loss = loss
@@ -154,20 +173,9 @@ def new_run(net, opt_spec: OptimizerSpec, vol_cfg: VolumizationConfig,
             loss: str = "softmax_xent", vols=None) -> TrainingRun:
     """vols overrides the walls, one per layer (vol_cfg then contributes
     only alpha and the overshoot policy); by default they derive from
-    vol_cfg. A negative or NaN wall raises DomainError, and a count of
-    walls other than the net's layer count ShapeError."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if loss not in LOSSES:
-        raise ConfigError(f"loss must be one of {LOSSES}, got {loss!r}")
+    vol_cfg. TrainingRun checks the walls, the batch size and the loss."""
     if vols is None:
         vols = derive_layer_volumes(net, vol_cfg)
-    else:
-        vols = tuple(float(v) for v in vols)
-        check_walls(net, vols)
-        for i, v in enumerate(vols):
-            if not v >= 0.0:  # catches NaN too
-                raise DomainError(f"wall must be >= 0, got {v} for layer{i}")
     return TrainingRun(
         net=net, opt_spec=opt_spec, opt_state=OptimizerState.init_for(net, opt_spec),
         vol_cfg=vol_cfg, vols=vols,

@@ -50,6 +50,16 @@ def _resign(path, edit, sets_kept=None) -> None:
     write_framed(path, b"VZCK", 1, len(text).to_bytes(4, "little") + text + payload)
 
 
+def _unchain(h) -> None:
+    """Layer 1 re-declared as ((in_dim + 1) * out_dim - 1) -> 1, the arena
+    size it had, with a matching manifest: only the chain is broken."""
+    layer = h["model"]["layers"][1]
+    n_in = (layer["in_dim"] + 1) * layer["out_dim"] - 1
+    layer.update(in_dim=n_in, out_dim=1)
+    h["tensors"][2].update(shape=[n_in, 1])
+    h["tensors"][3].update(shape=[1])
+
+
 # one header value the crc cannot catch, per case; the payload stays intact
 BAD_HEADER_VALUES = {
     "in_dim 0": lambda h: h["model"]["layers"][0].update(in_dim=0),
@@ -78,6 +88,10 @@ BAD_HEADER_VALUES = {
     "lr as a json number": lambda h: h["optimizer"].update(lr=0.01),
     "missing eps": lambda h: h["optimizer"].pop("eps"),
     "non-hex test_acc entry": lambda h: h["trajectory"]["test_acc"].__setitem__(0, "half"),
+    # values the network refuses; with the walls on, a wall follows each scale
+    "unchained layers": _unchain,
+    **{f"init scale {a}": lambda h, a=a: h["model"]["layers"][0].update(
+        init_scale_a=float(a).hex()) for a in ("-0.5", "nan", "inf", "0")},
 }
 
 
@@ -253,6 +267,13 @@ class TestRefusals:
     def test_bad_header_value_on_resume_exits_two(self, tmp_path, capsys):
         assert self._resume_after(tmp_path, "batch size 0") == 2
         assert "integrity" in capsys.readouterr().err
+
+    def test_unchained_layers_on_resume_exit_two_with_one_line(self, tmp_path, capsys):
+        # not a numpy traceback from the first forward pass
+        assert self._resume_after(tmp_path, "unchained layers") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: integrity:")
+        assert "layer chain broken" in err[0]
 
     def test_epoch_ahead_of_trajectory_on_resume_exits_two(self, tmp_path, capsys):
         # not the exit 1 of a checkpoint ahead of its config: the header lies

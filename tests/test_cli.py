@@ -146,7 +146,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad, message", [
         ("n_classes = 1", "n_classes"), ("batch_size = 0", "batch_size"),
         ("spread = 0", "spread"), ("spread = inf", "spread"),
-        ("lr = 0", "lr must be positive"), ("hidden_dims = 0", "layer dims must be positive"),
+        ("lr = 0", "lr must be positive"), ("hidden_dims = 0", "hidden_dims must be >= 1"),
         ("noise_ratio = 1", "noise_ratio")],
         ids=["n_classes", "batch_size", "spread", "spread-inf", "lr", "hidden_dims",
              "noise_ratio"])
@@ -245,7 +245,7 @@ class TestExitCodes:
           for command in ("train", "quantize", "spectral")
           for bad, message in (("batch_size = 0", "batch_size must be >= 1"),
                                ("lr = 0", "lr must be positive"),
-                               ("hidden_dims = 0", "layer dims must be positive"))],
+                               ("hidden_dims = 0", "hidden_dims must be >= 1"))],
         pytest.param("quantize", "v = inf", "requires active walls", id="quantize-v-inf"),
     ])
     def test_bad_run_value_exits_one_before_making_out(self, tmp_path, capsys,
@@ -459,15 +459,33 @@ def _module_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
+def _session(sid):
+    """Pids of the live processes of session sid, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as f:
+                state, _, _, session = f.read().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):  # not a process, or one that has gone
+            continue
+        if int(session) == sid and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+SIGNALS = [pytest.param(signal.SIGINT, 130, "interrupted", id="SIGINT"),
+           pytest.param(signal.SIGTERM, 143, "terminated", id="SIGTERM")]
+
+
 class TestInterrupt:
-    @pytest.mark.parametrize("signum, code, line", [
-        pytest.param(signal.SIGINT, 130, "interrupted", id="SIGINT"),
-        pytest.param(signal.SIGTERM, 143, "terminated", id="SIGTERM")])
-    def test_sigint_exits_130_with_one_line(self, tmp_path, signum, code, line):
-        cfg = _cfg(tmp_path, "hidden_dims = 256,256\nepochs = 400\n")
-        out = tmp_path / "o"
+    @staticmethod
+    def _interrupt(argv, out, ready, signum, code, line):
+        """Starts `python -m volumize *argv` in its own session, sends signum
+        once ready(session pids) holds, and checks the exit: code, line as
+        the whole of stderr, no process of the session left 2 s later and
+        no temp file under out."""
         proc = subprocess.Popen(
-            [sys.executable, "-m", "volumize", "train", "--config", cfg, "--out", str(out)],
+            [sys.executable, "-m", "volumize", *argv, "--out", str(out)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_module_env(),
             start_new_session=True,
             # a shell that starts the suite in the background ignores SIGINT,
@@ -475,10 +493,9 @@ class TestInterrupt:
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
             deadline = time.monotonic() + 60
-            while not out.exists():  # made once the run is built
+            while not ready(_session(proc.pid)):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            time.sleep(0.5)  # into the epochs, with the evaluator running
             proc.send_signal(signum)
             _, err = proc.communicate(timeout=60)
         finally:
@@ -495,7 +512,40 @@ class TestInterrupt:
                 break
             assert time.monotonic() < deadline, "a process outlived the run"
             time.sleep(0.05)
-        assert list(out.glob("*.tmp")) == []
+        assert list(out.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("signum, code, line", SIGNALS)
+    def test_sigint_exits_130_with_one_line(self, tmp_path, signum, code, line):
+        cfg = _cfg(tmp_path, "hidden_dims = 256,256\nepochs = 400\n")
+        out = tmp_path / "o"
+
+        def ready(_):
+            if not out.exists():  # made once the run is built
+                return False
+            time.sleep(0.5)  # into the epochs, with the evaluator running
+            return True
+
+        self._interrupt(["train", "--config", cfg], out, ready, signum, code, line)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc") or _pool.available_cpus() < 2,
+                        reason="reads the session's processes from /proc; "
+                               "a flow helper needs a spare CPU")
+    @pytest.mark.parametrize("signum, code, line", SIGNALS)
+    @pytest.mark.parametrize("command, text, children", [
+        # two workers through a sweep far longer than the test
+        pytest.param(["sweep", "--workers", "2"],
+                     "n_per_class = 100\nhidden_dims = 64\nepochs = 400\n"
+                     "v_grid = 0.5, inf\nalpha_grid = 0, 1\nrepeats = 2\n", 2, id="sweep"),
+        # the flows come first, beside their helper; forty of them at the
+        # default flow_dim of 2e5 outlast the test
+        pytest.param(["theory", "theorem3"],
+                     "n_samples = 1000\nlambda_grid = " + ", ".join(["0.25"] * 40) + "\n",
+                     1, id="theorem3")])
+    def test_served_processes_end_with_the_command(self, tmp_path, command, text, children,
+                                                   signum, code, line):
+        cfg = _cfg(tmp_path, text)
+        self._interrupt([*command, "--config", cfg], tmp_path / "o",
+                        lambda pids: len(pids) > children, signum, code, line)
 
 
 class TestKilled:
@@ -523,6 +573,34 @@ class TestKilled:
         assert proc.returncode == -signal.SIGKILL
         assert 2 <= load_checkpoint(ckpt).epoch < 400
         assert main(["train", "--config", cfg, "--out", str(killed), "--resume"]) == 0
+        assert _tree(killed) == _tree(straight)
+
+    def test_sweep_resume_after_sigkill_between_cells_gives_the_uninterrupted_bytes(
+            self, tmp_path):
+        cfg = _cfg(tmp_path, (
+            "n_classes = 3\nn_per_class = 100\ndim = 4\nhidden_dims = 64\n"
+            "optimizer = sgd\nlr = 0.05\nepochs = 60\nbatch_size = 16\n"
+            "v_grid = 0.5, inf\nalpha_grid = 0, 1\nrepeats = 1\n"))
+        argv = ["sweep", "--config", cfg, "--workers", "1"]
+        straight, killed = tmp_path / "straight", tmp_path / "killed"
+        assert main([*argv, "--out", str(straight)]) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "volumize", *argv, "--out", str(killed)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_module_env(),
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            # cell files are written atomically: a cell is there whole or not at all
+            while not list((killed / "cells").glob("*.json")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        assert proc.returncode == -signal.SIGKILL
+        assert not (killed / "sweep.csv").exists()
+        assert main([*argv, "--out", str(killed), "--resume"]) == 0
         assert _tree(killed) == _tree(straight)
 
 

@@ -9,6 +9,7 @@ import volumize.net as vnet
 
 from volumize import (
     ConfigError,
+    DomainError,
     LayerSpec,
     NumericError,
     SeededRng,
@@ -100,6 +101,35 @@ class TestInit:
         dup = net.clone()
         dup.layers[0].w += 1.0
         assert not np.array_equal(dup.layers[0].w, net.layers[0].w)
+
+
+def _layer(n_in, n_out, a=0.5):
+    return vnet.Layer(LayerSpec(n_in, n_out), 0.0, 0.0, a)
+
+
+class TestNetworkChecks:
+    """The constructor every network goes through, initialized, loaded,
+    cloned or built by hand, refuses what no network can be."""
+
+    @pytest.mark.parametrize("layers, fan_mode, message", [
+        pytest.param([_layer(8, 16), _layer(33, 8), _layer(16, 4)], "fan_in",
+                     "layer chain broken: out_dim 16 feeds in_dim 33", id="unchained"),
+        pytest.param([], "fan_in", "need at least one layer", id="no-layers"),
+        pytest.param([_layer(8, 4)], "fan_mid", "fan_mode must be", id="fan_mid")])
+    def test_refuses_what_is_no_network(self, layers, fan_mode, message):
+        with pytest.raises(ConfigError, match=message):
+            vnet.Network(layers, fan_mode)
+
+    @pytest.mark.parametrize("a", [-0.5, 0.0, float("inf"), float("nan")])
+    def test_init_scale_must_be_positive_and_finite(self, a):
+        with pytest.raises(DomainError, match=f"got {a} for layer1"):
+            vnet.Network([_layer(8, 4), _layer(4, 2, a)], "fan_in")
+
+    def test_clone_is_checked_too(self):
+        net = init_network([LayerSpec(5, 4), LayerSpec(4, 2)], SeededRng(2))
+        net.layers[1].init_scale_a = float("inf")
+        with pytest.raises(DomainError, match="layer1"):
+            net.clone()
 
 
 def _assert_views_into_arena(net):

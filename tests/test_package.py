@@ -4,6 +4,8 @@ import ast
 import pathlib
 import re
 
+import pytest
+
 import volumize
 from volumize.cli import build_parser
 
@@ -123,3 +125,20 @@ def test_readme_synopsis_matches_the_parser():
     defined = {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
                for name, sp in commands.items()}
     assert synopsis == defined
+
+
+README_EXAMPLES = re.findall(r"^```python\n(.*?)^```$",
+                             (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(README_EXAMPLES) >= 3
+
+
+@pytest.mark.parametrize("code", [pytest.param(code, id=f"example{i}")
+                                  for i, code in enumerate(README_EXAMPLES)])
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, code):
+    # each block alone, as a reader pastes it; the sweep example writes out/sweep
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out

@@ -8,9 +8,10 @@ from volumize.checkpoint import load_checkpoint, save_checkpoint
 from volumize.errors import CheckpointError, ConfigError, DomainError, ShapeError
 from volumize.linalg import SeededRng, stable_hash
 from volumize.net import LayerSpec, forward, init_network
-from volumize.optimizers import OptimizerSpec
+from volumize.optimizers import OptimizerSpec, OptimizerState
 from volumize.training import (
     MetricTrajectory,
+    TrainingRun,
     evaluate,
     new_run,
     run_epochs,
@@ -211,6 +212,40 @@ class TestNewRun:
         with pytest.raises(ShapeError, match=f"got {len(vols)} walls for 2 layers"):
             new_run(_net(9), sgd_spec, VolumizationConfig(v=0.5, alpha=0.0),
                     SeededRng(9), vols=vols)
+
+
+class TestTrainingRunChecks:
+    """The constructor every run goes through, new, loaded or built by
+    hand, refuses what no run can hold."""
+
+    @staticmethod
+    def _build(kind="sgd", vols=None, batch_size=16, loss="softmax_xent", t=0, n=False):
+        net = _net(12)
+        state = OptimizerState(np.zeros(net.n_params), np.zeros(net.n_params) if n else None, t)
+        return TrainingRun(net, OptimizerSpec(kind=kind, lr=0.05), state,
+                           VolumizationConfig(v=0.5, alpha=0.0), vols, SeededRng(12),
+                           batch_size, loss)
+
+    def test_a_valid_run_builds(self):
+        assert self._build(vols=(0.5, 0.0)).vols == (0.5, 0.0)
+        assert self._build(kind="adam", n=True, t=3).opt_state.t == 3
+
+    @pytest.mark.parametrize("change, error, message", [
+        pytest.param({"batch_size": 0}, ConfigError, "batch_size must be >= 1", id="batch-0"),
+        pytest.param({"loss": "hinge"}, ConfigError, "loss must be one of", id="hinge"),
+        pytest.param({"vols": (0.5, -0.25)}, DomainError, "wall must be >= 0, got -0.25 for layer1",
+                     id="negative-wall"),
+        pytest.param({"vols": (0.5, float("nan"))}, DomainError, "wall must be >= 0",
+                     id="nan-wall"),
+        pytest.param({"vols": (0.5,)}, ShapeError, "got 1 walls for 2 layers", id="one-wall"),
+        pytest.param({"n": True}, ConfigError, "second moments given to the sgd state",
+                     id="sgd-with-moments"),
+        pytest.param({"kind": "adam"}, ConfigError, "second moments missing from the adam",
+                     id="adam-without-moments"),
+        pytest.param({"t": -1}, DomainError, "step counter must be >= 0", id="t-negative")])
+    def test_refuses_what_is_no_run(self, change, error, message):
+        with pytest.raises(error, match=message):
+            self._build(**change)
 
 
 class TestTrainModel:
